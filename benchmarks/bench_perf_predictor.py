@@ -2,19 +2,29 @@
 
 The paper's C++-grade predictor simulates 35M tasks in 4 minutes
 (~150k tasks/s).  This bench measures our pure-Python predictor's
-tasks/second across workload sizes; the reproduction bar is the
-*feasibility* of the what-if loop (each control iteration's predictions
-complete in about a second at experiment scale), not parity with the
-paper's native-code number.
+tasks/second across workload sizes and prints each as a share of that
+figure; the reproduction bar is the *feasibility* of the what-if loop
+(a cold five-candidate retune over an hour-long window completes in a
+fraction of a second), not parity with the paper's native-code number.
+
+Every size is timed three times, the rounds interleaved over the sizes
+so a slow stretch of the host hits all of them alike, and scored by its
+best round.  Alongside the printed table one timestamped record per
+invocation — full runs *and* ``--smoke`` — is appended to
+``benchmarks/results/perf_predictor.json``.
+
+Run:  PYTHONPATH=src python benchmarks/bench_perf_predictor.py
+CI smoke (two small sizes + the floor):
+      PYTHONPATH=src python benchmarks/bench_perf_predictor.py --smoke
 """
 
+from __future__ import annotations
+
+import argparse
 import sys
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
-from _harness import report
-
+from _harness import RESULTS_DIR, append_trajectory_run, report
 from repro.sim.predictor import SchedulePredictor
 from repro.workload.synthetic import (
     two_tenant_cluster,
@@ -22,46 +32,104 @@ from repro.workload.synthetic import (
     two_tenant_model,
 )
 
+#: Machine-readable trajectory file (a ``runs`` list; append-only).
+RESULTS_JSON = RESULTS_DIR / "perf_predictor.json"
 
-def _workload(hours: float):
-    return two_tenant_model().generate(3, hours * 3600.0)
+#: The paper's reported rate (35M tasks in 240 s).
+PAPER_TASKS_PER_S = 150_000.0
+
+#: Feasibility floor.  The event-incremental predictor measures
+#: 50-80k tasks/s on the 2-core reference container (the smallest size
+#: is the slowest and the noisiest); half of its worst leaves room for
+#: a slower runner and still fails a fall back to the 12-14k tasks/s of
+#: rescheduling every pool at every instant.
+FLOOR_TASKS_PER_S = 25_000.0
+
+ROUNDS = 3
 
 
-def test_perf_predictor_throughput(benchmark):
+def run(hours: tuple[float, ...], mode: str) -> int:
+    """Measure, print, gate, and archive one invocation."""
     cluster = two_tenant_cluster()
     config = two_tenant_expert_config(cluster)
     predictor = SchedulePredictor(cluster)
-    rows = []
-    rates = []
+    workloads = [two_tenant_model().generate(3, h * 3600.0) for h in hours]
+    best = [float("inf")] * len(workloads)
+    for _ in range(ROUNDS):
+        for i, workload in enumerate(workloads):
+            start = time.perf_counter()
+            schedule = predictor.predict(workload, config)
+            best[i] = min(best[i], time.perf_counter() - start)
+            assert len(schedule.job_records) == len(workload)
 
-    for hours in (0.5, 1.0, 2.0, 4.0):
-        workload = _workload(hours)
-        start = time.perf_counter()
-        predictor.predict(workload, config)
-        elapsed = time.perf_counter() - start
+    sizes = []
+    rows = []
+    for h, workload, elapsed in zip(hours, workloads, best):
         rate = workload.num_tasks / elapsed
-        rates.append(rate)
+        sizes.append(
+            {
+                "hours": h,
+                "jobs": len(workload),
+                "tasks": workload.num_tasks,
+                "best_s": elapsed,
+                "tasks_per_s": rate,
+            }
+        )
         rows.append(
             [
-                f"{hours:g}h",
+                f"{h:g}h",
                 len(workload),
                 workload.num_tasks,
-                f"{elapsed:.2f}s",
+                f"{elapsed:.3f}s",
                 f"{rate:,.0f}",
+                f"{rate / PAPER_TASKS_PER_S:.2f}x",
             ]
         )
-
-    # The timed benchmark sample: the 1-hour workload.
-    reference = _workload(1.0)
-    benchmark(predictor.predict, reference, config)
-
-    rows.append(["paper (700-node, C++-grade)", "60k", "35M", "240s", "~150,000"])
+    rows.append(["paper (700-node, C++-grade)", "60k", "35M", "240s", "~150,000", "1x"])
     report(
         "perf_predictor",
-        "Schedule predictor throughput (time-warp, pure Python)",
-        ["workload", "jobs", "tasks", "time", "tasks/s"],
+        f"Schedule predictor throughput ({mode}, best of {ROUNDS} interleaved rounds)",
+        ["workload", "jobs", "tasks", "time", "tasks/s", "vs paper"],
         rows,
     )
-    # Feasibility bar: >= 2k tasks/s sustained so a 5-candidate control
-    # loop over a 30-minute window stays interactive.
-    assert min(rates) > 2000
+
+    slowest = min(size["tasks_per_s"] for size in sizes)
+    failures = []
+    if slowest < FLOOR_TASKS_PER_S:
+        failures.append(
+            f"predictor {slowest:,.0f} tasks/s < {FLOOR_TASKS_PER_S:,.0f} floor"
+        )
+    for failure in failures:
+        print(f"BENCH FAILURE: {failure}")
+    append_trajectory_run(
+        RESULTS_JSON,
+        {
+            "mode": mode,
+            "rounds": ROUNDS,
+            "sizes": sizes,
+            "min_tasks_per_s": slowest,
+            "paper_ratio": slowest / PAPER_TASKS_PER_S,
+            "floor_tasks_per_s": FLOOR_TASKS_PER_S,
+            "failures": failures,
+        },
+    )
+    return 1 if failures else 0
+
+
+def main() -> int:
+    """CLI entry: full measurement or the CI ``--smoke`` gate."""
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--smoke",
+        action="store_true",
+        help="two small workload sizes + the floor (CI); appends a "
+        "'smoke' record to the same trajectory",
+    )
+    args = parser.parse_args()
+    if args.smoke:
+        return run((0.5, 1.0), mode="smoke")
+    return run((0.5, 1.0, 2.0, 4.0), mode="full")
+
+
+if __name__ == "__main__":
+    sys.exit(main())

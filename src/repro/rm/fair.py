@@ -18,44 +18,41 @@ import math
 from typing import Mapping, Sequence
 
 
-def weighted_water_fill(
+def water_fill(
     capacity: float,
-    weights: Mapping[str, float],
-    floors: Mapping[str, float],
-    ceilings: Mapping[str, float],
-) -> dict[str, float]:
-    """Continuous weighted max-min allocation.
+    weights: Sequence[float],
+    floors: Sequence[float],
+    ceilings: Sequence[float],
+) -> list[float]:
+    """Continuous weighted max-min allocation over aligned sequences.
 
-    Finds the water level ``lam`` such that every tenant receives
-    ``clamp(lam * weight, floor, ceiling)`` and the total equals
-    ``min(capacity, sum(ceilings))``.  Floors are assumed feasible
-    (``sum(floors) <= capacity``); callers pre-scale them otherwise.
+    Finds the water level ``lam`` such that tenant ``i`` receives
+    ``clamp(lam * weights[i], floors[i], ceilings[i])`` and the total
+    equals ``min(capacity, sum(ceilings))``.  Floors are assumed
+    feasible (``sum(floors) <= capacity``); callers pre-scale them
+    otherwise.  This is the one fair-share arithmetic: sums run in
+    sequence order, so equal inputs in equal order give bit-equal
+    floats whichever API they came through.
     """
-    tenants = sorted(weights)
-    if not tenants:
-        return {}
-    for t in tenants:
-        if weights[t] < 0:
-            raise ValueError(f"negative weight for {t!r}")
-        if floors.get(t, 0.0) > ceilings.get(t, math.inf):
-            raise ValueError(f"floor above ceiling for {t!r}")
-    total_ceiling = sum(ceilings.get(t, math.inf) for t in tenants)
-    target = min(capacity, total_ceiling)
-    total_floor = sum(floors.get(t, 0.0) for t in tenants)
+    if not weights:
+        return []
+    for i, (w, lo, hi) in enumerate(zip(weights, floors, ceilings)):
+        if w < 0:
+            raise ValueError(f"negative weight at position {i}")
+        if lo > hi:
+            raise ValueError(f"floor above ceiling at position {i}")
+    target = min(capacity, sum(ceilings))
+    total_floor = sum(floors)
     if total_floor > capacity + 1e-9:
         raise ValueError(
             f"floors sum to {total_floor}, exceeding capacity {capacity}"
         )
     if target <= total_floor:
-        return {t: floors.get(t, 0.0) for t in tenants}
-
-    floor_list = [floors.get(t, 0.0) for t in tenants]
-    ceil_list = [ceilings.get(t, math.inf) for t in tenants]
-    weight_list = [weights[t] for t in tenants]
+        return list(floors)
 
     def allocated(lam: float) -> float:
         total = 0.0
-        for w, lo, hi in zip(weight_list, floor_list, ceil_list):
+        for w, lo, hi in zip(weights, floors, ceilings):
             value = lam * w
             if value < lo:
                 value = lo
@@ -69,7 +66,7 @@ def weighted_water_fill(
     # leaves its clamp; walk the (at most 2n) segments and interpolate
     # exactly instead of bisecting.
     breakpoints = {0.0}
-    for w, lo, hi in zip(weight_list, floor_list, ceil_list):
+    for w, lo, hi in zip(weights, floors, ceilings):
         if w > 0:
             breakpoints.add(lo / w)
             if math.isfinite(hi):
@@ -98,18 +95,70 @@ def weighted_water_fill(
     if not reached:
         # Beyond the last breakpoint only unbounded-ceiling tenants grow.
         slope = sum(
-            w
-            for w, hi in zip(weight_list, ceil_list)
-            if w > 0 and math.isinf(hi)
+            w for w, hi in zip(weights, ceilings) if w > 0 and math.isinf(hi)
         )
         if slope > 0:
             lam = prev_level + (target - prev_alloc) / slope
         # else: target is unreachable (zero-weight floors); keep lam at
         # the last breakpoint, allocating as much as the clamps allow.
-    return {
-        t: min(max(lam * weights[t], floors.get(t, 0.0)), ceilings.get(t, math.inf))
-        for t in tenants
-    }
+    return [
+        min(max(lam * w, lo), hi) for w, lo, hi in zip(weights, floors, ceilings)
+    ]
+
+
+def weighted_water_fill(
+    capacity: float,
+    weights: Mapping[str, float],
+    floors: Mapping[str, float],
+    ceilings: Mapping[str, float],
+) -> dict[str, float]:
+    """:func:`water_fill` keyed by tenant name (tenants in sorted order).
+
+    Missing floors default to 0, missing ceilings to unbounded.
+    """
+    tenants = sorted(weights)
+    levels = water_fill(
+        capacity,
+        [weights[t] for t in tenants],
+        [floors.get(t, 0.0) for t in tenants],
+        [ceilings.get(t, math.inf) for t in tenants],
+    )
+    return dict(zip(tenants, levels))
+
+
+def fair_share_counts(
+    capacity: int,
+    demands: Sequence[int],
+    weights: Sequence[float],
+    min_shares: Sequence[int],
+    max_shares: Sequence[int],
+) -> list[int]:
+    """Integer weighted max-min fair shares over aligned sequences.
+
+    The list form of :func:`fair_shares` (which documents the
+    semantics): position ``i`` of every argument describes one tenant,
+    and rounding ties break towards the earlier position — pass tenants
+    in sorted-name order to match the dict API bit for bit.
+    """
+    if capacity < 0:
+        raise ValueError(f"capacity must be >= 0, got {capacity}")
+    ceilings: list[float] = []
+    floors: list[float] = []
+    for demand, low, high in zip(demands, min_shares, max_shares):
+        cap_t = min(max(int(demand), 0), int(high))
+        ceilings.append(float(cap_t))
+        floors.append(float(min(int(low), cap_t)))
+    total_floor = sum(floors)
+    if total_floor > capacity:
+        # Guaranteed minimums oversubscribe the pool: scale proportionally
+        # (the "if all SLOs cannot be satisfied" degenerate case at the
+        # allocation layer).
+        scale = capacity / total_floor
+        floors = [f * scale for f in floors]
+    continuous = water_fill(
+        float(capacity), [float(w) for w in weights], floors, ceilings
+    )
+    return _round_preserving_sum(continuous, ceilings)
 
 
 def fair_shares(
@@ -134,74 +183,53 @@ def fair_shares(
         Integer allocation per tenant summing to
         ``min(capacity, total effective demand)``.
     """
-    if capacity < 0:
-        raise ValueError(f"capacity must be >= 0, got {capacity}")
     tenants = sorted(demands)
-    weights = dict(weights or {})
-    min_shares = dict(min_shares or {})
-    max_shares = dict(max_shares or {})
-
-    ceilings: dict[str, float] = {}
-    floors: dict[str, float] = {}
-    eff_weights: dict[str, float] = {}
-    for t in tenants:
-        demand = max(int(demands[t]), 0)
-        cap_t = min(demand, int(max_shares.get(t, capacity)))
-        ceilings[t] = float(cap_t)
-        floors[t] = float(min(int(min_shares.get(t, 0)), cap_t))
-        eff_weights[t] = float(weights.get(t, 1.0))
-        if eff_weights[t] < 0:
-            raise ValueError(f"negative weight for tenant {t!r}")
-
-    total_floor = sum(floors.values())
-    if total_floor > capacity:
-        # Guaranteed minimums oversubscribe the pool: scale proportionally
-        # (the "if all SLOs cannot be satisfied" degenerate case at the
-        # allocation layer).
-        scale = capacity / total_floor
-        floors = {t: f * scale for t, f in floors.items()}
-
-    continuous = weighted_water_fill(float(capacity), eff_weights, floors, ceilings)
-    return _round_preserving_sum(continuous, floors, ceilings)
+    weights = weights or {}
+    min_shares = min_shares or {}
+    max_shares = max_shares or {}
+    counts = fair_share_counts(
+        capacity,
+        [demands[t] for t in tenants],
+        [weights.get(t, 1.0) for t in tenants],
+        [min_shares.get(t, 0) for t in tenants],
+        [max_shares.get(t, capacity) for t in tenants],
+    )
+    return dict(zip(tenants, counts))
 
 
 def _round_preserving_sum(
-    continuous: Mapping[str, float],
-    floors: Mapping[str, float],
-    ceilings: Mapping[str, float],
-) -> dict[str, int]:
-    """Largest-remainder rounding that respects floors/ceilings.
+    continuous: Sequence[float], ceilings: Sequence[float]
+) -> list[int]:
+    """Largest-remainder rounding that respects the ceilings.
 
     The integer total equals ``round(sum(continuous))`` (the water-fill
-    already made that ``min(capacity, total demand)`` up to float error).
+    already made that ``min(capacity, total demand)`` up to float
+    error).  Floors may be fractional after scaling, so integer
+    allocations only need to respect ceilings here.
     """
-    tenants = sorted(continuous)
-    target = int(round(sum(continuous.values())))
-    alloc = {t: int(math.floor(continuous[t] + 1e-9)) for t in tenants}
-    # Never round below a ceil of the floor's integer part requirement:
-    # floors may be fractional after scaling; integer allocations only
-    # need to respect ceilings here.
-    leftover = target - sum(alloc.values())
+    count = len(continuous)
+    alloc = [math.floor(v + 1e-9) for v in continuous]
+    leftover = round(sum(continuous)) - sum(alloc)
     if leftover > 0:
-        remainders = sorted(
-            tenants,
-            key=lambda t: (continuous[t] - alloc[t], continuous[t]),
+        order = sorted(
+            range(count),
+            key=lambda i: (continuous[i] - alloc[i], continuous[i]),
             reverse=True,
         )
         idx = 0
-        while leftover > 0 and idx < 10 * len(tenants) + 10:
-            t = remainders[idx % len(remainders)]
-            if alloc[t] + 1 <= ceilings[t] + 1e-9:
-                alloc[t] += 1
+        while leftover > 0 and idx < 10 * count + 10:
+            i = order[idx % count]
+            if alloc[i] + 1 <= ceilings[i] + 1e-9:
+                alloc[i] += 1
                 leftover -= 1
             idx += 1
     elif leftover < 0:  # pragma: no cover - floor() cannot overshoot
-        over = sorted(tenants, key=lambda t: continuous[t] - alloc[t])
+        order = sorted(range(count), key=lambda i: continuous[i] - alloc[i])
         idx = 0
-        while leftover < 0 and idx < 10 * len(tenants) + 10:
-            t = over[idx % len(over)]
-            if alloc[t] > 0:
-                alloc[t] -= 1
+        while leftover < 0 and idx < 10 * count + 10:
+            i = order[idx % count]
+            if alloc[i] > 0:
+                alloc[i] -= 1
                 leftover += 1
             idx += 1
     return alloc

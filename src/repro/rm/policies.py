@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from repro.rm.cluster import ClusterSpec
 from repro.rm.config import RMConfig
-from repro.rm.fair import fair_shares
+from repro.rm.fair import fair_share_counts, fair_shares
+
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,27 @@ class TenantDemand:
     def total_demand(self) -> int:
         """Containers the tenant could use right now."""
         return self.runnable + self.running
+
+
+class DemandKernel(NamedTuple):
+    """One pool's allocation as a pure function of total demands.
+
+    Resolved by :meth:`SchedulingPolicy.demand_kernel` for a fixed
+    tenant list, so positions stand for tenants.
+
+    Attributes:
+        shares: ``shares(active, demands)`` — target allocations aligned
+            with ``active`` (ascending tenant positions), given those
+            tenants' total demands.
+        saturation: Per tenant position, the demand beyond which more
+            demand changes no tenant's share (its effective cap):
+            ``shares`` is unchanged when every demand is replaced by
+            ``min(demand, saturation)``, so callers may memoize on the
+            clamped vector.
+    """
+
+    shares: Callable[[Sequence[int], Sequence[int]], list[int]]
+    saturation: Sequence[int]
 
 
 class SchedulingPolicy(ABC):
@@ -69,6 +91,27 @@ class SchedulingPolicy(ABC):
         """
         return self.allocate(pool, capacity, demands, config)
 
+    def demand_kernel(
+        self,
+        pool: str,
+        capacity: int,
+        tenants: Sequence[str],
+        config: RMConfig,
+    ) -> DemandKernel | None:
+        """:meth:`allocate` for one pool with the configuration resolved once.
+
+        A policy whose targets depend on the tenants' demands only
+        through ``total_demand`` returns a :class:`DemandKernel` over
+        ``tenants`` (sorted names): the same arithmetic as
+        :meth:`allocate` on lists, with every per-tenant setting read
+        from ``config`` up front.  The schedule predictor then caches
+        targets per demand vector and leaves a pool alone at instants
+        that do not touch it.  ``None`` (the default) says the targets
+        depend on more — FIFO reads queue ages — so the predictor calls
+        :meth:`allocate` for every pool at every instant.
+        """
+        return None
+
 
 class FairSharePolicy(SchedulingPolicy):
     """Weighted max-min fair scheduler with min/max limits (Section 3.2)."""
@@ -88,6 +131,29 @@ class FairSharePolicy(SchedulingPolicy):
             for d in demands
         }
         return fair_shares(capacity, demand_map, weights, mins, maxs)
+
+    def demand_kernel(
+        self,
+        pool: str,
+        capacity: int,
+        tenants: Sequence[str],
+        config: RMConfig,
+    ) -> DemandKernel:
+        settings = [config.tenant(t) for t in tenants]
+        weights = [s.weight for s in settings]
+        mins = [s.min_for(pool) for s in settings]
+        maxs = [s.max_for(pool, capacity) for s in settings]
+
+        def shares(active: Sequence[int], demands: Sequence[int]) -> list[int]:
+            return fair_share_counts(
+                capacity,
+                demands,
+                [weights[i] for i in active],
+                [mins[i] for i in active],
+                [maxs[i] for i in active],
+            )
+
+        return DemandKernel(shares, maxs)
 
 
 class FifoPolicy(SchedulingPolicy):
@@ -162,3 +228,25 @@ class CapacityPolicy(SchedulingPolicy):
         # Floors may exceed caps for idle tenants; clip to demand first.
         mins = {t: min(mins[t], demand_map[t]) for t in mins}
         return fair_shares(capacity, demand_map, weights, mins, maxs)
+
+    def demand_kernel(
+        self,
+        pool: str,
+        capacity: int,
+        tenants: Sequence[str],
+        config: RMConfig,
+    ) -> DemandKernel:
+        weights = [self._fractions.get(t, 1e-6) for t in tenants]
+        owned = [int(self._fractions.get(t, 0.0) * capacity) for t in tenants]
+        maxs = [config.tenant(t).max_for(pool, capacity) for t in tenants]
+
+        def shares(active: Sequence[int], demands: Sequence[int]) -> list[int]:
+            return fair_share_counts(
+                capacity,
+                demands,
+                [weights[i] for i in active],
+                [min(owned[i], d) for i, d in zip(active, demands)],
+                [maxs[i] for i in active],
+            )
+
+        return DemandKernel(shares, maxs)

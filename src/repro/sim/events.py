@@ -3,32 +3,26 @@
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
-
-@dataclass(order=True, frozen=True)
-class Event:
-    """A scheduled event; ordering is (time, sequence number)."""
-
-    time: float
-    seq: int
-    kind: str = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+#: One scheduled event: ``(time, seq, kind, payload)``.  ``seq`` is
+#: unique, so heap comparisons never reach ``kind`` or ``payload``.
+Event = tuple[float, int, Any, Any]
 
 
 class EventQueue:
-    """Min-heap of events with deterministic FIFO tie-breaking.
+    """Min-heap of :data:`Event` tuples with deterministic FIFO ties.
 
     Events at equal timestamps pop in insertion order, which keeps the
-    time-warp simulation fully deterministic for a fixed input.
+    time-warp simulation fully deterministic for a fixed input.  Entries
+    are plain tuples because the heap compares them in C — the
+    predictor's event loop is the floor of every retune.
     """
 
     def __init__(self) -> None:
         self._heap: list[Event] = []
-        self._seq = itertools.count()
+        self._seq = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -36,23 +30,14 @@ class EventQueue:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-    def push(self, time: float, kind: str, payload: Any = None) -> Event:
-        """Schedule an event; returns the stored record."""
+    def push(self, time: float, kind: Any, payload: Any = None) -> int:
+        """Schedule an event; returns its sequence number."""
         if math.isnan(time):
             raise ValueError("event time must not be NaN")
-        event = Event(time=time, seq=next(self._seq), kind=kind, payload=payload)
-        heapq.heappush(self._heap, event)
-        return event
-
-    def peek_time(self) -> float:
-        """Timestamp of the next event; ``inf`` when empty."""
-        return self._heap[0].time if self._heap else math.inf
-
-    def pop(self) -> Event:
-        """Remove and return the earliest event."""
-        if not self._heap:
-            raise IndexError("pop from empty event queue")
-        return heapq.heappop(self._heap)
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, kind, payload))
+        return seq
 
     def pop_batch(self, epsilon: float = 1e-9) -> list[Event]:
         """Pop every event sharing the earliest timestamp (within eps).
@@ -60,15 +45,11 @@ class EventQueue:
         Processing simultaneous events as one batch lets the simulator
         recompute allocations once per instant instead of once per event.
         """
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             return []
-        t0 = self._heap[0].time
-        batch = [heapq.heappop(self._heap)]
-        while self._heap and self._heap[0].time <= t0 + epsilon:
-            batch.append(heapq.heappop(self._heap))
+        batch = [heapq.heappop(heap)]
+        limit = batch[0][0] + epsilon
+        while heap and heap[0][0] <= limit:
+            batch.append(heapq.heappop(heap))
         return batch
-
-    def drain(self) -> Iterator[Event]:
-        """Yield every remaining event in time order, emptying the queue."""
-        while self._heap:
-            yield heapq.heappop(self._heap)

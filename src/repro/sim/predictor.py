@@ -19,33 +19,36 @@ scheduler (Section 3.2):
   over-share tenants are killed (losing their work) and the freed
   containers are handed to the starving tenant;
 * killed tasks restart from scratch, re-entering the queue head.
+
+The event loop is incremental: an instant reschedules only the pools
+an event touched or whose preemption deadline is due, per-tenant
+settings are resolved from the configuration once per run, and target
+allocations are cached per pool and demand vector.  Each shortcut is
+exact — see :class:`_PredictorRun`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from collections import deque
 
 from repro.rm.cluster import ClusterSpec
 from repro.rm.config import RMConfig
-from repro.rm.policies import FairSharePolicy, SchedulingPolicy, TenantDemand
+from repro.rm.policies import (
+    DemandKernel,
+    FairSharePolicy,
+    SchedulingPolicy,
+    TenantDemand,
+)
 from repro.rm.preemption import StarvationClock, select_victims
 from repro.sim.events import EventQueue
-from repro.sim.runtime import (
-    JobRun,
-    PendingTask,
-    PoolState,
-    RunningTask,
-    validate_workload_fits,
-)
+from repro.sim.runtime import JobRun, validate_workload_fits
 from repro.sim.schedule import TaskSchedule
-from repro.workload.model import JobSpec, Workload
+from repro.workload.model import JobSpec, StageSpec, TaskSpec, Workload
 from repro.workload.trace import JobRecord, TaskRecord
 
 #: Event kinds used by the predictor.
-_ARRIVAL = "arrival"
-_FINISH = "finish"
-_PREEMPT = "preempt"
+_ARRIVAL, _FINISH, _PREEMPT = range(3)
 
 
 class SchedulePredictor:
@@ -76,8 +79,138 @@ class SchedulePredictor:
         return run.execute()
 
 
+class _Task:
+    """One task across all its attempts.
+
+    The ``tenant`` (a position in the run's sorted tenant list),
+    ``start_time`` and ``containers`` attributes satisfy the
+    victim-selection protocol in :mod:`repro.rm.preemption`.  ``event``
+    is the sequence number of the finish event of the running attempt;
+    a finish event carrying any other number belongs to a killed
+    attempt and is dropped.
+    """
+
+    __slots__ = (
+        "job",
+        "spec",
+        "stage",
+        "pool",
+        "tenant",
+        "containers",
+        "ready_time",
+        "start_time",
+        "attempt",
+        "event",
+    )
+
+    def __init__(
+        self,
+        job: JobRun,
+        spec: TaskSpec,
+        stage: str,
+        pool: "_Pool",
+        tenant: int,
+        now: float,
+    ):
+        self.job = job
+        self.spec = spec
+        self.stage = stage
+        self.pool = pool
+        self.tenant = tenant
+        self.containers = spec.containers
+        self.ready_time = now
+        self.start_time = now
+        self.attempt = 0
+        self.event = -1
+
+
+class _Pool:
+    """Queues, counters and resolved settings of one container pool.
+
+    Every per-tenant list is indexed by the tenant's position in the
+    run's sorted tenant list.  ``demand`` (pending plus running
+    containers) is the vector the allocation kernel sees; ``running``
+    maps a tenant to its running tasks in launch order, tenants in
+    first-launch order (the tie-break order of victim selection).
+    """
+
+    __slots__ = (
+        "name",
+        "capacity",
+        "kernel",
+        "targets",
+        "pending",
+        "running",
+        "held",
+        "demand",
+        "used",
+        "clocks",
+        "dirty",
+        "deadline",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        capacity: int,
+        tenants: list[str],
+        kernel: DemandKernel | None,
+        config: RMConfig,
+    ):
+        self.name = name
+        self.capacity = capacity
+        self.kernel = kernel
+        self.targets: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+        self.pending: list[deque[_Task]] = [deque() for _ in tenants]
+        self.running: dict[int, dict[_Task, None]] = {}
+        self.held = [0] * len(tenants)
+        self.demand = [0] * len(tenants)
+        self.used = 0
+        # (tenant, clock, min share, min timeout, fair timeout).  A
+        # tenant with both timeouts infinite never preempts: its clock
+        # would be written and never read.
+        self.clocks = [
+            (
+                i,
+                StarvationClock(),
+                s.min_for(name),
+                s.min_share_preemption_timeout,
+                s.fair_share_preemption_timeout,
+            )
+            for i, s in enumerate(map(config.tenant, tenants))
+            if not (
+                math.isinf(s.min_share_preemption_timeout)
+                and math.isinf(s.fair_share_preemption_timeout)
+            )
+        ]
+        self.dirty = kernel is None
+        self.deadline = math.inf
+
+
 class _PredictorRun:
-    """One prediction: all mutable simulation state lives here."""
+    """One prediction: all mutable simulation state lives here.
+
+    Three shortcuts keep the loop fast; each reproduces the schedule of
+    rescheduling every pool from scratch at every instant.
+
+    * **Dirty pools.**  A pool is rescheduled at an instant only if an
+      arrival, finish or stage release touched it, or its earliest
+      preemption deadline is due.  Otherwise its queues are as the last
+      pass left them: the targets (a function of the demand vector) are
+      the same, the launch loop already ran until nothing fitted, and no
+      clock can trigger before the deadline — the pass would change
+      nothing and report the same deadline.  This needs targets that
+      depend on demand alone, which a policy states by providing a
+      :meth:`~repro.rm.policies.SchedulingPolicy.demand_kernel` (kills
+      and launches move containers between pending and running, never
+      the sum); for other policies every pool stays dirty.
+    * **Resolved configuration.**  Tenant positions, the kernel's
+      weights and limits and the preemption settings are read from the
+      :class:`RMConfig` once, in ``__init__``.
+    * **Target cache.**  Per pool, targets are memoized by the demand
+      vector clamped at the kernel's saturation points; the kernel is a
+      pure function of exactly that.
+    """
 
     def __init__(
         self,
@@ -93,35 +226,45 @@ class _PredictorRun:
         validate_workload_fits(
             (t for job in workload for _, t in job.tasks()), cluster.as_dict()
         )
-        self.pools: dict[str, PoolState] = {
-            pool: PoolState(pool, cap) for pool, cap in cluster.items()
-        }
-        self.clocks: dict[tuple[str, str], StarvationClock] = {}
+        self.tenants = sorted(workload.tenants())
+        self.tenant_index = {t: i for i, t in enumerate(self.tenants)}
+        self.pools = [
+            _Pool(
+                pool,
+                cap,
+                self.tenants,
+                policy.demand_kernel(pool, cap, self.tenants, config),
+                config,
+            )
+            for pool, cap in cluster.items()
+        ]
+        self.pool_index = {pool.name: pool for pool in self.pools}
         self.events = EventQueue()
         self.task_records: list[TaskRecord] = []
         self.job_records: list[JobRecord] = []
         self._scheduled_preempt = math.inf
-        self._task_ready_time: dict[tuple[str, str], float] = {}
 
     # -- main loop -----------------------------------------------------------
 
     def execute(self) -> TaskSchedule:
+        events = self.events
         for job in self.workload:
-            self.events.push(job.submit_time, _ARRIVAL, job)
+            events.push(job.submit_time, _ARRIVAL, job)
         now = 0.0
-        while self.events:
-            batch = self.events.pop_batch()
-            now = batch[0].time
+        while events:
+            batch = events.pop_batch()
+            now = batch[0][0]
             if now >= self._scheduled_preempt - 1e-9:
                 self._scheduled_preempt = math.inf
-            for event in batch:
-                if event.kind == _ARRIVAL:
-                    self._handle_arrival(event.payload, now)
-                elif event.kind == _FINISH:
-                    self._handle_finish(event.payload, now)
+            for _, seq, kind, payload in batch:
+                if kind == _FINISH:
+                    if payload.event == seq:
+                        self._handle_finish(payload, now)
+                elif kind == _ARRIVAL:
+                    self._handle_arrival(payload, now)
                 # _PREEMPT events carry no state change; the reschedule
                 # below performs the starvation check.
-            self._reschedule_all(now)
+            self._reschedule(now)
         horizon = max(now, self.workload.horizon)
         return TaskSchedule(
             self.task_records,
@@ -140,30 +283,38 @@ class _PredictorRun:
             return
         self._release_stages(job, job.release_ready_stages(), now)
 
-    def _handle_finish(self, run: RunningTask, now: float) -> None:
-        if run.cancelled:
-            return
-        pool = self.pools[run.task.pool]
-        pool.remove_running(run)
+    def _handle_finish(self, task: _Task, now: float) -> None:
+        self._stop(task, now, preempted=False)
+        task.pool.demand[task.tenant] -= task.containers
+        task.pool.dirty = True
+        job = task.job
+        self._release_stages(job, job.complete_task(task.stage), now)
+        if job.done:
+            self._record_job(job, now)
+
+    def _stop(self, task: _Task, now: float, *, preempted: bool) -> None:
+        """Take the running attempt off its pool and record it."""
+        pool = task.pool
+        del pool.running[task.tenant][task]
+        pool.held[task.tenant] -= task.containers
+        pool.used -= task.containers
+        task.event = -1
+        spec = task.job.spec
         self.task_records.append(
             TaskRecord(
-                job_id=run.job.spec.job_id,
-                task_id=run.task.task_id,
-                tenant=run.tenant,
-                pool=run.task.pool,
-                stage=run.stage,
-                submit_time=self._ready_time(run),
-                start_time=run.start_time,
+                job_id=spec.job_id,
+                task_id=task.spec.task_id,
+                tenant=spec.tenant,
+                pool=pool.name,
+                stage=task.stage,
+                submit_time=task.ready_time,
+                start_time=task.start_time,
                 finish_time=now,
-                containers=run.containers,
-                preempted=False,
-                attempt=run.attempt,
+                containers=task.containers,
+                preempted=preempted,
+                attempt=task.attempt,
             )
         )
-        newly_ready = run.job.complete_task(run.stage)
-        self._release_stages(run.job, newly_ready, now)
-        if run.job.done:
-            self._record_job(run.job, now)
 
     def _record_job(self, job: JobRun, now: float) -> None:
         spec = job.spec
@@ -180,192 +331,170 @@ class _PredictorRun:
             )
         )
 
-    def _release_stages(self, job: JobRun, stages, now: float) -> None:
+    def _release_stages(self, job: JobRun, stages: list[StageSpec], now: float) -> None:
+        tenant = self.tenant_index[job.spec.tenant]
         for stage in stages:
-            for task in stage.tasks:
-                self._task_ready_time[(task.task_id, stage.name)] = now
-                self.pools[task.pool].add_pending(
-                    PendingTask(job, task, stage.name, now)
+            for spec in stage.tasks:
+                pool = self.pool_index[spec.pool]
+                pool.pending[tenant].append(
+                    _Task(job, spec, stage.name, pool, tenant, now)
                 )
-
-    def _ready_time(self, run: RunningTask) -> float:
-        return self._task_ready_time.get(
-            (run.task.task_id, run.stage), run.job.spec.submit_time
-        )
+                pool.demand[tenant] += spec.containers
+                pool.dirty = True
 
     # -- scheduling core ----------------------------------------------------------
 
-    def _reschedule_all(self, now: float) -> None:
+    def _reschedule(self, now: float) -> None:
         next_deadline = math.inf
-        for pool_state in self.pools.values():
-            deadline = self._reschedule_pool(pool_state, now)
-            next_deadline = min(next_deadline, deadline)
+        for pool in self.pools:
+            if pool.dirty or now >= pool.deadline - 1e-9:
+                pool.dirty = pool.kernel is None
+                pool.deadline = self._reschedule_pool(pool, now)
+            if pool.deadline < next_deadline:
+                next_deadline = pool.deadline
         if next_deadline < self._scheduled_preempt - 1e-9:
             self._scheduled_preempt = next_deadline
             self.events.push(next_deadline, _PREEMPT)
 
-    def _compute_targets(
-        self, pool_state: PoolState, now: float
-    ) -> tuple[dict[str, int], dict[str, TenantDemand]]:
-        demands: dict[str, TenantDemand] = {}
-        for tenant in sorted(pool_state.tenants()):
-            demands[tenant] = TenantDemand(
-                tenant=tenant,
-                runnable=pool_state.runnable_containers(tenant),
-                running=pool_state.running_containers(tenant),
-                oldest_pending_submit=pool_state.oldest_pending_submit(tenant),
-            )
-        if not demands:
-            return {}, {}
-        targets = self.policy.allocate(
-            pool_state.pool, pool_state.capacity, list(demands.values()), self.config
-        )
-        return targets, demands
-
-    def _launch(
-        self, pool_state: PoolState, targets: Mapping[str, int], now: float
-    ) -> None:
-        """Hand free containers to tenants below target, round-robin."""
-        free = pool_state.capacity - pool_state.total_running_containers()
-        progressed = True
-        while free > 0 and progressed:
-            progressed = False
-            for tenant in sorted(
-                targets,
-                key=lambda t: targets[t] - pool_state.running_containers(t),
-                reverse=True,
-            ):
-                if free <= 0:
-                    break
-                item = pool_state.peek_pending(tenant)
-                if item is None:
-                    continue
-                if pool_state.running_containers(tenant) >= targets.get(tenant, 0):
-                    continue
-                if item.task.containers > free:
-                    continue
-                pool_state.pop_pending(tenant)
-                run = pool_state.start(item, now)
-                self.events.push(now + item.task.duration, _FINISH, run)
-                free -= item.task.containers
-                progressed = True
-
-    def _reschedule_pool(self, pool_state: PoolState, now: float) -> float:
+    def _reschedule_pool(self, pool: _Pool, now: float) -> float:
         """Allocate, launch, update starvation clocks, maybe preempt.
 
         Returns the earliest future preemption deadline for this pool.
         """
-        targets, demands = self._compute_targets(pool_state, now)
-        if demands:
-            self._launch(pool_state, targets, now)
-
-        # Re-read state after launches for the starvation accounting.
-        kills = self._starvation_pass(pool_state, targets, demands, now)
+        order, targets = self._compute_targets(pool)
+        self._launch(pool, order, targets, now)
+        kills, deadline = self._starvation_pass(pool, targets, now, allow_kills=True)
         if kills:
             # Freed containers: recompute targets (demand shifted) and
             # hand them out, then refresh the clocks once more.
-            targets, demands = self._compute_targets(pool_state, now)
-            if demands:
-                self._launch(pool_state, targets, now)
-            self._starvation_pass(pool_state, targets, demands, now, allow_kills=False)
+            order, targets = self._compute_targets(pool)
+            self._launch(pool, order, targets, now)
+            _, deadline = self._starvation_pass(pool, targets, now, allow_kills=False)
+        return deadline
 
-        return self._next_preemption_deadline(pool_state)
+    def _compute_targets(self, pool: _Pool) -> tuple[list[int], list[int]]:
+        """Launch order (ties keep it) and the target of every tenant."""
+        if pool.kernel is None:
+            return self._allocate(pool)
+        key = tuple(map(min, pool.demand, pool.kernel.saturation))
+        cached = pool.targets.get(key)
+        if cached is None:
+            active = [i for i, demand in enumerate(key) if demand]
+            targets = [0] * len(key)
+            if active:
+                shares = pool.kernel.shares(active, [key[i] for i in active])
+                for i, share in zip(active, shares):
+                    targets[i] = share
+            cached = pool.targets[key] = (active, targets)
+        return cached
+
+    def _allocate(self, pool: _Pool) -> tuple[list[int], list[int]]:
+        """Targets of a policy without a demand kernel."""
+        targets = [0] * len(self.tenants)
+        demands = []
+        for i, demand in enumerate(pool.demand):
+            if demand:
+                queue = pool.pending[i]
+                demands.append(
+                    TenantDemand(
+                        tenant=self.tenants[i],
+                        runnable=demand - pool.held[i],
+                        running=pool.held[i],
+                        oldest_pending_submit=(
+                            queue[0].job.spec.submit_time if queue else math.inf
+                        ),
+                    )
+                )
+        if not demands:
+            return [], targets
+        allocation = self.policy.allocate(
+            pool.name, pool.capacity, demands, self.config
+        )
+        order = [self.tenant_index[t] for t in allocation if t in self.tenant_index]
+        for i in order:
+            targets[i] = allocation[self.tenants[i]]
+        return order, targets
+
+    def _launch(
+        self, pool: _Pool, order: list[int], targets: list[int], now: float
+    ) -> None:
+        """Hand free containers to tenants below target, round-robin."""
+        free = pool.capacity - pool.used
+        held = pool.held
+        progressed = True
+        while free > 0 and progressed:
+            progressed = False
+            # One task per tenant per round, largest deficit first.
+            ranked = (
+                sorted(order, key=lambda i: targets[i] - held[i], reverse=True)
+                if len(order) > 1
+                else order
+            )
+            for i in ranked:
+                queue = pool.pending[i]
+                if not queue or held[i] >= targets[i]:
+                    continue
+                task = queue[0]
+                if task.containers > free:
+                    continue
+                queue.popleft()
+                task.start_time = now
+                pool.running.setdefault(i, {})[task] = None
+                held[i] += task.containers
+                pool.used += task.containers
+                task.event = self.events.push(now + task.spec.duration, _FINISH, task)
+                free -= task.containers
+                progressed = True
+                if free <= 0:
+                    break
 
     def _starvation_pass(
-        self,
-        pool_state: PoolState,
-        targets: Mapping[str, int],
-        demands: Mapping[str, TenantDemand],
-        now: float,
-        *,
-        allow_kills: bool = True,
-    ) -> int:
-        """Update clocks; fire due preemptions.  Returns kill count."""
+        self, pool: _Pool, targets: list[int], now: float, *, allow_kills: bool
+    ) -> tuple[int, float]:
+        """Update clocks; fire due preemptions.
+
+        Returns the kill count and the pool's earliest preemption deadline.
+        """
         total_kills = 0
-        # Tenants with no work in this pool must not accumulate starvation.
-        for (pool, tenant), clock in self.clocks.items():
-            if pool == pool_state.pool and tenant not in demands:
-                clock.below_min_since = None
-                clock.below_fair_since = None
-        for tenant, demand in demands.items():
-            cfg = self.config.tenant(tenant)
-            clock = self.clocks.setdefault(
-                (pool_state.pool, tenant), StarvationClock()
-            )
-            running = pool_state.running_containers(tenant)
-            runnable = pool_state.runnable_containers(tenant)
-            total_demand = running + runnable
-            min_ent = min(cfg.min_for(pool_state.pool), total_demand)
-            fair_ent = targets.get(tenant, 0)
-            clock.update(now, running, total_demand, min_ent, fair_ent)
-            if not allow_kills:
-                continue
-            level = clock.triggered_level(
-                now,
-                cfg.min_share_preemption_timeout,
-                cfg.fair_share_preemption_timeout,
-            )
-            if level is None:
-                continue
-            entitlement = min_ent if level == "min" else fair_ent
-            needed = entitlement - running
-            if needed > 0:
-                victims = select_victims(
-                    pool_state.all_running(),
-                    needed,
-                    allocations={
-                        t: pool_state.running_containers(t)
-                        for t in pool_state.running
-                    },
-                    fair_entitlements=dict(targets),
-                    protected={tenant},
-                )
-                for victim in victims:
-                    self._kill(pool_state, victim, now)
-                total_kills += len(victims)
-            # Restart the clock: one kill volley per timeout period.
-            if level == "min":
-                clock.below_min_since = now
-            else:
-                clock.below_fair_since = now
-        return total_kills
-
-    def _kill(self, pool_state: PoolState, run: RunningTask, now: float) -> None:
-        """Preempt a running task: record the wasted attempt, requeue it."""
-        run.cancelled = True
-        pool_state.remove_running(run)
-        self.task_records.append(
-            TaskRecord(
-                job_id=run.job.spec.job_id,
-                task_id=run.task.task_id,
-                tenant=run.tenant,
-                pool=run.task.pool,
-                stage=run.stage,
-                submit_time=self._ready_time(run),
-                start_time=run.start_time,
-                finish_time=now,
-                containers=run.containers,
-                preempted=True,
-                attempt=run.attempt,
-            )
-        )
-        pool_state.add_pending(
-            PendingTask(run.job, run.task, run.stage, now, run.attempt + 1),
-            front=True,
-        )
-
-    def _next_preemption_deadline(self, pool_state: PoolState) -> float:
         deadline = math.inf
-        for tenant in pool_state.tenants():
-            cfg = self.config.tenant(tenant)
-            clock = self.clocks.get((pool_state.pool, tenant))
-            if clock is None:
+        for tenant, clock, min_share, min_timeout, fair_timeout in pool.clocks:
+            demand = pool.demand[tenant]
+            running = pool.held[tenant]
+            if running >= demand:
+                # Nothing pending (or no work here at all): not starving.
+                clock.below_min_since = clock.below_fair_since = None
                 continue
-            deadline = min(
-                deadline,
-                clock.next_deadline(
-                    cfg.min_share_preemption_timeout,
-                    cfg.fair_share_preemption_timeout,
-                ),
+            min_ent = min(min_share, demand)
+            fair_ent = targets[tenant]
+            clock.update(now, running, demand, min_ent, fair_ent)
+            level = (
+                clock.triggered_level(now, min_timeout, fair_timeout)
+                if allow_kills
+                else None
             )
-        return deadline
+            if level is not None:
+                needed = (min_ent if level == "min" else fair_ent) - running
+                if needed > 0:
+                    victims = select_victims(
+                        [task for tasks in pool.running.values() for task in tasks],
+                        needed,
+                        allocations={t: pool.held[t] for t in pool.running},
+                        fair_entitlements=dict(enumerate(targets)),
+                        protected={tenant},
+                    )
+                    for victim in victims:
+                        self._kill(victim, now)
+                    total_kills += len(victims)
+                # Restart the clock: one kill volley per timeout period.
+                if level == "min":
+                    clock.below_min_since = now
+                else:
+                    clock.below_fair_since = now
+            deadline = min(deadline, clock.next_deadline(min_timeout, fair_timeout))
+        return total_kills, deadline
+
+    def _kill(self, task: _Task, now: float) -> None:
+        """Preempt a running task: record the wasted attempt, requeue it."""
+        self._stop(task, now, preempted=True)
+        task.attempt += 1
+        task.pool.pending[task.tenant].appendleft(task)

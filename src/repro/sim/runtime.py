@@ -1,9 +1,10 @@
-"""Shared runtime bookkeeping for both simulators.
+"""Runtime bookkeeping of the simulators.
 
-Tracks per-job stage progress (including MapReduce slowstart via
-``ready_fraction``) and the per-pool pending/running queues that the
-allocation policies act on.  Kept independent of *how* time advances so
-the time-warp predictor and the heartbeat simulator share semantics.
+:class:`JobRun` tracks per-job stage progress (including MapReduce
+slowstart via ``ready_fraction``) for both engines.  The per-pool
+pending/running queues (:class:`PoolState` and its task records) are the
+heartbeat simulator's; the time-warp predictor keeps the same queues in
+flat per-run state of its own.
 """
 
 from __future__ import annotations
@@ -64,7 +65,12 @@ class JobRun:
 
 
 class PendingTask:
-    """A runnable task attempt waiting for containers."""
+    """A runnable task attempt waiting for containers.
+
+    ``ready_time`` is when the task's stage was released; a restarted
+    attempt keeps it, so every attempt's record reports the same
+    submission instant.
+    """
 
     __slots__ = ("job", "task", "stage", "ready_time", "attempt")
 
@@ -86,11 +92,9 @@ class PendingTask:
 class RunningTask:
     """A task attempt occupying containers.
 
-    ``remaining`` is used by the heartbeat simulator (work left in
-    seconds); the time-warp predictor relies on the scheduled finish
-    event instead and leaves it untouched.  The ``tenant``/``start_time``
-    /``containers`` attribute names satisfy the victim-selection
-    protocol in :mod:`repro.rm.preemption`.
+    ``remaining`` is the work left in seconds.  The ``tenant``/
+    ``start_time``/``containers`` attribute names satisfy the
+    victim-selection protocol in :mod:`repro.rm.preemption`.
     """
 
     __slots__ = (
@@ -98,9 +102,9 @@ class RunningTask:
         "task",
         "stage",
         "tenant",
+        "ready_time",
         "start_time",
         "attempt",
-        "cancelled",
         "remaining",
         "speed",
     )
@@ -110,6 +114,7 @@ class RunningTask:
         job: JobRun,
         task: TaskSpec,
         stage: str,
+        ready_time: float,
         start_time: float,
         attempt: int,
     ):
@@ -117,9 +122,9 @@ class RunningTask:
         self.task = task
         self.stage = stage
         self.tenant = job.spec.tenant
+        self.ready_time = ready_time
         self.start_time = start_time
         self.attempt = attempt
-        self.cancelled = False
         self.remaining = task.duration
         self.speed = 1.0
 
@@ -230,7 +235,9 @@ class PoolState:
 
     def start(self, item: PendingTask, now: float) -> RunningTask:
         """Launch a pending task; returns its running record."""
-        run = RunningTask(item.job, item.task, item.stage, now, item.attempt)
+        run = RunningTask(
+            item.job, item.task, item.stage, item.ready_time, now, item.attempt
+        )
         self.running.setdefault(run.tenant, []).append(run)
         self._running_containers[run.tenant] = (
             self._running_containers.get(run.tenant, 0) + run.containers

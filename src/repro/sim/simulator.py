@@ -174,7 +174,6 @@ class SimulationSession:
         self._arrivals: list[JobSpec] = sorted(
             workload, key=lambda j: (j.submit_time, j.job_id), reverse=True
         )
-        self._ready_time: dict[tuple[str, str], float] = {}
         self._outstanding = 0  # tasks not yet completed across live jobs
         self._task_cursor = 0
         self._job_cursor = 0
@@ -325,7 +324,7 @@ class SimulationSession:
                 tenant=run.tenant,
                 pool=run.task.pool,
                 stage=run.stage,
-                submit_time=self._task_ready(run),
+                submit_time=run.ready_time,
                 start_time=run.start_time,
                 finish_time=finish,
                 containers=run.containers,
@@ -421,7 +420,7 @@ class SimulationSession:
     ) -> None:
         """A task attempt dies (failure/kill); optionally restarts."""
         pool_state.remove_running(run)
-        ready = self._task_ready(run)
+        ready = run.ready_time
         start = self.noise.jittered(self.rng, run.start_time, ready)
         finish = self.noise.jittered(self.rng, now, start)
         self.task_records.append(
@@ -442,7 +441,7 @@ class SimulationSession:
         )
         if requeue:
             pool_state.add_pending(
-                PendingTask(run.job, run.task, run.stage, now, run.attempt + 1),
+                PendingTask(run.job, run.task, run.stage, run.ready_time, run.attempt + 1),
                 front=True,
             )
         else:
@@ -578,7 +577,7 @@ class SimulationSession:
 
     def _preempt(self, pool_state: PoolState, run: RunningTask, now: float) -> None:
         pool_state.remove_running(run)
-        ready = self._task_ready(run)
+        ready = run.ready_time
         start = self.noise.jittered(self.rng, run.start_time, ready)
         finish = self.noise.jittered(self.rng, now, start)
         self.task_records.append(
@@ -597,7 +596,7 @@ class SimulationSession:
             )
         )
         pool_state.add_pending(
-            PendingTask(run.job, run.task, run.stage, now, run.attempt + 1),
+            PendingTask(run.job, run.task, run.stage, run.ready_time, run.attempt + 1),
             front=True,
         )
 
@@ -608,15 +607,9 @@ class SimulationSession:
             return
         for stage in stages:
             for task in stage.tasks:
-                self._ready_time[(task.task_id, stage.name)] = now
                 self.pools[task.pool].add_pending(
                     PendingTask(job, task, stage.name, now)
                 )
-
-    def _task_ready(self, run: RunningTask) -> float:
-        return self._ready_time.get(
-            (run.task.task_id, run.stage), run.job.spec.submit_time
-        )
 
     def _record_job(self, job: JobRun, now: float) -> None:
         spec = job.spec

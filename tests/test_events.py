@@ -1,10 +1,12 @@
 """Unit tests for the event queue."""
 
-import math
-
 import pytest
 
 from repro.sim.events import EventQueue
+
+
+def kinds(batch):
+    return [kind for _, _, kind, _ in batch]
 
 
 class TestEventQueue:
@@ -13,13 +15,14 @@ class TestEventQueue:
         q.push(5.0, "b")
         q.push(1.0, "a")
         q.push(3.0, "c")
-        assert [q.pop().kind for _ in range(3)] == ["a", "c", "b"]
+        assert [kinds(q.pop_batch()) for _ in range(3)] == [["a"], ["c"], ["b"]]
+        assert not q
 
     def test_fifo_on_ties(self):
         q = EventQueue()
-        for kind in ("first", "second", "third"):
-            q.push(1.0, kind)
-        assert [q.pop().kind for _ in range(3)] == ["first", "second", "third"]
+        seqs = [q.push(1.0, kind) for kind in ("first", "second", "third")]
+        assert seqs == sorted(seqs)
+        assert kinds(q.pop_batch()) == ["first", "second", "third"]
 
     def test_pop_batch_collects_simultaneous(self):
         q = EventQueue()
@@ -27,34 +30,17 @@ class TestEventQueue:
         q.push(1.0, "b")
         q.push(2.0, "c")
         batch = q.pop_batch()
-        assert [e.kind for e in batch] == ["a", "b"]
+        assert kinds(batch) == ["a", "b"]
         assert len(q) == 1
 
     def test_pop_batch_empty(self):
         assert EventQueue().pop_batch() == []
 
-    def test_peek_time(self):
-        q = EventQueue()
-        assert q.peek_time() == math.inf
-        q.push(4.0, "x")
-        assert q.peek_time() == 4.0
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
-
     def test_nan_time_rejected(self):
         with pytest.raises(ValueError):
             EventQueue().push(float("nan"), "x")
 
-    def test_drain(self):
-        q = EventQueue()
-        q.push(2.0, "b")
-        q.push(1.0, "a")
-        assert [e.kind for e in q.drain()] == ["a", "b"]
-        assert not q
-
     def test_payload_carried(self):
         q = EventQueue()
-        q.push(1.0, "x", payload={"k": 1})
-        assert q.pop().payload == {"k": 1}
+        seq = q.push(1.0, "x", payload={"k": 1})
+        assert q.pop_batch() == [(1.0, seq, "x", {"k": 1})]

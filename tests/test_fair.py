@@ -11,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rm.fair import fair_shares, weighted_water_fill
+from repro.rm.fair import (
+    fair_share_counts,
+    fair_shares,
+    water_fill,
+    weighted_water_fill,
+)
 
 
 class TestPaperExamples:
@@ -152,3 +157,51 @@ def test_weight_monotonicity(capacity, w_a, w_b):
         assert alloc["A"] >= alloc["B"] - 1  # integer rounding slack
     elif w_b > w_a:
         assert alloc["B"] >= alloc["A"] - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    names=tenant_names,
+    capacity=st.integers(0, 64),
+    data=st.data(),
+)
+def test_list_core_and_dict_api_are_bit_equal(names, capacity, data):
+    """One arithmetic behind both APIs: equal, not approximately equal.
+
+    Covers zero-demand and zero-weight tenants, the single-tenant case
+    and minimums that oversubscribe the pool (scaled floors).
+    """
+    names = sorted(names)
+    demands = [data.draw(st.integers(0, 40), label=f"demand-{n}") for n in names]
+    weights = [
+        data.draw(st.one_of(st.just(0.0), st.floats(0.1, 8.0)), label=f"weight-{n}")
+        for n in names
+    ]
+    maxs = [data.draw(st.integers(1, 64), label=f"max-{n}") for n in names]
+    mins = [data.draw(st.integers(0, 64), label=f"min-{n}") for n in names]
+
+    counts = fair_share_counts(capacity, demands, weights, mins, maxs)
+    by_name = fair_shares(
+        capacity,
+        dict(zip(names, demands)),
+        dict(zip(names, weights)),
+        dict(zip(names, mins)),
+        dict(zip(names, maxs)),
+    )
+    assert list(by_name.items()) == list(zip(names, counts))
+
+    # The continuous stage, on the same (feasible) floors and ceilings.
+    ceilings = [float(min(d, hi)) for d, hi in zip(demands, maxs)]
+    floors = [float(min(lo, c)) for lo, c in zip(mins, ceilings)]
+    if sum(floors) > capacity:
+        floors = [f * capacity / sum(floors) for f in floors]
+    levels = water_fill(float(capacity), weights, floors, ceilings)
+    named = weighted_water_fill(
+        float(capacity),
+        dict(zip(names, weights)),
+        dict(zip(names, floors)),
+        dict(zip(names, ceilings)),
+    )
+    assert [(n, v.hex()) for n, v in named.items()] == [
+        (n, v.hex()) for n, v in zip(names, levels)
+    ]

@@ -1,6 +1,8 @@
 """Unit tests for instantaneous scheduling policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rm.config import RMConfig, TenantConfig
 from repro.rm.policies import (
@@ -122,3 +124,52 @@ class TestCapacityPolicy:
         cfg = RMConfig({"A": TenantConfig()})
         ents = policy.fair_entitlements("slots", 4, [demand("A", 10)], cfg)
         assert ents == {"A": 4}
+
+
+TENANTS = ["A", "B", "C", "D"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    capacity=st.integers(1, 40),
+    totals=st.lists(st.integers(0, 60), min_size=4, max_size=4),
+    weights=st.lists(st.floats(0.1, 8.0), min_size=4, max_size=4),
+    maxs=st.lists(st.integers(1, 40), min_size=4, max_size=4),
+    mins=st.lists(st.integers(0, 40), min_size=4, max_size=4),
+    capacity_policy=st.booleans(),
+)
+def test_demand_kernel_is_allocate_on_lists(
+    capacity, totals, weights, maxs, mins, capacity_policy
+):
+    """The kernel the predictor caches equals ``allocate`` on every
+    vector, and demand beyond the saturation point changes nothing."""
+    cfg = RMConfig(
+        {
+            t: TenantConfig(
+                weight=w, min_share={"slots": min(lo, hi)}, max_share={"slots": hi}
+            )
+            for t, w, lo, hi in zip(TENANTS[:3], weights, mins, maxs)
+        }  # "D" falls back to the default settings
+    )
+    policy = (
+        CapacityPolicy(dict(zip(TENANTS[1:], weights)))
+        if capacity_policy
+        else FairSharePolicy()
+    )
+    active = [i for i, total in enumerate(totals) if total]
+    kernel = policy.demand_kernel("slots", capacity, TENANTS, cfg)
+    expected = policy.allocate(
+        "slots",
+        capacity,
+        [demand(TENANTS[i], totals[i] // 2, totals[i] - totals[i] // 2) for i in active],
+        cfg,
+    )
+    shares = kernel.shares(active, [totals[i] for i in active])
+    assert shares == [expected[TENANTS[i]] for i in active]
+    clamped = [min(totals[i], kernel.saturation[i]) for i in active]
+    assert kernel.shares(active, clamped) == shares
+
+
+def test_fifo_has_no_demand_kernel():
+    cfg = RMConfig({"A": TenantConfig()})
+    assert FifoPolicy().demand_kernel("slots", 4, ["A"], cfg) is None

@@ -1,13 +1,14 @@
 """Unit tests for the time-warp Schedule Predictor."""
 
-import math
+import json
 
 import pytest
+from predictor_golden import GOLDEN, corpus, digest
 
 from repro.rm.cluster import ClusterSpec
 from repro.rm.config import RMConfig, TenantConfig
-from repro.rm.policies import FifoPolicy
-from repro.sim.predictor import SchedulePredictor
+from repro.rm.policies import FairSharePolicy, FifoPolicy
+from repro.sim.predictor import SchedulePredictor, _PredictorRun
 from repro.workload.model import (
     JobSpec,
     StageSpec,
@@ -240,3 +241,120 @@ class TestRecordConsistency:
         )
         with pytest.raises(ValueError, match="pool"):
             predict(small_cluster, Workload([job]))
+
+    def test_task_ids_may_repeat_across_jobs(self):
+        # TaskSpec.task_id is unique within its job only: two in-flight
+        # jobs that both name a task "t0" keep their own ready times.
+        cluster = ClusterSpec({"slots": 1})
+        jobs = [
+            JobSpec(job_id, "A", submit, (StageSpec("map", (TaskSpec("t0", 20.0),)),))
+            for job_id, submit in (("j1", 0.0), ("j2", 5.0))
+        ]
+        s = predict(cluster, Workload(jobs))
+        assert [
+            (r.job_id, r.submit_time, r.start_time, r.finish_time)
+            for r in s.task_records
+        ] == [("j1", 0.0, 0.0, 20.0), ("j2", 5.0, 20.0, 40.0)]
+
+
+class TestGoldenCorpus:
+    def test_reproduces_every_recorded_schedule(self):
+        """The oracle of the event loop: digests recorded before its rewrite."""
+        golden = json.loads(GOLDEN.read_text())
+        seen = {}
+        for name, cluster, policy, workload, config in corpus():
+            seen[name] = digest(SchedulePredictor(cluster, policy).predict(workload, config))
+        assert seen.keys() == golden.keys()
+        assert [name for name in seen if seen[name] != golden[name]] == []
+
+
+class TestDirtyPools:
+    """A pool no event touches is skipped — never at the cost of its schedule."""
+
+    CONFIG = RMConfig(
+        {
+            "A": TenantConfig(),
+            "B": TenantConfig(
+                min_share={"slots": 5}, min_share_preemption_timeout=60.0
+            ),
+            "C": TenantConfig(),
+        }
+    )
+
+    def _starved_workload(self):
+        # "slots": B starves behind A from t=5, no event there until A
+        # finishes at 500.  "side": C's tasks finish around, never at, the
+        # preemption deadline t=65.
+        side = [TaskSpec(f"c/{i}", d, pool="side") for i, d in enumerate((64.5, 65.5))]
+        return Workload(
+            [
+                single_stage_job("A", 0.0, [500.0] * 10, job_id="a"),
+                single_stage_job("B", 5.0, [100.0] * 5, job_id="b"),
+                JobSpec("c", "C", 0.0, (StageSpec("s", tuple(side)),)),
+            ]
+        )
+
+    def test_deadline_fires_in_a_pool_without_events(self):
+        cluster = ClusterSpec({"slots": 10, "side": 2})
+        s = SchedulePredictor(cluster).predict(self._starved_workload(), self.CONFIG)
+        killed = [r for r in s.task_records if r.preempted]
+        assert len(killed) == 5
+        assert {(r.pool, r.tenant, r.finish_time) for r in killed} == {("slots", "A", 65.0)}
+
+    def test_kill_is_followed_by_the_relaunch_pass(self):
+        cluster = ClusterSpec({"slots": 10, "side": 2})
+        s = SchedulePredictor(cluster).predict(self._starved_workload(), self.CONFIG)
+        # The freed containers go to B at the kill instant itself, and
+        # the victims restart the moment B's tasks finish.
+        assert {r.start_time for r in s.task_records if r.tenant == "B"} == {65.0}
+        retries = [r for r in s.task_records if r.tenant == "A" and r.attempt == 1]
+        assert {(r.submit_time, r.start_time) for r in retries} == {(0.0, 165.0)}
+
+    def test_stage_release_dirties_the_downstream_pool(self, mr_cluster):
+        # The reduce pool is rescheduled at t=0 (B's reduce-only job) and
+        # then sees no event of its own: A's map finishing at t=10 in the
+        # map pool must launch A's reduce in that same instant.
+        reduce_only = JobSpec(
+            "b", "B", 0.0, (StageSpec("reduce", (TaskSpec("b/r0", 3.0, "reduce"),)),)
+        )
+        w = Workload(
+            [reduce_only, mapreduce_job("A", 0.0, [10.0, 10.0], [5.0], job_id="mr")]
+        )
+        s = predict(mr_cluster, w)
+        reduce = [r for r in s.task_records if r.job_id == "mr" and r.stage == "reduce"]
+        assert [(r.submit_time, r.start_time) for r in reduce] == [(10.0, 10.0)]
+
+    def test_target_cache_is_per_pool(self):
+        # Both pools see the demand vector (3, 3) at t=0; a cache shared
+        # between them would hand one pool the other's shares.
+        cluster = ClusterSpec({"big": 6, "small": 3})
+        config = RMConfig({"A": TenantConfig(weight=2.0), "B": TenantConfig()})
+        jobs = [
+            JobSpec(
+                f"j{t}",
+                t,
+                0.0,
+                tuple(
+                    StageSpec(pool, tuple(TaskSpec(f"{t}/{pool}{i}", 10.0, pool) for i in range(3)))
+                    for pool in ("big", "small")
+                ),
+            )
+            for t in "AB"
+        ]
+        run = _PredictorRun(cluster, FairSharePolicy(), Workload(jobs), config)
+        schedule = run.execute()
+        big, small = run.pools
+        assert big.targets[(3, 3)][1] == [3, 3]
+        assert small.targets[(3, 3)][1] == [2, 1]
+        for pool in run.pools:
+            kernel = FairSharePolicy().demand_kernel(
+                pool.name, pool.capacity, run.tenants, config
+            )
+            for key, (active, targets) in pool.targets.items():
+                assert [targets[i] for i in active] == kernel.shares(
+                    active, [key[i] for i in active]
+                )
+        started = [(r.pool, r.tenant) for r in schedule.task_records if r.start_time == 0.0]
+        assert sorted(started) == (
+            [("big", "A")] * 3 + [("big", "B")] * 3 + [("small", "A")] * 2 + [("small", "B")]
+        )

@@ -119,7 +119,7 @@ class TestPoolStateCounters:
         assert state.oldest_pending_submit("A") == 0.0
 
     def test_remove_unknown_running_raises(self, state, job):
-        run = RunningTask(job, job.spec.stages[0].tasks[0], "stage0", 0.0, 0)
+        run = RunningTask(job, job.spec.stages[0].tasks[0], "stage0", 0.0, 0.0, 0)
         with pytest.raises(RuntimeError):
             state.remove_running(run)
 

@@ -8,7 +8,14 @@ from repro.rm.config import RMConfig, TenantConfig
 from repro.sim.noise import NoiseModel
 from repro.sim.predictor import SchedulePredictor
 from repro.sim.simulator import ClusterSimulator
-from repro.workload.model import Workload, mapreduce_job, single_stage_job
+from repro.workload.model import (
+    JobSpec,
+    StageSpec,
+    TaskSpec,
+    Workload,
+    mapreduce_job,
+    single_stage_job,
+)
 
 
 @pytest.fixture
@@ -92,6 +99,22 @@ class TestQuietSimulation:
     def test_heartbeat_validation(self, cluster):
         with pytest.raises(ValueError):
             ClusterSimulator(cluster, heartbeat=0.0)
+
+    def test_task_ids_may_repeat_across_jobs(self):
+        # TaskSpec.task_id is unique within its job only (converted
+        # traces name every job's tasks M1, R2_1, ...): two in-flight
+        # jobs that both have a "t0" keep their own ready times.
+        jobs = [
+            JobSpec(job_id, "A", submit, (StageSpec("map", (TaskSpec("t0", 20.0),)),))
+            for job_id, submit in (("j1", 0.0), ("j2", 5.0))
+        ]
+        truth = ClusterSimulator(ClusterSpec({"slots": 1})).run(
+            Workload(jobs), RMConfig({"A": TenantConfig()})
+        )
+        assert [
+            (r.job_id, r.submit_time, r.start_time, r.finish_time)
+            for r in truth.task_records
+        ] == [("j1", 0.0, 0.0, 20.0), ("j2", 5.0, 20.0, 40.0)]
 
 
 class TestNoiseEffects:
