@@ -18,6 +18,7 @@ from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry
 from repro.service.journal import unframe_line
+from repro.service.snapshot import read_snapshot
 
 _INGEST_TOTAL = "tempo_ingest_events_total"
 
@@ -31,9 +32,9 @@ def load_latest_snapshot(root: str | Path) -> tuple[int, dict] | None:
     snapshots = sorted(Path(root).glob("snapshots/snapshot-*.json"))
     for path in reversed(snapshots):
         try:
-            payload = json.loads(unframe_line(path.read_text(encoding="utf-8").strip()))
-            return int(payload["seq"]), payload["state"]
-        except (ValueError, KeyError, TypeError):
+            header, state = read_snapshot(path)
+            return header["seq"], state
+        except ValueError:
             continue
     return None
 

@@ -104,7 +104,6 @@ from repro.service.journal import (
     JournalRecord,
     decode_event,
     encode_event,
-    last_heartbeat,
 )
 from repro.service.sharding import (
     IngestShard,
@@ -894,7 +893,7 @@ class TempoService:
                     # In-process shard journals are parent-owned and
                     # consistent through the last acknowledged append:
                     # replay everything, lose nothing.
-                    boundary = last_heartbeat(state.shard_journal(shard_id))
+                    boundary = state.shard_journal(shard_id).last_heartbeat()
                     if boundary is not None:
                         boundary_time = boundary[1]
                 journal = (
@@ -2360,21 +2359,9 @@ class TempoService:
                 for i in range(shards)
             ]
             merged_state = merged.to_state()
-            partitions: list[dict] = [
-                {
-                    "window": merged_state["window"],
-                    "now": merged_state["now"],
-                    "events": 0,
-                    "tenants": {},
-                }
-                for _ in range(shards)
-            ]
-            for name, slot in merged_state["tenants"].items():
-                part = partitions[self.router.shard_of(name)]
-                part["tenants"][name] = slot
-                part["events"] += (
-                    len(slot["tasks"]) + len(slot["jobs"]) + len(slot["submits"])
-                )
+            partitions = RollingWindow.split_state(
+                merged_state, shards, self.router.shard_of
+            )
             if shards == 1:
                 # One window again: its ingest counter resumes the
                 # stream-wide total, not just the retained entries.

@@ -114,6 +114,11 @@ _EVENT_TYPES = {
 }
 
 
+#: ``EventJournal._heartbeat`` before the one-time tail scan of a journal
+#: that was opened non-empty (or truncated below its cached boundary).
+_UNSCANNED = object()
+
+
 class JournalError(RuntimeError):
     """Raised when a journal segment is corrupt beyond a torn tail."""
 
@@ -221,16 +226,31 @@ def frame_line(body: str) -> str:
     return f"{zlib.crc32(body.encode('utf-8')):08x} {body}"
 
 
-def _frame_bytes(body: str) -> bytes:
+def frame_bytes(body: str) -> bytes:
     """CRC-frame one canonical body straight to bytes (one encode pass).
 
     Same on-disk layout as :func:`frame_line` + newline; encoding to
     UTF-8 exactly once (the CRC is computed over the same bytes the
-    segment file receives) instead of once for the CRC and again in a
+    file receives) instead of once for the CRC and again in a
     text-mode write.
     """
     raw = body.encode("utf-8")
     return b"%08x " % zlib.crc32(raw) + raw + b"\n"
+
+
+def unframe_bytes(line: bytes) -> bytes:
+    """Validate and strip one :func:`frame_bytes` frame (newline optional).
+
+    The bytes twin of :func:`unframe_line`: the CRC is checked over the
+    bytes as read, with no decode/re-encode round trip.  Raises
+    ``ValueError`` on a malformed frame or a CRC mismatch.
+    """
+    crc_hex, sep, body = line.rstrip(b"\n").partition(b" ")
+    if not sep or len(crc_hex) != 8:
+        raise ValueError("malformed frame")
+    if int(crc_hex, 16) != zlib.crc32(body):
+        raise ValueError("crc mismatch")
+    return body
 
 
 def unframe_line(line: str) -> str:
@@ -429,30 +449,6 @@ def fast_event_body(seq: int, event: ServiceEvent) -> str | None:
     return None
 
 
-def last_heartbeat(journal: "EventJournal") -> tuple[int, float] | None:
-    """Seq and time of the newest journaled heartbeat (chunk boundary).
-
-    The replay driver ends every delivered chunk with a heartbeat, so
-    this is the last point at which the journal is known to hold a
-    chunk's telemetry completely.  ``repro resume`` truncates the
-    journal here before re-driving the scenario — the partial chunk a
-    crash interrupted is re-simulated rather than half-replayed twice.
-    Segments are scanned newest-first and the scan stops at the first
-    segment containing a heartbeat, so the cost is bounded by the tail,
-    not the journal's lifetime.
-    """
-    journal.close()
-    segments = journal.segments()
-    for i, path in enumerate(reversed(segments)):
-        found = None
-        for record in journal._read_segment(path, final=(i == 0)):
-            if record.kind == "event" and record.data.get("type") == "Heartbeat":
-                found = (record.seq, float(record.data["time"]))
-        if found is not None:
-            return found
-    return None
-
-
 def heartbeat_at_or_before(
     journal: "EventJournal", time: float
 ) -> tuple[int, float] | None:
@@ -464,8 +460,12 @@ def heartbeat_at_or_before(
     heartbeat not past that boundary's time.  Scans segments
     newest-first and stops at the first segment containing a qualifying
     heartbeat (heartbeat times are non-decreasing in seq), so the cost
-    is bounded by the tail.
+    is bounded by the tail — and zero when the journal's own newest
+    heartbeat already qualifies.
     """
+    newest = journal.last_heartbeat()
+    if newest is None or newest[1] <= time:
+        return newest
     journal.close()
     segments = journal.segments()
     for i, path in enumerate(reversed(segments)):
@@ -680,6 +680,13 @@ class EventJournal:
                 self._next_seq = last + 1
                 break
         self._sync_binary_encoder()
+        #: Newest journaled heartbeat ``(seq, time)`` — every append
+        #: path keeps it current, so the chunk boundary compaction and
+        #: failover ask about is a fact the writer already holds.  A
+        #: journal that is empty at open provably holds none (``None``);
+        #: a non-empty one is scanned once, on first demand
+        #: (:meth:`last_heartbeat`).
+        self._heartbeat = None if self._next_seq == 1 else _UNSCANNED
         self._async = (
             _AsyncJournalWriter(self, queue_records) if async_writer else None
         )
@@ -832,9 +839,11 @@ class EventJournal:
         seq = self._next_seq
         if self.codec == "binary":
             self._commit([self._binary_entry(seq, kind, data)])
-            return seq
-        body = canonical_json({"seq": seq, "kind": kind, "data": data})
-        self._commit([(seq, _frame_bytes(body))])
+        else:
+            body = canonical_json({"seq": seq, "kind": kind, "data": data})
+            self._commit([(seq, frame_bytes(body))])
+        if kind == "event" and data.get("type") == "Heartbeat":
+            self._heartbeat = (seq, float(data["time"]))
         return seq
 
     def append_many(self, records: Iterable[tuple[str, dict]]) -> list[int]:
@@ -848,23 +857,28 @@ class EventJournal:
         and the call returns once the queue has room; durability then
         lags acknowledgement by the queue depth.
         """
-        seq = self._next_seq
+        records = list(records)
+        first = self._next_seq
         if self.codec == "binary":
             entries = [
-                self._binary_entry(s, kind, data)
-                for s, (kind, data) in enumerate(records, seq)
+                self._binary_entry(seq, kind, data)
+                for seq, (kind, data) in enumerate(records, first)
             ]
-            self._commit(entries)
-            return [entry[0] for entry in entries]
-        entries: list[tuple[int, bytes]] = []
-        seqs: list[int] = []
-        for kind, data in records:
-            body = canonical_json({"seq": seq, "kind": kind, "data": data})
-            entries.append((seq, _frame_bytes(body)))
-            seqs.append(seq)
-            seq += 1
+        else:
+            entries = [
+                (
+                    seq,
+                    frame_bytes(
+                        canonical_json({"seq": seq, "kind": kind, "data": data})
+                    ),
+                )
+                for seq, (kind, data) in enumerate(records, first)
+            ]
         self._commit(entries)
-        return seqs
+        for seq, (kind, data) in enumerate(records, first):
+            if kind == "event" and data.get("type") == "Heartbeat":
+                self._heartbeat = (seq, float(data["time"]))
+        return list(range(first, first + len(records)))
 
     def _binary_entry(self, seq: int, kind: str, data: dict):
         """Encode one generic record as a binary write entry.
@@ -897,10 +911,12 @@ class EventJournal:
         :mod:`repro.service.codec` — same record semantics, ~3x the
         throughput.
         """
-        seq = self._next_seq
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
+        first = seq = self._next_seq
         if self.codec == "binary":
             entries: list = []
-            end, self._enc_tail = self._bin.encode_event_batch(
+            seq, self._enc_tail = self._bin.encode_event_batch(
                 encode_event,
                 events,
                 seq,
@@ -909,21 +925,24 @@ class EventJournal:
                 HEADER_FRAME,
                 entries,
             )
-            self._commit(entries)
-            return list(range(seq, end))
-        entries = []
-        seqs: list[int] = []
-        for event in events:
-            body = fast_event_body(seq, event)
-            if body is None:
-                body = canonical_json(
-                    {"seq": seq, "kind": "event", "data": encode_event(event)}
-                )
-            entries.append((seq, _frame_bytes(body)))
-            seqs.append(seq)
-            seq += 1
+        else:
+            entries = []
+            for event in events:
+                body = fast_event_body(seq, event)
+                if body is None:
+                    body = canonical_json(
+                        {"seq": seq, "kind": "event", "data": encode_event(event)}
+                    )
+                entries.append((seq, frame_bytes(body)))
+                seq += 1
         self._commit(entries)
-        return seqs
+        # Newest heartbeat of the batch, scanning from its end: replay
+        # chunks close with one, so this usually stops at once.
+        for offset in range(len(events) - 1, -1, -1):
+            if type(events[offset]) is Heartbeat:
+                self._heartbeat = (first + offset, float(events[offset].time))
+                break
+        return list(range(first, seq))
 
     def _commit(self, entries: list[tuple[int, bytes]]) -> None:
         """Hand encoded entries to the sync or async write path."""
@@ -1115,6 +1134,35 @@ class EventJournal:
                     continue
                 yield record
 
+    def last_heartbeat(self) -> tuple[int, float] | None:
+        """Seq and time of the newest journaled heartbeat (chunk boundary).
+
+        The replay driver ends every delivered chunk with a heartbeat,
+        so this is the last point at which the journal is known to hold
+        a chunk's telemetry completely: ``repro resume`` truncates here
+        before re-driving the scenario, and compaction never crosses
+        it.  O(1) on a journal this process has been appending to (the
+        append paths keep the answer current).  A journal opened
+        non-empty, or truncated below the cached boundary, is scanned
+        once — segments newest-first, stopping at the first one that
+        holds a heartbeat, so the cost is bounded by the tail — and the
+        answer is cached again.
+        """
+        if self._heartbeat is _UNSCANNED:
+            self.flush()  # never scan past a buffered write
+            found = None
+            for i, path in enumerate(reversed(self.segments())):
+                for record in self._read_segment(path, final=(i == 0)):
+                    if (
+                        record.kind == "event"
+                        and record.data.get("type") == "Heartbeat"
+                    ):
+                        found = (record.seq, float(record.data["time"]))
+                if found is not None:
+                    break
+            self._heartbeat = found
+        return self._heartbeat
+
     # -- compaction ---------------------------------------------------------
 
     def compact(self, covered: int, *, keep_segments: int = 1) -> int:
@@ -1134,18 +1182,20 @@ class EventJournal:
             raise ValueError(f"keep_segments must be >= 1, got {keep_segments}")
         self.flush()
         segments = self.segments()
-        removable: list[Path] = []
-        for i, path in enumerate(segments[:-1]):  # never the tail segment
-            if self._first_seq_of(segments[i + 1]) - 1 <= covered:
-                removable.append(path)
-            else:
+        firsts = [self._first_seq_of(path) for path in segments]
+        removable = 0
+        for nxt in firsts[1:]:  # never the tail segment
+            if nxt - 1 > covered:
                 break
-        removable = removable[: max(0, len(segments) - keep_segments)]
-        for path in removable:
-            if self._m_compacted is not None:
-                self._m_compacted.inc(self._count_records(path))
+            removable += 1
+        removable = min(removable, max(0, len(segments) - keep_segments))
+        for path in segments[:removable]:
             path.unlink()
-        return len(removable)
+        if removable and self._m_compacted is not None:
+            # Seqs are dense, so a removed prefix's record count is the
+            # span of its first seqs — no segment is read to learn it.
+            self._m_compacted.inc(firsts[removable] - firsts[0])
+        return removable
 
     # -- truncation ---------------------------------------------------------
 
@@ -1201,6 +1251,8 @@ class EventJournal:
                     os.replace(tmp, path)
             break
         self._next_seq = min(self._next_seq, seq + 1)
+        if isinstance(self._heartbeat, tuple) and self._heartbeat[0] > seq:
+            self._heartbeat = _UNSCANNED  # cut away: re-scan on demand
         segments = self.segments()
         self._tail_path = segments[-1] if segments else None
         self._tail_records = (

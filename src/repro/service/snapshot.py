@@ -5,9 +5,10 @@ daemon — replay everything from the first event — but recovery time then
 grows with the daemon's lifetime.  Snapshots bound it: every so often
 the full serving state (retained rolling-window entries, applied-config
 history, controller tuning state, decisions, counters) is written as one
-CRC-framed, atomically renamed JSON file under
-``<state-dir>/snapshots/``, tagged with the journal sequence number it
-covers.  Resume then loads the newest readable snapshot and replays only
+atomically renamed file of two CRC frames — a header saying what the
+file covers, then the state — under ``<state-dir>/snapshots/``, tagged
+with the journal sequence number it covers.  Resume then loads the
+newest readable snapshot and replays only
 the journal tail past it (:meth:`~repro.service.daemon.TempoService.resume`).
 
 :class:`ServiceState` is the facade the daemon talks to — one object
@@ -30,7 +31,7 @@ import math
 import os
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
@@ -40,17 +41,19 @@ from repro.service.ingest import TenantWindowStats
 from repro.service.journal import (
     EventJournal,
     canonical_json,
-    frame_line,
+    frame_bytes,
     heartbeat_at_or_before,
-    last_heartbeat,
-    unframe_line,
+    unframe_bytes,
 )
 from repro.service.sharding import shard_dir_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.controller import TempoController
 
-_SNAPSHOT_GLOB = "snapshot-*.json"
+#: Format tag in every snapshot file's header frame.  A file without it
+#: — including the single-frame files earlier builds wrote — is
+#: unreadable to this build and handled exactly like a corrupt one.
+SNAPSHOT_FORMAT = "tempo-snapshot/2"
 
 
 # -- RM configuration codec ---------------------------------------------------
@@ -196,16 +199,55 @@ def restore_controller_state(controller: "TempoController", state: Mapping) -> N
 # -- snapshot store -----------------------------------------------------------
 
 
+def read_snapshot(path: Path, *, header_only: bool = False) -> tuple[dict, dict | None]:
+    """Read one snapshot file as ``(header, state)`` without touching it.
+
+    The one decoder of the snapshot file format, shared by
+    :class:`SnapshotStore` and read-only tooling (``repro status``).
+    The header carries ``seq`` and ``shard_seqs`` (``None`` when the
+    state covers no shard journals).  ``header_only`` stops after the
+    first line — the cold paths that only ask what a file *covers*
+    never load the body — and returns ``state`` as ``None``.  Raises
+    ``ValueError`` for anything that is not a readable
+    :data:`SNAPSHOT_FORMAT` file: a damaged or truncated frame, a
+    missing body, or a file of another format (including the earlier
+    single-frame shape, which is deliberately not a second read path).
+    """
+    with path.open("rb") as fh:
+        try:
+            header = json.loads(unframe_bytes(fh.readline()))
+            if header["format"] != SNAPSHOT_FORMAT:
+                raise ValueError(f"format {header['format']!r}")
+            seqs = header["shard_seqs"]
+            header = {
+                "seq": int(header["seq"]),
+                "shard_seqs": None if seqs is None else [int(s) for s in seqs],
+            }
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"not a {SNAPSHOT_FORMAT} header: {exc!r}") from exc
+        if header_only:
+            return header, None
+        return header, json.loads(unframe_bytes(fh.readline()))
+
+
 class SnapshotStore:
     """CRC-framed, atomically written snapshot files with pruning.
 
     Files are named ``snapshot-<seq>.json`` where ``seq`` is the journal
-    sequence number the state includes.  Writes go to a temp file first
-    and are renamed into place, so a crash mid-snapshot leaves at worst
-    a stale temp file, never a half snapshot under a valid name.
-    ``load_latest`` walks newest-first and skips unreadable files, so a
-    corrupt snapshot costs recovery time (a longer journal tail), never
-    correctness.
+    sequence number the state includes, and hold two CRC-framed lines:
+    a small **header** (format tag, ``seq``, and the shard-journal
+    positions the state covers) and the **body** (the state itself).
+    Writes go to a temp file first and are renamed into place, so a
+    crash mid-snapshot leaves at worst a stale temp file — removed the
+    next time the store opens — never a half snapshot under a valid
+    name.  ``load_latest`` walks newest-first and skips unreadable
+    files, so a corrupt snapshot costs recovery time (a longer journal
+    tail), never correctness.
+
+    The store keeps what its retained files cover in memory
+    (:meth:`retained`): read from the header lines when it opens, kept
+    current by :meth:`write` and the deletion paths, so the compaction
+    that follows every snapshot parses no snapshot.
     """
 
     def __init__(self, root: str | os.PathLike, *, keep: int = 3):
@@ -214,66 +256,112 @@ class SnapshotStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.keep = int(keep)
+        for stale in self.root.glob("snapshot-*.tmp"):
+            stale.unlink()  # a crash between the temp write and its rename
+        self._retained: list[tuple[int, list[int] | None]] = []
+        for path in sorted(self.root.glob("snapshot-*.json")):
+            try:
+                shard_seqs = read_snapshot(path, header_only=True)[0]["shard_seqs"]
+            except ValueError:
+                shard_seqs = None  # unreadable: still retained, covers nothing
+            self._retained.append((int(path.stem.split("-")[1]), shard_seqs))
+
+    def _path(self, seq: int) -> Path:
+        return self.root / f"snapshot-{seq:010d}.json"
 
     def paths(self) -> list[Path]:
         """Snapshot files in sequence order."""
-        return sorted(self.root.glob(_SNAPSHOT_GLOB))
+        return [self._path(seq) for seq, _ in self._retained]
 
-    @staticmethod
-    def _seq_of(path: Path) -> int:
-        return int(path.stem.split("-")[1])
+    def retained(self) -> list[tuple[int, list[int] | None]]:
+        """``(seq, shard_seqs)`` of every retained file, oldest first.
 
-    def write(self, seq: int, state: dict) -> Path:
-        """Persist one snapshot covering journal records up to ``seq``."""
-        body = canonical_json({"seq": seq, "state": state})
-        path = self.root / f"snapshot-{seq:010d}.json"
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(frame_line(body) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
-        for old in self.paths()[: -self.keep]:
-            old.unlink()
-        return path
-
-    def load_oldest(self) -> tuple[int, dict] | None:
-        """Oldest readable snapshot as ``(seq, state)``, or ``None``.
-
-        The compaction anchor's payload: sharded compaction needs the
-        per-shard journal positions the oldest retained snapshot
-        recorded, not just its control-journal seq (the filename).
+        ``seq`` is the file name's; ``shard_seqs`` are the shard-journal
+        positions the file's header records — ``None`` when it records
+        none (a single-shard state) or cannot be read, either of which
+        proves nothing about any shard journal.
         """
-        for path in self.paths():
+        return list(self._retained)
+
+    def write(
+        self,
+        seq: int,
+        state: dict,
+        *,
+        shard_seqs: list[int] | None = None,
+        fsync: bool = False,
+    ) -> Path:
+        """Persist one snapshot covering journal records up to ``seq``.
+
+        ``shard_seqs`` are the shard-journal positions ``state``
+        includes (sharded layouts).  Header and body are each encoded
+        to bytes exactly once.  With ``fsync`` the temp file is forced
+        to stable storage before the rename and the directory after it
+        — the caller is about to delete the journal prefix this file
+        covers, so the file must survive a power loss first; without it
+        no extra syscall is made.
+        """
+        seq = int(seq)
+        if shard_seqs is not None:
+            shard_seqs = [int(s) for s in shard_seqs]
+        header = {"format": SNAPSHOT_FORMAT, "seq": seq, "shard_seqs": shard_seqs}
+        path = self._path(seq)
+        tmp = path.with_suffix(".tmp")
+        with tmp.open("wb") as fh:
+            fh.write(frame_bytes(canonical_json(header)))
+            fh.write(frame_bytes(canonical_json(state)))
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        if fsync:
+            fd = os.open(self.root, os.O_RDONLY)
             try:
-                payload = json.loads(
-                    unframe_line(path.read_text(encoding="utf-8").strip())
-                )
-                return int(payload["seq"]), payload["state"]
-            except (ValueError, KeyError, TypeError):
-                continue
-        return None
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        kept = [entry for entry in self._retained if entry[0] != seq]
+        kept.append((seq, shard_seqs))
+        kept.sort(key=lambda entry: entry[0])
+        for old, _ in kept[: -self.keep]:
+            self._path(old).unlink(missing_ok=True)
+        self._retained = kept[-self.keep :]
+        return path
 
     def load_latest(self, max_seq: int | None = None) -> tuple[int, dict] | None:
         """Newest readable snapshot as ``(seq, state)``, or ``None``.
 
         ``max_seq`` skips snapshots past a journal truncation point.
         """
-        for path in reversed(self.paths()):
-            if max_seq is not None and self._seq_of(path) > max_seq:
+        for seq, _ in reversed(self._retained):
+            if max_seq is not None and seq > max_seq:
                 continue
             try:
-                payload = json.loads(unframe_line(path.read_text(encoding="utf-8").strip()))
-                return int(payload["seq"]), payload["state"]
-            except (ValueError, KeyError, TypeError):
+                header, state = read_snapshot(self._path(seq))
+                return header["seq"], state
+            except (FileNotFoundError, ValueError):
                 continue  # unreadable snapshot: fall back to an older one
         return None
 
+    def discard(self, doomed: Callable[[int, list[int] | None], bool]) -> int:
+        """Delete each retained file for which ``doomed(seq, shard_seqs)``.
+
+        The arguments are one :meth:`retained` entry.  Returns the
+        number of files deleted.
+        """
+        kept = []
+        for seq, shard_seqs in self._retained:
+            if doomed(seq, shard_seqs):
+                self._path(seq).unlink(missing_ok=True)
+            else:
+                kept.append((seq, shard_seqs))
+        removed = len(self._retained) - len(kept)
+        self._retained = kept
+        return removed
+
     def truncate_after(self, seq: int) -> int:
         """Delete snapshots covering journal records beyond ``seq``."""
-        removed = 0
-        for path in self.paths():
-            if self._seq_of(path) > seq:
-                path.unlink()
-                removed += 1
-        return removed
+        return self.discard(lambda snapshot_seq, _: snapshot_seq > seq)
 
 
 class ServiceState:
@@ -305,7 +393,9 @@ class ServiceState:
             state-change that matters most).  Sharded, the count is the
             total across the control and shard journals.
         keep_snapshots: Snapshot files retained after pruning.
-        fsync: Force journal appends to stable storage.
+        fsync: Force journal appends to stable storage — and each
+            snapshot (file, then directory) before the compaction that
+            follows it deletes the journal prefix the snapshot covers.
         async_journal: Journal appends through a bounded background
             group-commit thread instead of blocking on the write (see
             :class:`~repro.service.journal.EventJournal`); records still
@@ -368,18 +458,8 @@ class ServiceState:
         self._shard_journals: dict[int, EventJournal] = {}
         self.shard_compaction = True
         self._records_since_snapshot = 0
-        self._last_snapshot_seq = 0
-        # Newest heartbeat seq this process knows of: None = not yet
-        # determined (scan lazily), -1 = the journal holds none.  A
-        # journal that is empty at open provably holds none — skipping
-        # the lazy scan keeps the first auto-compaction O(1) for fresh
-        # state dirs.
-        self._last_heartbeat_seq: int | None = (
-            -1 if self.journal.last_seq == 0 else None
-        )
-        latest = self.snapshots.load_latest()
-        if latest is not None:
-            self._last_snapshot_seq = latest[0]
+        retained = self.snapshots.retained()
+        self._last_snapshot_seq = retained[-1][0] if retained else 0
 
     # -- meta descriptor ----------------------------------------------------
 
@@ -457,11 +537,8 @@ class ServiceState:
 
     def record_event(self, data: dict) -> int:
         """Journal one telemetry event (write-ahead of processing)."""
-        seq = self.journal.append("event", data)
-        if data.get("type") == "Heartbeat":
-            self._last_heartbeat_seq = seq
         self._records_since_snapshot += 1
-        return seq
+        return self.journal.append("event", data)
 
     def record_events(self, events: list) -> list[int]:
         """Group-commit a whole batch of telemetry events write-ahead.
@@ -472,9 +549,6 @@ class ServiceState:
         sequence numbers in order.
         """
         seqs = self.journal.append_events(events)
-        for seq, event in zip(seqs, events):
-            if type(event).__name__ == "Heartbeat":
-                self._last_heartbeat_seq = seq
         self._records_since_snapshot += len(seqs)
         return seqs
 
@@ -527,7 +601,12 @@ class ServiceState:
         fully cover are reclaimed as the daemon runs.
         """
         seq = self.journal.last_seq
-        path = self.snapshots.write(seq, state)
+        path = self.snapshots.write(
+            seq,
+            state,
+            shard_seqs=state.get("sharding", {}).get("shard_seqs"),
+            fsync=self.journal.fsync,
+        )
         self._last_snapshot_seq = seq
         self._records_since_snapshot = 0
         if self.auto_compact:
@@ -539,19 +618,6 @@ class ServiceState:
         return self.snapshots.load_latest(max_seq=self.journal.last_seq)
 
     # -- compaction ----------------------------------------------------------
-
-    def _heartbeat_seq(self) -> int | None:
-        """Newest journaled heartbeat seq (None when the journal has none).
-
-        Tracked incrementally as events are recorded; a cold process
-        (the ``repro compact`` CLI, or a daemon that has not yet
-        journaled a heartbeat) scans the journal tail once and caches
-        the answer.
-        """
-        if self._last_heartbeat_seq is None:
-            found = last_heartbeat(self.journal)
-            self._last_heartbeat_seq = -1 if found is None else found[0]
-        return None if self._last_heartbeat_seq == -1 else self._last_heartbeat_seq
 
     def compact(self, keep_segments: int | None = None) -> int:
         """Delete journal segments fully covered by a retained snapshot.
@@ -570,19 +636,22 @@ class ServiceState:
         the number of segments deleted.
         """
         keep = self.keep_segments if keep_segments is None else int(keep_segments)
-        paths = self.snapshots.paths()
-        if not paths:
+        retained = self.snapshots.retained()
+        if not retained:
             return 0
-        anchor = self.snapshots._seq_of(paths[0])
-        heartbeat = self._heartbeat_seq()
-        if heartbeat is not None and anchor > heartbeat:
+        anchor, shard_seqs = retained[0]
+        heartbeat = self.journal.last_heartbeat()
+        if heartbeat is not None and anchor > heartbeat[0]:
             return 0
         removed = self.journal.compact(anchor, keep_segments=keep)
-        if self.shards > 1 and self.shard_compaction:
-            removed += self._compact_shards(keep)
+        if self.shards > 1 and self.shard_compaction and heartbeat is not None:
+            # Heartbeats are broadcast: none in the control journal
+            # means none anywhere, so no completed-chunk boundary
+            # protects a rewind yet.
+            removed += self._compact_shards(shard_seqs, keep)
         return removed
 
-    def _compact_shards(self, keep: int) -> int:
+    def _compact_shards(self, shard_seqs: list[int] | None, keep: int) -> int:
         """Compact shard journals below the oldest snapshot's coverage.
 
         Each shard journal ``i`` is compacted up to the oldest retained
@@ -592,29 +661,19 @@ class ServiceState:
         journal applies: the crash-recovery rewind truncates to a
         completed chunk boundary, and the anchor snapshot must survive
         that rewind for the compacted prefix to stay unreachable.
+        Both facts are in memory on a running daemon (the anchor's
+        header coverage and each journal's own newest heartbeat), so
+        nothing is read to decide.
         """
-        if self._heartbeat_seq() is None:
-            # Heartbeats are broadcast: none in the control journal
-            # means none anywhere, so no completed-chunk boundary
-            # protects a rewind yet — and scanning N heartbeat-free
-            # shard journals end-to-end on every snapshot would cost
-            # O(journal) each time.  Skip until a boundary exists.
-            return 0
-        oldest = self.snapshots.load_oldest()
-        if oldest is None:
-            return 0
-        shard_seqs = oldest[1].get("sharding", {}).get("shard_seqs")
         if not shard_seqs or len(shard_seqs) != self.shards:
-            return 0  # snapshot predates this layout; nothing provable
+            return 0  # anchor predates this layout; nothing provable
         removed = 0
-        for i in range(self.shards):
+        for i, covered in enumerate(shard_seqs):
             journal = self.shard_journal(i)
-            # Cheap: heartbeats land every chunk, so the scan stops at
-            # the newest segment containing one.
-            boundary = last_heartbeat(journal)
-            if boundary is None or int(shard_seqs[i]) > boundary[0]:
+            boundary = journal.last_heartbeat()
+            if boundary is None or covered > boundary[0]:
                 continue
-            removed += journal.compact(int(shard_seqs[i]), keep_segments=keep)
+            removed += journal.compact(covered, keep_segments=keep)
         return removed
 
     # -- truncation ----------------------------------------------------------
@@ -624,8 +683,6 @@ class ServiceState:
         removed = self.journal.truncate_after(seq)
         self.snapshots.truncate_after(seq)
         self._last_snapshot_seq = min(self._last_snapshot_seq, seq)
-        if self._last_heartbeat_seq is not None and self._last_heartbeat_seq > seq:
-            self._last_heartbeat_seq = None  # re-scan lazily past the cut
         return removed
 
     def rewind_to_heartbeat(self) -> tuple[float, int]:
@@ -648,7 +705,7 @@ class ServiceState:
         chunk the resume re-simulates.
         """
         if self.shards == 1:
-            boundary = last_heartbeat(self.journal)
+            boundary = self.journal.last_heartbeat()
             seq, start = boundary if boundary is not None else (0, 0.0)
             return start, self.truncate_after(seq)
         journals = [self.journal] + [
@@ -660,7 +717,7 @@ class ServiceState:
         # down to zero.  Only journals with acknowledged records but no
         # completed chunk boundary force the full rewind.
         newest = [
-            last_heartbeat(j) for j in journals if j.last_seq or j.segments()
+            j.last_heartbeat() for j in journals if j.last_seq or j.segments()
         ]
         if not newest or any(found is None for found in newest):
             start, control_seq = 0.0, 0
@@ -680,26 +737,11 @@ class ServiceState:
                 cut = found[0] if found is not None else 0
                 cuts.append(cut)
                 dropped += journal.truncate_after(cut)
-        self.snapshots.truncate_after(control_seq)
-        for path in self.snapshots.paths():
-            seqs = None
-            try:
-                payload = json.loads(
-                    unframe_line(path.read_text(encoding="utf-8").strip())
-                )
-                seqs = payload["state"].get("sharding", {}).get("shard_seqs")
-            except (ValueError, KeyError, TypeError):
-                pass  # unreadable snapshots are skipped at load time
-            if seqs is not None and any(
-                int(s) > cut for s, cut in zip(seqs, cuts)
-            ):
-                path.unlink()
+        self.snapshots.discard(
+            lambda seq, shard_seqs: seq > control_seq
+            or any(s > cut for s, cut in zip(shard_seqs or (), cuts))
+        )
         self._last_snapshot_seq = min(self._last_snapshot_seq, control_seq)
-        if (
-            self._last_heartbeat_seq is not None
-            and self._last_heartbeat_seq > control_seq
-        ):
-            self._last_heartbeat_seq = None  # re-scan lazily past the cut
         return start, dropped
 
     def failover_shard(self, shard_id: int) -> tuple[float, int, int, int]:
@@ -734,14 +776,14 @@ class ServiceState:
                 f"shard {shard_id} out of range for {self.shards}-shard state"
             )
         if self.shards == 1:
-            boundary = last_heartbeat(self.journal)
+            boundary = self.journal.last_heartbeat()
             seq, when = boundary if boundary is not None else (0, 0.0)
             return when, seq, 0, 0
         cached = self._shard_journals.pop(shard_id, None)
         if cached is not None:
             cached.close()
         journal = self.shard_journal(shard_id)
-        boundary = last_heartbeat(journal)
+        boundary = journal.last_heartbeat()
         cut, when = boundary if boundary is not None else (0, 0.0)
         telemetry_dropped = sum(
             1
@@ -751,17 +793,11 @@ class ServiceState:
             in ("JobSubmitted", "TaskCompleted", "JobCompleted")
         )
         dropped = journal.truncate_after(cut)
-        for path in self.snapshots.paths():
-            seqs = None
-            try:
-                payload = json.loads(
-                    unframe_line(path.read_text(encoding="utf-8").strip())
-                )
-                seqs = payload["state"].get("sharding", {}).get("shard_seqs")
-            except (ValueError, KeyError, TypeError):
-                pass  # unreadable snapshots are skipped at load time
-            if seqs is not None and len(seqs) > shard_id and int(seqs[shard_id]) > cut:
-                path.unlink()
+        self.snapshots.discard(
+            lambda _, shard_seqs: shard_seqs is not None
+            and len(shard_seqs) > shard_id
+            and shard_seqs[shard_id] > cut
+        )
         return when, cut, dropped, telemetry_dropped
 
     def release_shard_journal(self, shard_id: int) -> None:

@@ -30,7 +30,6 @@ from repro.service.journal import (
     decode_event,
     encode_event,
     fast_event_body,
-    last_heartbeat,
 )
 from repro.service.replay import build_controller, build_service, make_scenario
 from repro.service.snapshot import ServiceState

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import shutil
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +21,14 @@ from repro.service.events import (
     TenantJoined,
     TenantLeft,
 )
-from repro.service.ingest import RollingWindow, stats_gap
+from repro.service.ingest import WINDOW_STATE_FIELDS, RollingWindow, stats_gap
 from repro.service.journal import (
     EventJournal,
     JournalError,
+    canonical_json,
     decode_event,
     encode_event,
-    last_heartbeat,
+    frame_bytes,
 )
 from repro.service.replay import build_controller, build_service, make_scenario
 from repro.service.snapshot import (
@@ -32,7 +37,12 @@ from repro.service.snapshot import (
     config_from_dict,
     config_to_dict,
 )
-from repro.workload.trace import JobRecord, TaskRecord
+from repro.workload.trace import (
+    JobRecord,
+    TaskRecord,
+    job_record_to_dict,
+    task_record_to_dict,
+)
 
 
 def _task(job_id, task_id, tenant, finish, duration, **kwargs):
@@ -207,11 +217,53 @@ class TestEventJournal:
         hb_seq = journal.append("event", encode_event(Heartbeat(300.0)))
         journal.append("event", encode_event(JobSubmitted(301.0, tenant="A", job_id="b")))
         journal.close()
-        assert last_heartbeat(journal) == (hb_seq, 300.0)
+        assert journal.last_heartbeat() == (hb_seq, 300.0)
 
     def test_last_heartbeat_none_when_absent(self, tmp_path):
         journal = EventJournal(tmp_path)
-        assert last_heartbeat(journal) is None
+        assert journal.last_heartbeat() is None
+
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    def test_last_heartbeat_tracked_on_every_append_path(
+        self, tmp_path, codec, monkeypatch
+    ):
+        """A journal answers from what it appended: no segment is read."""
+        import repro.service.journal as journal_module
+
+        def no_reads(path, *, final):
+            raise AssertionError(f"warm last_heartbeat() read {path.name}")
+
+        journal = EventJournal(tmp_path, segment_records=4, codec=codec)
+        monkeypatch.setattr(journal_module, "read_segment", no_reads)
+        submit = JobSubmitted(1.0, tenant="A", job_id="a")
+        assert journal.last_heartbeat() is None
+        journal.append("event", encode_event(Heartbeat(10.0)))
+        assert journal.last_heartbeat() == (1, 10.0)
+        journal.append_events([submit, Heartbeat(20.0), submit])
+        assert journal.last_heartbeat() == (3, 20.0)
+        journal.append_many(
+            [("event", encode_event(Heartbeat(30.0))), ("decision", {"time": 31.0})]
+        )
+        assert journal.last_heartbeat() == (5, 30.0)
+        journal.append_events(iter([submit, submit]))  # no heartbeat: unchanged
+        assert journal.last_heartbeat() == (5, 30.0)
+        monkeypatch.undo()
+        # A cold open of the same directory scans to the same answer.
+        journal.close()
+        assert EventJournal(tmp_path, codec=codec).last_heartbeat() == (5, 30.0)
+
+    def test_truncate_past_cached_heartbeat_rescans(self, tmp_path):
+        journal = EventJournal(tmp_path, segment_records=4)
+        journal.append_events([Heartbeat(1.0)] + [
+            JobSubmitted(2.0 + i, tenant="A", job_id=f"a{i}") for i in range(8)
+        ] + [Heartbeat(20.0)])
+        assert journal.last_heartbeat() == (10, 20.0)
+        journal.truncate_after(10)  # the cached boundary survives the cut
+        assert journal.last_heartbeat() == (10, 20.0)
+        journal.truncate_after(6)  # ... and this one removes it
+        assert journal.last_heartbeat() == (1, 1.0)
+        journal.truncate_after(0)
+        assert journal.last_heartbeat() is None
 
 
 class TestSnapshotStore:
@@ -236,6 +288,122 @@ class TestSnapshotStore:
             store.write(seq, {"value": seq})
         assert store.truncate_after(15) == 2
         assert store.load_latest() == (10, {"value": 10})
+
+    @staticmethod
+    def _damage(path, how):
+        """Break one snapshot file the way a bad disk or old build would."""
+        header, body = path.read_bytes().splitlines(keepends=True)
+
+        def flipped(line):
+            return line[:12] + bytes([line[12] ^ 0x01]) + line[13:]
+
+        path.write_bytes(
+            {
+                "header_truncated": header[: len(header) // 2],
+                "header_crc": flipped(header) + body,
+                "body_crc": header + flipped(body),
+                "body_truncated": header + body[: len(body) // 2],
+                "body_missing": header,
+                # What builds before the header frame wrote: one frame
+                # holding seq and state together.  Not a second read path.
+                "old_shape": frame_bytes(
+                    canonical_json({"seq": 20, "state": {"value": 20}})
+                ),
+            }[how]
+        )
+
+    @pytest.mark.parametrize(
+        "how",
+        [
+            "header_truncated",
+            "header_crc",
+            "body_crc",
+            "body_truncated",
+            "body_missing",
+            "old_shape",
+        ],
+    )
+    def test_damaged_frame_falls_back_to_older_snapshot(self, tmp_path, how):
+        store = SnapshotStore(tmp_path, keep=3)
+        store.write(10, {"value": 10}, shard_seqs=[4, 5])
+        self._damage(store.write(20, {"value": 20}, shard_seqs=[8, 9]), how)
+        assert store.load_latest() == (10, {"value": 10})
+        # A store opened on the damaged directory agrees, still counts
+        # the file for retention, and claims no coverage it cannot read.
+        reopened = SnapshotStore(tmp_path, keep=3)
+        assert reopened.load_latest() == (10, {"value": 10})
+        coverage = dict(reopened.retained())
+        assert coverage[10] == [4, 5]
+        assert coverage[20] == ([8, 9] if how.startswith("body") else None)
+
+    def test_retained_coverage_follows_writes_and_deletes(self, tmp_path):
+        store = SnapshotStore(tmp_path, keep=2)
+        store.write(10, {"v": 1})
+        store.write(20, {"v": 2}, shard_seqs=[7, 9])
+        store.write(30, {"v": 3}, shard_seqs=[8, 12])
+        assert store.retained() == [(20, [7, 9]), (30, [8, 12])]
+        assert [p.name for p in store.paths()] == [
+            "snapshot-0000000020.json",
+            "snapshot-0000000030.json",
+        ]
+        store.write(30, {"v": 4}, shard_seqs=[8, 13])  # same seq: replaced
+        assert store.retained() == [(20, [7, 9]), (30, [8, 13])]
+        assert SnapshotStore(tmp_path, keep=2).retained() == store.retained()
+        assert store.discard(lambda seq, shard_seqs: shard_seqs[1] > 12) == 1
+        assert store.retained() == [(20, [7, 9])]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "snapshot-0000000020.json"
+        ]
+
+    def test_stale_temp_files_removed_on_open(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        store.write(10, {"value": 10})
+        (tmp_path / "snapshot-0000000020.tmp").write_bytes(b"0123 half a snap")
+        reopened = SnapshotStore(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["snapshot-0000000010.json"]
+        assert reopened.load_latest() == (10, {"value": 10})
+
+    @pytest.mark.parametrize("fsync", [True, False])
+    def test_snapshot_is_durable_before_its_journal_prefix_goes(
+        self, tmp_path, monkeypatch, fsync
+    ):
+        """With fsync on: temp file synced, renamed, directory synced —
+        and only then may compaction unlink the covered segments.  With
+        fsync off the snapshot path makes no sync call at all."""
+        state = ServiceState(
+            tmp_path, segment_records=4, snapshot_every=10**9, fsync=fsync,
+            keep_segments=1,
+        )
+        for i in range(40):
+            state.record_event(encode_event(Heartbeat(float(i))))
+        log = []
+        real_fsync, real_replace, real_unlink = os.fsync, os.replace, Path.unlink
+
+        def spy_fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            log.append(f"fsync-{kind}")
+            real_fsync(fd)
+
+        def spy_replace(src, dst):
+            log.append("replace")
+            real_replace(src, dst)
+
+        def spy_unlink(path, *args, **kwargs):
+            log.append(f"unlink-{path.name.split('-')[0]}")
+            real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        monkeypatch.setattr(Path, "unlink", spy_unlink)
+        state.write_snapshot({"x": 1})
+        monkeypatch.undo()
+        state.close()
+        assert "unlink-segment" in log  # compaction did reclaim segments
+        prefix = log[: log.index("unlink-segment")]
+        assert prefix == (
+            ["fsync-file", "replace", "fsync-dir"] if fsync else ["replace"]
+        )
+        assert ("fsync-file" in log) == fsync
 
 
 class TestConfigCodec:
@@ -285,6 +453,45 @@ class TestWindowState:
         text = json.dumps(window.to_state())
         restored = RollingWindow.from_state(json.loads(text))
         assert stats_gap(restored) < 1e-9
+
+    def test_rows_are_positional_in_the_named_field_order(self):
+        """The order is named once per state and is each record's own
+        constructor order, so a row past its time rebuilds the record."""
+        from dataclasses import fields
+
+        assert WINDOW_STATE_FIELDS["tasks"][1:] == [f.name for f in fields(TaskRecord)]
+        assert WINDOW_STATE_FIELDS["jobs"][1:] == [f.name for f in fields(JobRecord)]
+        window = RollingWindow(1e6)
+        for event in ALL_EVENT_SHAPES:
+            if isinstance(event, (JobSubmitted, TaskCompleted, JobCompleted)):
+                window.ingest(event)
+        state = json.loads(json.dumps(window.to_state()))
+        assert state["fields"] == WINDOW_STATE_FIELDS
+        (task_row,) = state["tenants"]["A"]["tasks"]
+        (job_row,) = state["tenants"]["A"]["jobs"]
+        task, job = ALL_EVENT_SHAPES[2], ALL_EVENT_SHAPES[3]
+        named = dict(zip(state["fields"]["tasks"], task_row))
+        assert named.pop("time") == task.time
+        assert named == task_record_to_dict(task.record)
+        named = dict(zip(state["fields"]["jobs"], job_row))
+        assert named.pop("time") == job.time
+        assert named == job_record_to_dict(job.record)
+        restored = RollingWindow.from_state(state)
+        assert restored._tenants["A"].tasks[0][1] == task.record
+        assert restored._tenants["A"].jobs[0][1] == job.record  # tuples again
+
+    def test_other_row_layouts_are_refused_by_name(self):
+        """Dict-per-entry states (earlier builds) are not a second read
+        path: the error names the layout found and the one expected."""
+        window = RollingWindow(300.0)
+        window.ingest(ALL_EVENT_SHAPES[2])
+        state = window.to_state()
+        old_shape = {key: value for key, value in state.items() if key != "fields"}
+        with pytest.raises(JournalError, match=r"laid out as None.*'tasks': \['time'"):
+            RollingWindow.from_state(old_shape)
+        reordered = {**state, "fields": {**state["fields"], "tasks": ["time", "x"]}}
+        with pytest.raises(JournalError, match=r"laid out as .*'x'"):
+            RollingWindow.merge_states([state, reordered])
 
 
 def _assert_equivalent(live: TempoService, resumed: TempoService) -> None:
@@ -490,6 +697,36 @@ class TestServiceState:
         assert state.journal.last_seq == 3
         assert state.load_latest_snapshot() is None  # snapshot was past seq 3
 
+    def test_compaction_holds_the_boundary_after_truncating_past_it(self, tmp_path):
+        """Rewinding below the journal's cached newest heartbeat must
+        forget it: a snapshot taken after the rewind lies past the only
+        boundary left, so compaction has to refuse — which it would not
+        if it still believed in the heartbeat that was cut away."""
+        state = ServiceState(
+            tmp_path, segment_records=4, snapshot_every=10**9, auto_compact=False
+        )
+        submits = [
+            encode_event(JobSubmitted(2.0 + i, tenant="a", job_id=f"j{i}"))
+            for i in range(40)
+        ]
+        state.record_event(encode_event(Heartbeat(1.0)))  # seq 1
+        for data in submits[:19]:
+            state.record_event(data)
+        state.record_event(encode_event(Heartbeat(30.0)))  # seq 21, cached
+        state.truncate_after(10)
+        for data in submits[19:24]:
+            state.record_event(data)
+        state.write_snapshot({"x": 1})  # seq 15: past heartbeat 1, below 21
+        assert state.journal.last_heartbeat() == (1, 1.0)
+        before = state.journal.segments()
+        assert len(before) > 2
+        assert state.compact(keep_segments=1) == 0
+        assert state.journal.segments() == before
+        # Once a boundary past the snapshot exists, the same call compacts.
+        state.record_event(encode_event(Heartbeat(40.0)))
+        assert state.compact(keep_segments=1) > 0
+        state.close()
+
 
 class TestCliResume:
     def test_serve_state_dir_then_resume(self, tmp_path):
@@ -599,20 +836,20 @@ class TestCliResume:
         state.close()
         # The closing heartbeat at the horizon is journaled only after
         # the drain delivered completely.
-        boundary = last_heartbeat(state.journal)
+        boundary = state.journal.last_heartbeat()
         assert boundary is not None and boundary[1] == 1350.0
         # Emulate dying mid-drain: drop the closing heartbeat and the
         # drain tail.  The newest surviving heartbeat is now the last
         # *full* interval's, before the horizon.
         state.truncate_after(boundary[0] - 3)
-        rewound = last_heartbeat(state.journal)
+        rewound = state.journal.last_heartbeat()
         assert rewound is not None and rewound[1] < 1350.0
         out = io.StringIO()
         code = main(["resume", "--state-dir", str(state_dir)], out=out)
         assert code == 0
         assert f"continuing scenario=steady from t={rewound[1]:.0f}s" in out.getvalue()
         # The re-driven run journaled the final interval and its drain.
-        assert last_heartbeat(EventJournal(state_dir / "journal"))[1] == 1350.0
+        assert EventJournal(state_dir / "journal").last_heartbeat()[1] == 1350.0
 
     def test_resumed_run_summary_covers_only_new_decisions(self, tmp_path):
         from repro.service.replay import ScenarioReplayer

@@ -53,7 +53,6 @@ from repro.service.journal import (
     decode_event,
     encode_event,
     frame_line,
-    last_heartbeat,
     read_segment,
 )
 from repro.workload.trace import JobRecord, TaskRecord
@@ -255,7 +254,7 @@ def test_binary_compaction_and_heartbeat_rewind(tmp_path):
             ]
         )
     journal.append_events(events)
-    beat = last_heartbeat(journal)
+    beat = journal.last_heartbeat()
     assert beat is not None and beat[1] == 36.0
     # Rewind past the last heartbeat, as resume does for partial chunks.
     removed = journal.truncate_after(beat[0] - 2)

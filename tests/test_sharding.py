@@ -4,6 +4,7 @@ and trace-file replay."""
 
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -208,11 +209,20 @@ class TestMergedStatistics:
             now = reference.now
             for window in windows:
                 window.advance(now)
-            merged = RollingWindow.merge_states([w.to_state() for w in windows])
-            assert merged.now == reference.now
-            assert merged.events_ingested == reference.events_ingested
-            _stats_close(merged.snapshot(), reference.batch_recompute())
-            assert stats_gap(merged) < 1e-9
+            states = [w.to_state() for w in windows]
+            wire = [json.loads(json.dumps(state)) for state in states]
+            for merged in (
+                RollingWindow.merge_states(states),
+                RollingWindow.merge_states(wire),  # what a snapshot/TCP drain holds
+            ):
+                assert merged.now == reference.now
+                assert merged.events_ingested == reference.events_ingested
+                _stats_close(merged.snapshot(), reference.batch_recompute())
+                assert stats_gap(merged) < 1e-9
+            for state, window in zip(wire, windows):
+                restored = RollingWindow.from_state(state)
+                _stats_close(restored.snapshot(), window.batch_recompute())
+                assert restored.to_state() == state
 
     def test_merge_states_rejects_mismatched_window_lengths(self):
         a, b = RollingWindow(100.0), RollingWindow(200.0)
@@ -234,8 +244,12 @@ class TestMergedStatistics:
             halves[i % 2].ingest(event)
         for half in halves:
             half.advance(reference.now)
-        merged = RollingWindow.merge_states([h.to_state() for h in halves])
+        states = [json.loads(json.dumps(h.to_state())) for h in halves]
+        merged = RollingWindow.merge_states(states)
         _stats_close(merged.snapshot(), reference.batch_recompute())
+        assert stats_gap(merged) < 1e-9
+        # Time-ordered interleave: the merged rows are the reference's.
+        assert merged.to_state()["tenants"] == reference.to_state()["tenants"]
 
     def test_tenant_stats_merged_inverts_sums(self):
         window = RollingWindow(600.0)
@@ -502,6 +516,155 @@ class TestShardedDurability:
         )
         assert resumed.stats_gap_now() < 1e-9
         resumed.close()
+
+
+def _segment_files(root):
+    """Every journal segment under a state dir, relative to it."""
+    return sorted(
+        str(path.relative_to(root)) for path in Path(root).rglob("segment-*")
+    )
+
+
+class TestCheckpointCost:
+    """A checkpoint decides from what the writer holds in memory, and
+    decides exactly what a cold open of the same directory decides."""
+
+    @staticmethod
+    def _serve(root, shards, codec="json", **state_options):
+        options = dict(snapshot_every=250, segment_records=32, keep_segments=1)
+        state = ServiceState(
+            root, shards=shards, journal_codec=codec, **{**options, **state_options}
+        )
+        service = build_service(
+            _scenario(),
+            _service_config(min_window_jobs=10**9),  # every tick holds
+            seed=0,
+            state=state,
+            shards=shards,
+        )
+        return state, service
+
+    @staticmethod
+    def _feed(service, events, chunk=100):
+        """Chunks closed by a broadcast heartbeat (compaction's boundary)."""
+        for i in range(0, len(events), chunk):
+            part = events[i : i + chunk]
+            service.ingest_batch(part + [Heartbeat(part[-1].time)])
+
+    def test_cadence_snapshot_reads_no_segment_and_parses_no_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.service.journal as journal_module
+
+        events = _events(seed=21, count=700, controls=False)
+        state, service = self._serve(tmp_path, 4)
+        self._feed(service, events[:900])  # warm: snapshots retained, compacting
+        calls = {"read_segment": 0, "json.loads": 0}
+        real_read, real_loads = journal_module.read_segment, json.loads
+
+        def counting_read(path, *, final):
+            calls["read_segment"] += 1
+            return real_read(path, final=final)
+
+        def counting_loads(*args, **kwargs):
+            calls["json.loads"] += 1
+            return real_loads(*args, **kwargs)
+
+        monkeypatch.setattr(journal_module, "read_segment", counting_read)
+        monkeypatch.setattr(json, "loads", counting_loads)
+        snapshots_before = {seq for seq, _ in state.snapshots.retained()}
+        segments_before = _segment_files(tmp_path)
+        self._feed(service, events[900:])
+        monkeypatch.undo()
+        written = {seq for seq, _ in state.snapshots.retained()} - snapshots_before
+        assert len(written) == 3  # every retained snapshot is a counted one
+        deleted = set(segments_before) - set(_segment_files(tmp_path))
+        # ... and each was followed by a compaction that reclaimed segments
+        # of every shard journal (the control journal is too short to).
+        assert {name.split("/")[0] for name in deleted} >= {
+            f"shard-{i:02d}" for i in range(4)
+        }
+        assert calls == {"read_segment": 0, "json.loads": 0}
+        service.close()
+        state.close()
+
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_warm_and_cold_compaction_delete_the_same_segments(
+        self, tmp_path, shards, codec
+    ):
+        """In-memory boundary + coverage (the serving process) and a
+        header/tail scan (``repro compact`` on a cold dir) agree."""
+        events = _events(seed=22, count=500, controls=False)
+        warm_root = tmp_path / "warm"
+        state, service = self._serve(warm_root, shards, codec, auto_compact=False)
+        compared = 0
+        for stop in (len(events) // 2, len(events)):
+            self._feed(service, events[compared:stop])
+            compared = stop
+            for journal in [state.journal] + [
+                state.shard_journal(i) for i in range(shards) if shards > 1
+            ]:
+                journal.flush()
+            cold_root = tmp_path / f"cold-{stop}"
+            shutil.copytree(warm_root, cold_root)
+            before = _segment_files(warm_root)
+            assert state.compact() > 0
+            cold = ServiceState(
+                cold_root,
+                shards=shards,
+                segment_records=32,
+                keep_segments=1,
+                journal_codec=codec,
+                auto_compact=False,
+            )
+            assert cold.snapshots.retained() == state.snapshots.retained()
+            cold.compact()
+            cold.close()
+            assert _segment_files(cold_root) == _segment_files(warm_root)
+            assert set(_segment_files(warm_root)) < set(before)
+        service.close()
+        state.close()
+        resumed = TempoService.resume(
+            build_controller(_scenario()),
+            warm_root,
+            _service_config(min_window_jobs=10**9),
+            shards=shards,
+        )
+        assert resumed.events_processed == service.events_processed
+        assert resumed.stats_gap_now() < 1e-9
+        resumed.close()
+
+    def test_rewind_invalidates_cached_shard_boundaries(self, tmp_path):
+        """A heartbeat that reached one shard only (crash mid-broadcast)
+        is cut away by the rewind; compaction afterwards must not still
+        treat it as that shard's boundary."""
+        events = _events(seed=23, count=300, controls=False)
+        state, service = self._serve(
+            tmp_path, 2, snapshot_every=10**9, segment_records=8, auto_compact=False
+        )
+        boundary = events[299].time
+        service.ingest_batch(events[:300] + [Heartbeat(boundary)])
+        common = [state.shard_journal(i).last_heartbeat() for i in range(2)]
+        service.ingest_batch(events[300:500])
+        service.shards[0].ingest([Heartbeat(events[499].time)])  # shard 0 only
+        assert state.shard_journal(0).last_heartbeat()[1] == events[499].time
+        start, dropped = state.rewind_to_heartbeat()
+        assert start == boundary and dropped > 0
+        assert [state.shard_journal(i).last_heartbeat() for i in range(2)] == common
+        # Telemetry past the common boundary, then a snapshot covering it:
+        # no shard journal may be compacted up to that snapshot.
+        service.ingest_batch(events[500:700])
+        state.write_snapshot(service.state_dict())
+        shard_segments = [
+            name for name in _segment_files(tmp_path) if name.startswith("shard-")
+        ]
+        state.compact()
+        assert [
+            name for name in _segment_files(tmp_path) if name.startswith("shard-")
+        ] == shard_segments
+        service.close()
+        state.close()
 
 
 class TestWorkerShards:
