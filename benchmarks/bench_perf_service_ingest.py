@@ -13,12 +13,10 @@ layer (`repro.service`).  Measurements:
 3. **Durable service ingest** — the same with a write-ahead journal and
    periodic snapshots attached, across three durability paths:
    per-record appends, group-committed batches, and the async writer.
-   Plus **journal codec**: durable batched events/s at the journal
-   layer (`append_events` group commit, no window fold) for the JSON
-   and binary codecs measured in the same run — full runs gate the
-   binary codec at >= 3x JSON (>= 2x in ``--smoke``), with the
-   absolute >= 1M events/s target applied only on hosts with enough
-   cores (annotated otherwise).
+   Plus the **journal layer** alone: durable batched events/s of
+   `append_events` group commit with no window fold — full runs apply
+   the absolute >= 1M events/s target on hosts with enough cores
+   (annotated otherwise).
 4. **Many-tenant scaling** — per-event window ingest cost at 5 vs 500
    active tenants (the heap-driven eviction keeps it near flat; the old
    per-event sweep over every tenant made it ~linear).
@@ -246,47 +244,23 @@ def bench_sharded_ingest(
     return len(events) / elapsed
 
 
-def bench_journal_codec(events, codec: str, batch: int = 2048) -> float:
-    """Durable batched events/s at the journal layer for one codec.
+def bench_journal_append(events, batch: int = 2048) -> float:
+    """Durable batched events/s at the journal layer.
 
     The isolated encode+write hot path (`append_events` group commit,
-    no window fold), which is what the binary codec accelerates: the
-    service-level durable numbers fold every event into the rolling
-    window too, so the codec's 3x shows up here, not there.  The batch
-    is large enough to amortize the per-group fsync — the gate compares
-    the codecs, not the disk, and both codecs pay identical fsync
-    counts either way.  Measured best-of-N by the callers — the two
-    codecs always run in the same invocation so their ratio is
-    jitter-comparable.
+    no window fold): the service-level durable numbers fold every
+    event into the rolling window too, so a change to the record codec
+    shows up here first.  The batch is large enough to amortize the
+    per-group fsync.  Measured best-of-N by the callers.
     """
     with tempfile.TemporaryDirectory() as tmp:
-        journal = EventJournal(Path(tmp) / "journal", codec=codec)
+        journal = EventJournal(Path(tmp) / "journal")
         start = time.perf_counter()
         for i in range(0, len(events), batch):
             journal.append_events(events[i : i + batch])
         journal.close()
         elapsed = time.perf_counter() - start
     return len(events) / elapsed
-
-
-def bench_codec_pair(events, trials: int = 5) -> tuple[float, float, float]:
-    """(json events/s, binary events/s, gate ratio) over paired trials.
-
-    The codecs alternate json/binary within each trial so both sample
-    the same machine state, the reported throughputs are best-of-trials,
-    and the gate ratio is the *median* of the per-pair ratios: a single
-    noisy window (a lucky json run or an unlucky binary one) moves one
-    pair, not the verdict.  Best-over-best would let independent noise
-    on either side flip the gate.
-    """
-    pairs = [
-        (bench_journal_codec(events, "json"), bench_journal_codec(events, "binary"))
-        for _ in range(trials)
-    ]
-    json_eps = max(p[0] for p in pairs)
-    binary_eps = max(p[1] for p in pairs)
-    ratios = sorted(p[1] / p[0] for p in pairs)
-    return json_eps, binary_eps, ratios[len(ratios) // 2]
 
 
 def bench_many_tenants(
@@ -390,17 +364,14 @@ def smoke() -> int:
     worker_speedup = workers4_eps / shard1_eps
     inproc_ratio = inproc4_eps / shard1_eps
     cores = os.cpu_count() or 1
-    codec_json_eps, codec_binary_eps, codec_ratio = bench_codec_pair(events, trials=3)
+    journal_eps = max(bench_journal_append(events) for _ in range(3))
     whatif_retunes, _, whatif_p50, _ = bench_retune_latency(horizon=3600.0)
     print(
         f"smoke: {len(events):,} events, batched ingest {service_eps:,.0f}/s, "
         f"durable batched {durable_eps:,.0f}/s (overhead {overhead:.2f}x), "
         f"tenant-scaling 5->500 slowdown {flatness:.2f}x"
     )
-    print(
-        f"smoke journal codec: json {codec_json_eps:,.0f}/s, "
-        f"binary {codec_binary_eps:,.0f}/s ({codec_ratio:.2f}x)"
-    )
+    print(f"smoke journal append_events: {journal_eps:,.0f}/s")
     print(
         f"smoke sharded (500 tenants, {len(sharded_events):,} events, "
         f"{cores} cores): 1 shard {shard1_eps:,.0f}/s, 4 in-proc "
@@ -426,14 +397,6 @@ def smoke() -> int:
             f"4 in-process shards at {inproc_ratio:.2f}x of 1 shard "
             "(< 0.5x floor)"
         )
-    # Binary codec vs JSON in the same run: full runs gate >= 3x; the
-    # smoke floor is 2x so shared-runner jitter cannot flake CI while a
-    # regression back to text-speed encoding still fails loudly.
-    if codec_ratio < 2.0:
-        failures.append(
-            f"binary codec at {codec_ratio:.2f}x of json durable batched "
-            "(< 2.0x smoke floor)"
-        )
     # Parallel group commit: with real cores the worker shards must
     # beat the single pipeline clearly (design target >= 2.5x; the
     # floor leaves headroom for shared-runner jitter).  Sub-core runs
@@ -458,11 +421,7 @@ def smoke() -> int:
             "durable_ingest_batched_eps": durable_eps,
             "durability_overhead_batched": overhead,
             "tenant_scaling_slowdown": flatness,
-            "journal_codec": {
-                "json_eps": codec_json_eps,
-                "binary_eps": codec_binary_eps,
-                "binary_vs_json": codec_ratio,
-            },
+            "journal_codec": {"binary_eps": journal_eps},
             "sharded_500_tenants": {
                 "events": len(sharded_events),
                 "shards1_eps": shard1_eps,
@@ -515,7 +474,7 @@ def main() -> int:
             events, durable=True, batch=BATCH, async_journal=True
         )
     )
-    codec_json_eps, codec_binary_eps, codec_ratio = bench_codec_pair(events)
+    journal_eps = best(lambda: bench_journal_append(events))
     tenant_eps = bench_many_tenants()
     sharded_events = synthetic_events(500, 40_000)
     shard1_eps = best(lambda: bench_sharded_ingest(sharded_events, 1))
@@ -542,11 +501,7 @@ def main() -> int:
         ["durable ingest per-record (events/s)", f"{durable_eps:,.0f}"],
         ["durable ingest batched (events/s)", f"{durable_batched_eps:,.0f}"],
         ["durable ingest async (events/s)", f"{durable_async_eps:,.0f}"],
-        ["journal append_events json (events/s)", f"{codec_json_eps:,.0f}"],
-        [
-            "journal append_events binary (events/s)",
-            f"{codec_binary_eps:,.0f} ({codec_ratio:.2f}x vs json)",
-        ],
+        ["journal append_events (events/s)", f"{journal_eps:,.0f}"],
         [
             "durable batched vs per-record",
             f"{durable_batched_eps / durable_eps:.2f}x",
@@ -597,20 +552,13 @@ def main() -> int:
         rows,
     )
     failures = []
-    # Same-run relative gate: the binary codec must hold >= 3x the JSON
-    # codec at the journal layer (the encode-bound path it replaces).
-    if codec_ratio < 3.0:
-        failures.append(
-            f"binary codec at {codec_ratio:.2f}x of json durable batched "
-            "(< 3.0x full-run floor)"
-        )
     # The absolute >= 1M events/s target needs real cores: a 1-core
     # container tops out around the per-core encode ceiling, so the
     # absolute gate is annotated instead of applied there.
     binary_absolute_gated = cores >= 4
-    if binary_absolute_gated and codec_binary_eps < 1_000_000:
+    if binary_absolute_gated and journal_eps < 1_000_000:
         failures.append(
-            f"binary codec {codec_binary_eps:,.0f} events/s < 1M absolute "
+            f"journal append_events {journal_eps:,.0f} events/s < 1M absolute "
             f"floor on {cores} cores"
         )
     if worker_gate["failure"]:
@@ -631,9 +579,7 @@ def main() -> int:
         "durable_batched_speedup_vs_per_record": durable_batched_eps / durable_eps,
         "durability_overhead_batched": service_batched_eps / durable_batched_eps,
         "journal_codec": {
-            "json_eps": codec_json_eps,
-            "binary_eps": codec_binary_eps,
-            "binary_vs_json": codec_ratio,
+            "binary_eps": journal_eps,
             "absolute_1m_gated": binary_absolute_gated,
         },
         "stats_gap": max(gap, gap_batched),

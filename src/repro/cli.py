@@ -59,10 +59,10 @@ small operational CLI:
     service trace file replayable with ``repro replay --trace``.
 
 ``python -m repro dump-journal``
-    Render a state dir's journal segments — JSON or binary codec — as
-    canonical JSON lines (one ``{"data":...,"kind":...,"seq":...}``
-    object per record), keeping binary segments operator-debuggable.
-    Read-only like ``status``.
+    Render a state dir's (binary) journal segments as canonical JSON
+    lines (one ``{"data":...,"kind":...,"seq":...}`` object per
+    record) — the operator's view of the journal.  Read-only like
+    ``status``.
 
 ``python -m repro status``
     Read-only introspection of a serving state dir: pretty-print the
@@ -102,6 +102,7 @@ from repro.rm.cluster import ClusterSpec
 from repro.rm.config import ConfigSpace, RMConfig
 from repro.service.daemon import ServiceConfig, TempoService
 from repro.service.failover import FailoverConfig, parse_fault, run_chaos
+from repro.service.journal import JournalError
 from repro.service.replay import (
     SCENARIOS as SERVICE_SCENARIOS,
     ReplaySummary,
@@ -419,7 +420,6 @@ def _run_scenario(args: argparse.Namespace, out, transport: str) -> int:
             async_journal=args.async_journal,
             keep_segments=args.keep_segments,
             shards=args.shards,
-            journal_codec=args.journal_codec,
         )
         if state.journal.last_seq:
             raise SystemExit(
@@ -441,7 +441,6 @@ def _run_scenario(args: argparse.Namespace, out, transport: str) -> int:
                 "continuous": not args.chunked,
                 "async_journal": args.async_journal,
                 "keep_segments": args.keep_segments,
-                "journal_codec": args.journal_codec,
                 "shards": args.shards,
                 "shard_workers": args.shard_workers,
                 "tcp_workers": args.tcp_workers,
@@ -523,9 +522,7 @@ def _run_trace(args: argparse.Namespace, out) -> int:
     scenario = make_scenario(args.scenario, scale=args.scale)
     state = None
     if args.state_dir:
-        state = ServiceState(
-            args.state_dir, shards=args.shards, journal_codec=args.journal_codec
-        )
+        state = ServiceState(args.state_dir, shards=args.shards)
         if state.journal.last_seq:
             raise SystemExit(
                 f"{args.state_dir} already holds serving state; "
@@ -545,7 +542,6 @@ def _run_trace(args: argparse.Namespace, out) -> int:
                 "interval": args.interval * 60.0,
                 "drift": args.drift,
                 "revert_windows": args.revert_windows,
-                "journal_codec": args.journal_codec,
                 "shards": args.shards,
                 "shard_workers": args.shard_workers,
                 "tcp_workers": args.tcp_workers,
@@ -635,13 +631,15 @@ def cmd_resume(args: argparse.Namespace, out) -> int:
             f"--shards {reshard_to} was requested; pass --reshard to "
             "redistribute the data plane"
         )
-    state = ServiceState(
-        args.state_dir,
-        async_journal=meta.get("async_journal", False),
-        keep_segments=meta.get("keep_segments", 2),
-        shards=shards,
-        journal_codec=meta.get("journal_codec", "json"),
-    )
+    try:
+        state = ServiceState(
+            args.state_dir,
+            async_journal=meta.get("async_journal", False),
+            keep_segments=meta.get("keep_segments", 2),
+            shards=shards,
+        )
+    except JournalError as exc:  # e.g. JSON segments of an older build
+        raise SystemExit(str(exc))
     # A heartbeat at the horizon is only journaled once the run — final
     # drain included — delivered completely, so truncating to the last
     # heartbeat is always safe: a crash mid-drain rewinds to the last
@@ -775,7 +773,6 @@ def cmd_chaos(args: argparse.Namespace, out) -> int:
                 args.failover_after if args.failover_after is not None else 5.0
             ),
             state_dir=args.state_dir,
-            journal_codec=args.journal_codec,
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -821,9 +818,7 @@ def cmd_worker(args: argparse.Namespace, out) -> int:
                 out.flush()
 
     try:
-        journal_opts = {"codec": args.journal_codec}
-        if args.async_journal:
-            journal_opts["async_writer"] = True
+        journal_opts = {"async_writer": True} if args.async_journal else {}
         serve_shard(
             args.shard,
             args.window * 60.0,
@@ -977,7 +972,10 @@ def cmd_status(args: argparse.Namespace, out) -> int:
             f"{args.state_dir} has no journal/ — "
             "was it created by `repro serve/replay --state-dir`?"
         )
-    status = read_status(root)
+    try:
+        status = read_status(root)
+    except JournalError as exc:  # e.g. JSON segments of an older build
+        raise SystemExit(str(exc))
     registry = status["registry"]
     if args.format == "prom":
         out.write(registry.render())
@@ -1045,17 +1043,16 @@ def cmd_status(args: argparse.Namespace, out) -> int:
 def cmd_dump_journal(args: argparse.Namespace, out) -> int:
     """``repro dump-journal``: render journal segments as JSON lines.
 
-    Keeps binary segments operator-debuggable: every record of every
-    segment (or one segment with ``--segment N``) prints as one
-    canonical JSON line ``{"data":...,"kind":...,"seq":...}`` — the
-    exact body the JSON codec frames on disk — whichever codec wrote
-    it.  Purely read-only, like ``repro status``: it never constructs
+    The operator's JSON view of the binary journal: every record of
+    every segment (or one segment with ``--segment N``) prints as one
+    canonical JSON line ``{"data":...,"kind":...,"seq":...}``.
+    Purely read-only, like ``repro status``: it never constructs
     an :class:`~repro.service.snapshot.ServiceState` (which would
     repair the journal tail), so it is safe against a live daemon's
     state dir.  ``--shard N`` selects a shard journal of a sharded
     state dir instead of the control journal.
     """
-    from repro.service.journal import canonical_json, read_segment
+    from repro.service.journal import canonical_json, read_segment, segment_paths
     from repro.service.sharding import shard_dir_name
 
     root = Path(args.state_dir)
@@ -1076,11 +1073,10 @@ def cmd_dump_journal(args: argparse.Namespace, out) -> int:
             f"{args.state_dir} has no journal/ — "
             "was it created by `repro serve/replay --state-dir`?"
         )
-    segments = sorted(
-        list(journal_dir.glob("segment-*.jsonl"))
-        + list(journal_dir.glob("segment-*.binl")),
-        key=lambda p: int(p.stem.split("-")[1]),
-    )
+    try:
+        segments = segment_paths(journal_dir)
+    except JournalError as exc:  # JSON segments of an older build
+        raise SystemExit(str(exc))
     if not segments:
         raise SystemExit(f"{journal_dir} holds no journal segments")
     if args.segment is not None:
@@ -1190,15 +1186,6 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=2,
         help="journal segments compaction always retains (safety margin)",
-    )
-    parser.add_argument(
-        "--journal-codec",
-        choices=["json", "binary"],
-        default="json",
-        help="record codec for new journal segments: json (debug/compat "
-        "text, the default) or binary (struct-packed, ~3x faster durable "
-        "ingest); reads always handle both, and `repro resume` "
-        "auto-detects the persisted choice",
     )
     parser.add_argument(
         "--shards",
@@ -1404,13 +1391,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep the faulted run's journal + snapshots here for "
         "inspection (default: a temp dir, removed afterwards)",
     )
-    chaos.add_argument(
-        "--journal-codec",
-        choices=["json", "binary"],
-        default="json",
-        help="record codec every journal of the faulted run is written "
-        "with (exercises the binary torn-tail/replay contracts)",
-    )
     chaos.add_argument("--seed", type=int, default=0)
     chaos.set_defaults(func=cmd_chaos)
 
@@ -1439,12 +1419,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--async-journal",
         action="store_true",
         help="journal through a background group-commit thread",
-    )
-    worker.add_argument(
-        "--journal-codec",
-        choices=["json", "binary"],
-        default="json",
-        help="record codec for this worker's journal segments",
     )
     worker.add_argument(
         "--observe",

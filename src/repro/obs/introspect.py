@@ -7,7 +7,7 @@ Everything here reads bytes off disk without touching them: the newest
 readable snapshot (same framing the snapshot store writes), the newest
 ``metrics`` journal record (the :class:`~repro.service.events.
 MetricsSampled` tail), and the ``meta.json`` descriptor.  A torn final
-journal line — the write a crash interrupted — is skipped exactly like
+journal frame — the write a crash interrupted — is skipped exactly like
 the journal's own tail repair would, just without repairing anything.
 """
 
@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 
 from repro.obs.metrics import MetricsRegistry
-from repro.service.journal import unframe_line
+from repro.service.journal import read_segment, segment_paths
 from repro.service.snapshot import read_snapshot
 
 _INGEST_TOTAL = "tempo_ingest_events_total"
@@ -39,20 +39,6 @@ def load_latest_snapshot(root: str | Path) -> tuple[int, dict] | None:
     return None
 
 
-def _iter_segment_records(path: Path, *, final: bool):
-    """Parse one segment read-only; a torn final line is skipped."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            yield json.loads(unframe_line(line))
-        except (ValueError, KeyError, TypeError):
-            if final and i == len(lines) - 1:
-                return  # torn tail: the write a crash interrupted
-            raise
-
-
 def last_metrics_sample(root: str | Path) -> dict | None:
     """Newest ``metrics`` journal record's data, scanning tail-first.
 
@@ -60,12 +46,12 @@ def last_metrics_sample(root: str | Path) -> dict | None:
     (``time``, ``index``, ``metrics``) of the newest sample in the
     control journal, or ``None`` when the run never sampled metrics.
     """
-    segments = sorted(Path(root).glob("journal/segment-*.jsonl"))
+    segments = segment_paths(Path(root) / "journal")
     for i, path in enumerate(reversed(segments)):
         newest = None
-        for payload in _iter_segment_records(path, final=(i == 0)):
-            if payload.get("kind") == "metrics":
-                newest = payload["data"]
+        for record in read_segment(path, final=(i == 0)):
+            if record.kind == "metrics":
+                newest = record.data
         if newest is not None:
             return newest
     return None

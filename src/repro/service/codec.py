@@ -1,19 +1,20 @@
-"""Binary journal record codec: struct-packed frames behind CRC framing.
+"""The journal record codec: struct-packed frames behind CRC framing.
 
-The JSON journal (:mod:`repro.service.journal`) is encode-bound on the
-durable ingest hot path: even the template f-string encoder pays ~3us
-per record to render sorted-key JSON text.  This module provides the
-binary sibling of ``frame_line`` — a length-prefixed, crc32-checked
-binary frame — plus per-record-type precompiled :mod:`struct` pack
-formats for the hot telemetry kinds (``TaskCompleted``,
-``JobCompleted``, ``JobSubmitted``, ``Heartbeat``) and an interned
-string table per segment for the repeated strings (tenant, pool, stage,
-tags, and ``job_id`` — every task record of a job repeats its job id,
-so the id is defined once and referenced as a fixed u32 afterwards).  Everything the typed formats cannot express faithfully
-falls back to a JSON *passthrough* frame carrying the canonical JSON
-body, so ``decode(binary_encode(x)) == decode(json_encode(x))`` for
-every record kind — the parity contract the test suite asserts
-directly and by hypothesis fuzz.
+The one representation of a journaled record, on disk
+(:mod:`repro.service.journal` segments) and in TCP ingest frames
+(:mod:`repro.service.transport`).  Rendering sorted-key JSON text per
+record is what bounds a durable ingest path, so a record is a
+length-prefixed, crc32-checked binary frame, with per-record-type
+precompiled :mod:`struct` pack formats for the hot telemetry kinds
+(``TaskCompleted``, ``JobCompleted``, ``JobSubmitted``, ``Heartbeat``)
+and an interned string table per segment for the repeated strings
+(tenant, pool, stage, tags, and ``job_id`` — every task record of a job
+repeats its job id, so the id is defined once and referenced as a fixed
+u32 afterwards).  Everything the typed formats cannot express
+faithfully falls back to a JSON *passthrough* frame carrying the
+canonical JSON body, so every record decodes to exactly the dict
+``encode_event`` produced for it — the round-trip contract the test
+suite asserts directly and by hypothesis fuzz.
 
 Frame layout (all integers little-endian)::
 
@@ -30,14 +31,13 @@ and the payload's first byte is the record type:
 ``0x04``   ``JobSubmitted``.
 ``0x05``   ``Heartbeat``.
 ``0x7f``   Segment header: magic + format version + codec id.  The
-           first frame of every binary segment, so mixed-codec state
-           dirs are self-describing.
+           first frame of every segment.
 =========  ====================================================
 
-Corruption detection is unchanged from the JSON format: every frame is
-covered by its own crc32, a torn final write is recognized (nothing
-parseable follows the failure point) and dropped by tail repair, and
-damage *behind* valid frames raises instead of silently skipping.
+Corruption detection: every frame is covered by its own crc32, a torn
+final write is recognized (nothing parseable follows the failure point)
+and dropped by tail repair, and damage *behind* valid frames raises
+instead of silently skipping.
 
 Decode is zero-copy up to the final string materialization: a segment
 is read as one buffer and every frame payload is a :class:`memoryview`
@@ -51,7 +51,6 @@ import json
 import math
 import zlib
 from struct import Struct
-from typing import Iterator
 
 from repro.service.events import (
     Heartbeat,
@@ -68,11 +67,10 @@ __all__ = [
     "decode_wire_batches",
     "encode_wire_batches",
     "frame_payload",
-    "iter_segment_payloads",
     "split_frames",
 ]
 
-#: Binary journal segment file extension (JSON segments use ``.jsonl``).
+#: Journal segment file extension.
 BINARY_SUFFIX = ".binl"
 
 #: Wire/disk frame header: crc32(payload), len(payload).
@@ -102,8 +100,7 @@ _RT_HB = 0x05
 _RT_HEADER = 0x7F
 
 #: Segment header payload: rtype, magic, format version, codec id
-#: (``0x01`` = this binary codec; JSON segments carry no header for
-#: backward compatibility and are identified by their ``.jsonl`` name).
+#: (``0x01`` = this codec).
 _HEADER_PAYLOAD = b"\x7fTEMPOJRNL\x01\x01"
 
 _crc32 = zlib.crc32
@@ -120,7 +117,7 @@ HEADER_FRAME = frame_payload(_HEADER_PAYLOAD)
 
 
 def _canonical(payload: dict) -> str:
-    """Canonical (sorted-key, compact) JSON — matches the JSON codec."""
+    """Canonical (sorted-key, compact) JSON of a passthrough body."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -173,21 +170,6 @@ def split_frames(
         payloads.append(payload)
         offset = end
     return payloads, offset, None
-
-
-def iter_segment_payloads(
-    data: bytes | memoryview, *, final: bool
-) -> Iterator[memoryview]:
-    """Yield frame payloads from a segment buffer, policing corruption.
-
-    A torn tail is tolerated (and silently dropped) only in the final
-    segment; anything else raises ``ValueError`` for the journal layer
-    to wrap in its ``JournalError``.
-    """
-    payloads, _, error = split_frames(data)
-    if error is not None and not (final and error == "torn"):
-        raise ValueError(error if error != "torn" else "torn frame in non-final segment")
-    yield from payloads
 
 
 # -- decode --------------------------------------------------------------------
@@ -338,8 +320,8 @@ class BinaryEncoder:
     paths are EAFP: anything the fixed struct formats cannot represent
     (non-numeric where a number is expected, strings over 64KiB,
     surrogates, exotic containers) raises out of the pack call and the
-    record falls back to a JSON passthrough frame — parity with the
-    canonical JSON codec is preserved by construction.
+    record falls back to a JSON passthrough frame, which carries the
+    record's dict form verbatim.
     """
 
     __slots__ = ("ids", "suffixes")
@@ -382,10 +364,6 @@ class BinaryEncoder:
             "utf-8"
         )
         return _head_pack(_crc32(raw), len(raw)) + raw
-
-    def encode_record(self, seq: int, kind: str, data: dict) -> bytes:
-        """Encode one generic ``(kind, data)`` record (cold path)."""
-        return self.passthrough(seq, kind, data)
 
     def encode_event_batch(
         self,
@@ -505,7 +483,7 @@ class BinaryEncoder:
                             _RT_JOBS, seq, event.time, 1, tid, jid
                         ) + deadline_pack(deadline)
                     else:
-                        # Non-float deadlines keep exact JSON parity via
+                        # Non-float deadlines round-trip exactly via
                         # the passthrough frame.
                         payload = None
                 elif cls is JobCompleted:
@@ -602,8 +580,9 @@ class BinaryEncoder:
 
 # -- wire batches --------------------------------------------------------------
 
-#: First byte of a binary wire message; JSON wire frames begin with a
-#: lowercase-hex CRC character, so ``0x00`` is unambiguous.
+#: First byte of an ingest wire message; the JSON control frames of the
+#: transport begin with a lowercase-hex CRC character, so ``0x00`` is
+#: unambiguous.
 WIRE_MAGIC = 0x00
 _WIRE_HEAD = Struct("<BI")
 _WIRE_BATCH = Struct("<QI")
@@ -612,10 +591,9 @@ _WIRE_BATCH = Struct("<QI")
 def encode_wire_batches(batches, encode_event) -> bytes:
     """Encode ``[(seq, [events])]`` as one binary wire message.
 
-    Reuses the journal's binary record frames (each self-CRC'd) with a
-    message-scoped string table, so TCP shard batches stop paying the
-    JSON encode twice.  ``encode_event`` is the journal's generic dict
-    encoder for the passthrough fallback.
+    Reuses the journal's record frames (each self-CRC'd) with a
+    message-scoped string table.  ``encode_event`` is the journal's
+    generic dict encoder for the passthrough fallback.
     """
     enc = BinaryEncoder()
     parts = [_WIRE_HEAD.pack(WIRE_MAGIC, len(batches))]
@@ -633,8 +611,7 @@ def encode_wire_batches(batches, encode_event) -> bytes:
 def decode_wire_batches(data: bytes | memoryview) -> list[tuple[int, list[dict]]]:
     """Decode a binary wire message back to ``[(seq, [event dicts])]``.
 
-    Raises ``ValueError`` on framing or CRC damage, exactly like the
-    JSON wire path's frame validation.
+    Raises ``ValueError`` on framing or CRC damage.
     """
     mv = memoryview(data)
     magic, nbatches = _WIRE_HEAD.unpack_from(mv, 0)

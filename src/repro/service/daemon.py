@@ -464,9 +464,6 @@ class TempoService:
                 ),
                 config=self.transport,
             )
-            # Adopt the resolved transport config (wire_codec "auto" →
-            # the shard journal codec) so failover respawns keep it.
-            self.transport = self._launcher.config
         elif self.shard_endpoints is not None:
             self.shards = [
                 RemoteShardHandle(
@@ -2292,8 +2289,6 @@ class TempoService:
             ),
             config=self.transport,
         )
-        # Keep the resolved wire codec for failover respawns (see init).
-        self.transport = self._launcher.config
         for shard, shard_state in zip(self.shards, states):
             shard.restore(shard_state["window"])
         self.tcp_workers = True

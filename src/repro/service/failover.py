@@ -625,6 +625,11 @@ class FaultInjector:
             if callable(getattr(inner, "kill", None)):
                 inner.kill()  # SIGKILL mid-whatever, like a real crash
             else:
+                if isinstance(current, FaultedShard):
+                    # A partition buffer dies with the shard: closing
+                    # the wrapper books its unjournaled tail as injected
+                    # loss, so the survivor audit stays truthful.
+                    current.close()
                 service.shards[shard] = DeadShard(shard)
         elif spec.kind == "stall-shard":
             if callable(getattr(inner, "stall", None)):
@@ -833,7 +838,6 @@ def run_chaos(
     heartbeat_interval: float = 1.0,
     failover_after: float = 5.0,
     state_dir=None,
-    journal_codec: str = "json",
 ) -> ChaosReport:
     """Drive one scenario through a faulted, supervised service.
 
@@ -852,9 +856,6 @@ def run_chaos(
 
     ``state_dir=None`` uses a temporary directory, removed afterwards;
     an explicit directory is kept (inspect it with ``repro status``).
-    ``journal_codec`` selects the record codec every journal (control
-    and shard) is written with, so the chaos matrix exercises the
-    binary format's torn-tail and replay contracts too.
     """
     import shutil
     import tempfile
@@ -885,7 +886,7 @@ def run_chaos(
     )
     injector = FaultInjector(specs, seed=seed)
     try:
-        state = ServiceState(root, shards=shards, journal_codec=journal_codec)
+        state = ServiceState(root, shards=shards)
         service = build_service(
             scenario,
             config,

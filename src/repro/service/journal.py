@@ -5,18 +5,20 @@ restarts with its learned state intact (the autonomic-component
 requirement H2O argues for).  :class:`EventJournal` is the first half of
 that story: every telemetry event, retune decision, applied
 configuration, and rollback is appended — *before* it mutates in-memory
-state — as one CRC-framed JSON line to a segment file under
+state — as one CRC-framed binary record to a segment file under
 ``<state-dir>/journal/``.  Segments rotate after a configurable record
 count so recovery never has to scan one unbounded file and old segments
 can be archived or deleted once a snapshot covers them
 (:meth:`EventJournal.compact`).
 
-Record framing is ``"%08x %s" % (crc32(body), body)`` with a canonical
-(sorted-key, no-whitespace) JSON body.  On read, a corrupt *final* line
-of the *final* segment is treated as a torn write — the record the
-process was appending when it died — and silently dropped; corruption
-anywhere else raises :class:`JournalError`, because data already
-acknowledged must never silently disappear.
+There is one record format, on disk and in TCP ingest frames: the
+struct-packed frames of :mod:`repro.service.codec` (``u32 crc32 | u32
+len | payload``; ``repro dump-journal`` renders them as JSON lines).
+On read, a damaged *final* frame of the *final* segment is treated as
+a torn write — the record the process was appending when it died — and
+silently dropped; corruption anywhere else raises
+:class:`JournalError`, because data already acknowledged must never
+silently disappear.
 
 The write side offers three durability/throughput trade-offs:
 
@@ -25,7 +27,7 @@ The write side offers three durability/throughput trade-offs:
 * :meth:`EventJournal.append_many` — **group commit**: a whole batch is
   encoded in one pass and lands in one buffered ``write()``, one flush,
   and at most one ``fsync`` per segment touched.  A crash mid-batch
-  leaves a clean prefix plus at most one torn line, which the existing
+  leaves a clean prefix plus at most one torn frame, which the
   tail repair drops — exactly the per-record crash contract, amortized.
 * ``async_writer=True`` — appends enqueue onto a bounded in-memory
   queue drained by a background group-commit thread.  Acknowledged
@@ -42,7 +44,6 @@ replays only the journal tail with ``seq`` past it (see
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
 import time
@@ -82,17 +83,13 @@ from repro.workload.trace import (
     task_record_to_dict,
 )
 
-#: Journal file name pattern: segment-<first seq in file, 10 digits>.jsonl
-#: for the JSON codec, same stem with .binl for the binary codec.  A
-#: state dir may hold both (codec switches take effect at the next
-#: segment boundary), so discovery globs both and merges by first seq.
-_SEGMENT_GLOB = "segment-*.jsonl"
-_BINARY_SEGMENT_GLOB = "segment-*" + BINARY_SUFFIX
+#: Journal file name pattern: segment-<first seq in file, 10 digits>.binl
+_SEGMENT_GLOB = "segment-*"
 
-#: Journal codecs: ``json`` is the debug/compat text format (one
-#: CRC-framed canonical-JSON line per record), ``binary`` the
-#: struct-packed format of :mod:`repro.service.codec`.
-JOURNAL_CODECS = ("json", "binary")
+#: Segment suffix of the JSON text codec earlier builds wrote.  Nothing
+#: reads it any more; :func:`segment_paths` refuses a directory that
+#: still holds one instead of globbing past acknowledged records.
+_JSON_SUFFIX = ".jsonl"
 
 _EVENT_TYPES = {
     cls.__name__: cls
@@ -268,185 +265,54 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _first_seq_of(path: Path) -> int:
+    return int(path.stem.split("-")[1])
+
+
+def segment_paths(root: Path) -> list[Path]:
+    """Segment files under ``root`` in sequence order.
+
+    The one segment-discovery primitive, shared by :class:`EventJournal`
+    and the read-only tooling (``repro dump-journal``, ``repro
+    status``).  Raises :class:`JournalError` when the directory still
+    holds a JSON-codec segment of an earlier build: this build cannot
+    read it, and skipping it would make acknowledged records disappear.
+    """
+    paths = []
+    for path in Path(root).glob(_SEGMENT_GLOB):
+        if path.suffix == BINARY_SUFFIX:
+            paths.append(path)
+        elif path.suffix == _JSON_SUFFIX:
+            raise JournalError(
+                f"{path} is a JSON journal segment, which this build cannot "
+                "read; see 'Upgrading' under 'Journal format' in "
+                "docs/OPERATIONS.md"
+            )
+    return sorted(paths, key=_first_seq_of)
+
+
 def read_segment(path: Path, *, final: bool) -> Iterator[JournalRecord]:
-    """Yield the records of one segment file, whichever codec wrote it.
+    """Yield the records of one segment file.
 
     The module-level read primitive shared by :class:`EventJournal` and
-    read-only tooling (``repro dump-journal``): it never mutates the
-    segment.  A torn tail is tolerated (skipped) only when ``final`` is
-    true; any other damage raises :class:`JournalError`.
+    read-only tooling (``repro dump-journal``, ``repro status``): it
+    never mutates the segment.  A torn tail is tolerated (skipped) only
+    when ``final`` is true; any other damage raises
+    :class:`JournalError`.
     """
-    if path.suffix == BINARY_SUFFIX:
-        data = path.read_bytes()
-        payloads, _, error = split_frames(data)
-        if error is not None and not (final and error == "torn"):
-            raise JournalError(f"corrupt binary journal segment {path.name}: {error}")
-        table: list[str] = []
-        for i, payload in enumerate(payloads):
-            try:
-                decoded = decode_payload(payload, table)
-            except (ValueError, KeyError, TypeError, IndexError) as exc:
-                raise JournalError(
-                    f"corrupt journal record in {path.name} frame {i + 1}: {exc}"
-                ) from exc
-            if decoded is not None:
-                seq, kind, data_dict = decoded
-                yield JournalRecord(seq, kind, data_dict)
-        return
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
+    payloads, _, error = split_frames(path.read_bytes())
+    if error is not None and not (final and error == "torn"):
+        raise JournalError(f"corrupt journal segment {path.name}: {error}")
+    table: list[str] = []
+    for i, payload in enumerate(payloads):
         try:
-            payload = json.loads(unframe_line(line))
-            record = JournalRecord(
-                int(payload["seq"]), str(payload["kind"]), payload["data"]
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            if final and i == len(lines) - 1:
-                return  # torn tail: the write the crash interrupted
+            decoded = decode_payload(payload, table)
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
             raise JournalError(
-                f"corrupt journal record in {path.name} line {i + 1}: {exc}"
+                f"corrupt journal record in {path.name} frame {i + 1}: {exc}"
             ) from exc
-        yield record
-
-
-# -- specialized canonical encoder --------------------------------------------
-#
-# ``json.dumps(..., sort_keys=True)`` costs ~7-10us per record — more
-# than folding the event into the rolling window.  The journal's event
-# shapes are fixed and flat, so the batch ingest path encodes them with
-# literal f-string templates whose keys are written pre-sorted.  The
-# output is byte-identical to :func:`canonical_json` (a property the
-# test suite asserts over every event shape); any record the templates
-# cannot express faithfully — strings needing JSON escapes, non-finite
-# numbers, non-plain numeric types — is detected by the guards below
-# and falls back to the generic encoder.
-
-def _clean_text(joined: str) -> bool:
-    """Whether every character can be emitted verbatim in a JSON string.
-
-    C-level predicates (``isascii``/``isprintable``/``in``) on the
-    concatenated string fields — several times faster than a regex scan
-    on the hot path.  Printable ASCII minus the quote and backslash is
-    exactly what JSON passes through unescaped.
-    """
-    return (
-        joined.isascii()
-        and joined.isprintable()
-        and '"' not in joined
-        and "\\" not in joined
-    )
-
-
-def _plain_finite(total) -> bool:
-    """Whether a sum of numeric fields proves every addend template-safe.
-
-    ``repr`` matches JSON number syntax exactly for finite plain floats
-    and ints.  Summing every numeric field of a record and checking the
-    *sum* is one O(1) test for all of them: an ``inf``/``nan`` anywhere
-    makes the sum non-finite, and a numpy scalar anywhere makes the
-    sum's type a numpy type (``type(x) is float`` is deliberately not
-    ``isinstance`` — ``np.float64`` subclasses ``float`` but reprs as
-    ``np.float64(...)``).  An all-int record sums to ``int`` and falls
-    back too; every event shape carries at least one float time, so
-    that never happens in practice.
-    """
-    return type(total) is float and math.isfinite(total)
-
-
-def fast_event_body(seq: int, event: ServiceEvent) -> str | None:
-    """Canonical journal body for one event record, template-encoded.
-
-    Returns a string byte-identical to ``canonical_json({"seq": seq,
-    "kind": "event", "data": encode_event(event)})``, or ``None`` when
-    the record needs the generic encoder (escape-needing strings,
-    non-finite or non-plain numbers, unknown event types).
-    """
-    t = event.time
-    if isinstance(event, TaskCompleted):
-        r = event.record
-        if not _plain_finite(
-            t + r.submit_time + r.start_time + r.finish_time
-            + r.containers + r.attempt
-        ) or not _clean_text(
-            f"{r.job_id} {r.pool} {r.stage} {r.task_id} {r.tenant}"
-        ):
-            return None
-        return (
-            f'{{"data":{{"record":{{"attempt":{r.attempt!r},'
-            f'"containers":{r.containers!r},'
-            f'"failed":{"true" if r.failed else "false"},'
-            f'"finish_time":{r.finish_time!r},'
-            f'"job_id":"{r.job_id}",'
-            f'"pool":"{r.pool}",'
-            f'"preempted":{"true" if r.preempted else "false"},'
-            f'"stage":"{r.stage}","start_time":{r.start_time!r},'
-            f'"submit_time":{r.submit_time!r},"task_id":"{r.task_id}",'
-            f'"tenant":"{r.tenant}"}},"time":{t!r},"type":"TaskCompleted"}},'
-            f'"kind":"event","seq":{seq}}}'
-        )
-    if isinstance(event, JobCompleted):
-        r = event.record
-        numbers = t + r.submit_time + r.finish_time + r.num_tasks
-        if r.deadline is not None:
-            numbers += r.deadline
-        strings = f"{r.job_id} {r.tenant} " + " ".join(r.tags)
-        for stage, deps in r.stage_deps:
-            strings += f" {stage} " + " ".join(deps)
-        if not _plain_finite(numbers) or not _clean_text(strings):
-            return None
-        tags = ",".join(f'"{tag}"' for tag in r.tags)
-        deps = ",".join(
-            '["%s",[%s]]' % (stage, ",".join(f'"{d}"' for d in ds))
-            for stage, ds in r.stage_deps
-        )
-        deadline = "null" if r.deadline is None else repr(r.deadline)
-        return (
-            f'{{"data":{{"record":{{"deadline":{deadline},'
-            f'"finish_time":{r.finish_time!r},'
-            f'"job_id":"{r.job_id}",'
-            f'"num_tasks":{r.num_tasks!r},"stage_deps":[{deps}],'
-            f'"submit_time":{r.submit_time!r},"tags":[{tags}],'
-            f'"tenant":"{r.tenant}"}},"time":{t!r},"type":"JobCompleted"}},'
-            f'"kind":"event","seq":{seq}}}'
-        )
-    if isinstance(event, JobSubmitted):
-        numbers = t if event.deadline is None else t + event.deadline
-        if not _plain_finite(numbers) or not _clean_text(
-            f"{event.job_id} {event.tenant}"
-        ):
-            return None
-        deadline = "null" if event.deadline is None else repr(event.deadline)
-        return (
-            f'{{"data":{{"deadline":{deadline},"job_id":"{event.job_id}",'
-            f'"tenant":"{event.tenant}","time":{t!r},"type":"JobSubmitted"}},'
-            f'"kind":"event","seq":{seq}}}'
-        )
-    if isinstance(event, (NodeLost, NodeRecovered)):
-        if not _plain_finite(t + event.containers) or not _clean_text(
-            event.pool
-        ):
-            return None
-        return (
-            f'{{"data":{{"containers":{event.containers!r},'
-            f'"pool":"{event.pool}",'
-            f'"time":{t!r},"type":"{type(event).__name__}"}},'
-            f'"kind":"event","seq":{seq}}}'
-        )
-    if isinstance(event, (TenantJoined, TenantLeft)):
-        if not _plain_finite(t + 0.0) or not _clean_text(event.tenant):
-            return None
-        return (
-            f'{{"data":{{"tenant":"{event.tenant}","time":{t!r},'
-            f'"type":"{type(event).__name__}"}},'
-            f'"kind":"event","seq":{seq}}}'
-        )
-    if isinstance(event, Heartbeat):
-        if not _plain_finite(t + 0.0):
-            return None
-        return f'{{"data":{{"time":{t!r},"type":"Heartbeat"}},"kind":"event","seq":{seq}}}'
-    return None
+        if decoded is not None:
+            yield JournalRecord(*decoded)
 
 
 def heartbeat_at_or_before(
@@ -470,7 +336,7 @@ def heartbeat_at_or_before(
     segments = journal.segments()
     for i, path in enumerate(reversed(segments)):
         found = None
-        for record in journal._read_segment(path, final=(i == 0)):
+        for record in read_segment(path, final=(i == 0)):
             if record.kind == "event" and record.data.get("type") == "Heartbeat":
                 when = float(record.data["time"])
                 if when <= time:
@@ -483,8 +349,9 @@ def heartbeat_at_or_before(
 class _AsyncJournalWriter:
     """Bounded background group-commit thread for :class:`EventJournal`.
 
-    Producers enqueue already-encoded ``(seq, line)`` entries; the
-    writer thread coalesces everything queued since its last wake-up
+    Producers enqueue already-encoded write entries (``(last_seq,
+    nrecords, parts, rotate_seq)``, see :meth:`EventJournal._write_entries`);
+    the writer thread coalesces everything queued since its last wake-up
     into one buffered write (group commit at whatever batch size the
     producer outpaces the disk by).  ``submit`` blocks when the queue
     holds ``capacity`` records — durability back-pressure instead of
@@ -499,41 +366,30 @@ class _AsyncJournalWriter:
         self.journal = journal
         self.capacity = int(capacity)
         self._cond = threading.Condition()
-        self._pending: deque[list[tuple[int, bytes]]] = deque()
+        self._pending: deque[list[tuple]] = deque()
         self._queued = 0
         self._inflight = False
         self._error: BaseException | None = None
         self._stop = False
         self._thread: threading.Thread | None = None
 
-    @staticmethod
-    def _entry_records(entry) -> int:
-        """Records carried by one write entry.
-
-        JSON entries are ``(seq, bytes)`` — one record each; binary run
-        entries are ``(last_seq, nrecords, parts, rotate_seq)``.
-        """
-        count = entry[1]
-        return count if type(count) is int else 1
-
-    def submit(self, entries: list[tuple[int, bytes]]) -> None:
+    def submit(self, entries: list[tuple]) -> None:
         """Enqueue one encoded batch; blocks while the queue is full.
 
-        Back-pressure counts *records*, not entries (a binary run entry
+        Back-pressure counts *records*, not entries (a run entry
         carries a whole batch).  A batch larger than the queue capacity
         is split into capacity-sized pieces; a single entry bigger than
         the capacity is admitted alone once the queue is empty —
         waiting for room that can never exist would deadlock the
         producer (which typically holds the daemon's ingest lock).
         """
-        records = self._entry_records
         i = 0
         n = len(entries)
         while i < n:
-            count = records(entries[i])
+            count = entries[i][1]
             j = i + 1
-            while j < n and count + records(entries[j]) <= self.capacity:
-                count += records(entries[j])
+            while j < n and count + entries[j][1] <= self.capacity:
+                count += entries[j][1]
                 j += 1
             piece = entries[i:j]
             i = j
@@ -588,7 +444,7 @@ class _AsyncJournalWriter:
                     self._cond.wait(0.1)
                 if not self._pending:
                     return  # stopped with an empty queue
-                batch: list[tuple[int, bytes]] = []
+                batch: list[tuple] = []
                 while self._pending:
                     batch.extend(self._pending.popleft())
                 self._queued = 0
@@ -608,7 +464,7 @@ class _AsyncJournalWriter:
 
 
 class EventJournal:
-    """Append-only, CRC-checked, segment-rotated JSONL journal.
+    """Append-only, CRC-checked, segment-rotated binary journal.
 
     Args:
         root: Directory holding the segment files (created if missing).
@@ -643,26 +499,21 @@ class EventJournal:
         fsync: bool = False,
         async_writer: bool = False,
         queue_records: int = 65536,
-        codec: str = "json",
     ):
         if segment_records < 1:
             raise ValueError(f"segment_records must be >= 1, got {segment_records}")
-        if codec not in JOURNAL_CODECS:
-            raise ValueError(f"unknown journal codec {codec!r}")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.segment_records = int(segment_records)
         self.fsync = fsync
-        self.codec = codec
         self._bin = BinaryEncoder()
-        #: Running record count of the binary tail segment at encode
-        #: time — rotation for binary segments is decided by the
-        #: encoder (the string table must reset exactly where a new
-        #: segment starts), not by the writer.
+        #: Running record count of the tail segment at encode time —
+        #: rotation is decided by the encoder (the string table must
+        #: reset exactly where a new segment starts), not by the writer.
         self._enc_tail = self.segment_records
         self._fh = None
         #: Path and record count of the newest segment — the reopen
-        #: cache that makes read-then-append O(1) instead of a line scan.
+        #: cache that makes read-then-append O(1) instead of a segment scan.
         self._tail_path: Path | None = None
         self._tail_records = 0
         self._next_seq = 1
@@ -670,7 +521,7 @@ class EventJournal:
         segments = self.segments()
         for i, path in enumerate(reversed(segments)):
             last = count = 0
-            for record in self._read_segment(path, final=False):
+            for record in read_segment(path, final=False):
                 last = record.seq
                 count += 1
             if i == 0:
@@ -679,7 +530,7 @@ class EventJournal:
             if last:
                 self._next_seq = last + 1
                 break
-        self._sync_binary_encoder()
+        self._sync_encoder()
         #: Newest journaled heartbeat ``(seq, time)`` — every append
         #: path keeps it current, so the chunk boundary compaction and
         #: failover ask about is a fact the writer already holds.  A
@@ -738,56 +589,22 @@ class EventJournal:
             "tempo_journal_compacted_records_total",
             "Records reclaimed by journal compaction.",
         )
-        registry.gauge(
-            "tempo_journal_codec",
-            "Active journal write codec (1 for the labeled codec).",
-            codec=self.codec,
-        ).set(1.0)
 
     def _repair_tail(self) -> None:
-        """Drop a torn final line (the write a crash interrupted) on open.
+        """Truncate the tail segment to its clean frame prefix on open.
 
-        After repair every retained line of every segment is valid, so
-        later appends never land behind a half-written record.  A
-        group-commit batch interrupted mid-write leaves a clean prefix
-        plus at most one torn line (the single buffered ``write()``
-        lands sequentially), so one popped line repairs a torn batch
-        exactly like a torn record.
+        A crash mid-batch leaves sequentially-written frames followed
+        by at most one torn region (the single buffered ``write()``
+        lands sequentially); the clean prefix is kept byte-exact and
+        the torn bytes are cut, so later appends never land behind a
+        half-written record.  Mid-file damage (valid frames *after* the
+        corruption) is left in place for the read path to raise on —
+        acknowledged records never silently disappear here.
         """
         segments = self.segments()
         if not segments:
             return
         path = segments[-1]
-        if path.suffix == BINARY_SUFFIX:
-            self._repair_binary_tail(path)
-            return
-        lines = path.read_text(encoding="utf-8").splitlines()
-        if not lines:
-            path.unlink()
-            return
-        try:
-            payload = json.loads(unframe_line(lines[-1]))
-            JournalRecord(int(payload["seq"]), str(payload["kind"]), payload["data"])
-            return  # clean tail; nothing to repair
-        except (ValueError, KeyError, TypeError):
-            lines.pop()  # exactly one torn line; deeper damage raises on read
-        if lines:
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-            os.replace(tmp, path)
-        else:
-            path.unlink()
-
-    @staticmethod
-    def _repair_binary_tail(path: Path) -> None:
-        """Truncate a binary tail segment to its clean frame prefix.
-
-        A crash mid-batch leaves sequentially-written frames followed
-        by at most one torn region; the clean prefix is kept byte-exact
-        and the torn bytes are cut.  Mid-file damage (valid frames
-        *after* the corruption) is left in place for the read path to
-        raise on — acknowledged records never silently disappear here.
-        """
         data = path.read_bytes()
         if not data:
             path.unlink()
@@ -801,21 +618,19 @@ class EventJournal:
         with path.open("r+b") as fh:
             fh.truncate(clean_end)
 
-    def _sync_binary_encoder(self) -> None:
+    def _sync_encoder(self) -> None:
         """Restore encoder state (string table, tail count) after open.
 
         Called whenever the tail segment may have changed under the
-        encoder (open, truncation).  When the journal writes binary and
-        the tail segment is binary, the table is rebuilt from the tail's
-        define frames so appends continue it; otherwise the encoder is
-        primed to rotate to a fresh segment on the next binary append.
+        encoder (open, truncation): the table is rebuilt from the tail's
+        define frames so appends continue it.  With no readable tail the
+        encoder is primed to rotate to a fresh segment on the next
+        append.
         """
         self._bin.reset()
         self._enc_tail = self.segment_records
-        if self.codec != "binary":
-            return
         path = self._tail_path
-        if path is None or path.suffix != BINARY_SUFFIX:
+        if path is None:
             return
         payloads, _, error = split_frames(path.read_bytes())
         if error is not None:
@@ -836,15 +651,7 @@ class EventJournal:
 
     def append(self, kind: str, data: dict) -> int:
         """Append one record; returns its sequence number."""
-        seq = self._next_seq
-        if self.codec == "binary":
-            self._commit([self._binary_entry(seq, kind, data)])
-        else:
-            body = canonical_json({"seq": seq, "kind": kind, "data": data})
-            self._commit([(seq, frame_bytes(body))])
-        if kind == "event" and data.get("type") == "Heartbeat":
-            self._heartbeat = (seq, float(data["time"]))
-        return seq
+        return self.append_many([(kind, data)])[0]
 
     def append_many(self, records: Iterable[tuple[str, dict]]) -> list[int]:
         """Group-commit a batch of ``(kind, data)`` records.
@@ -856,85 +663,57 @@ class EventJournal:
         in order).  With ``async_writer`` the encoded batch is queued
         and the call returns once the queue has room; durability then
         lags acknowledgement by the queue depth.
+
+        Generic records take the passthrough frame — they are
+        decisions, configs, and metrics samples, orders of magnitude
+        rarer than the telemetry :meth:`append_events` packs.
         """
-        records = list(records)
-        first = self._next_seq
-        if self.codec == "binary":
-            entries = [
-                self._binary_entry(seq, kind, data)
-                for seq, (kind, data) in enumerate(records, first)
-            ]
-        else:
-            entries = [
-                (
-                    seq,
-                    frame_bytes(
-                        canonical_json({"seq": seq, "kind": kind, "data": data})
-                    ),
-                )
-                for seq, (kind, data) in enumerate(records, first)
-            ]
-        self._commit(entries)
-        for seq, (kind, data) in enumerate(records, first):
+        first = seq = self._next_seq
+        entries = []
+        heartbeat = None
+        for kind, data in records:
+            # Rotation bookkeeping matches the hot loop: the encoder
+            # decides here whether this record starts a fresh segment.
+            if self._enc_tail >= self.segment_records:
+                self._bin.reset()
+                self._enc_tail = 0
+                parts, rotate = [HEADER_FRAME], seq
+            else:
+                parts, rotate = [], None
+            self._enc_tail += 1
+            parts.append(self._bin.passthrough(seq, kind, data))
+            entries.append((seq, 1, parts, rotate))
             if kind == "event" and data.get("type") == "Heartbeat":
-                self._heartbeat = (seq, float(data["time"]))
-        return list(range(first, first + len(records)))
-
-    def _binary_entry(self, seq: int, kind: str, data: dict):
-        """Encode one generic record as a binary write entry.
-
-        Generic (non-event-batch) records take the passthrough frame —
-        they are decisions, configs, and metrics samples, orders of
-        magnitude rarer than telemetry.  Rotation bookkeeping matches
-        the hot loop: the encoder decides here whether this record
-        starts a fresh segment.  The entry shape is the hot loop's run
-        shape, ``(last_seq, nrecords, parts, rotate_seq)``.
-        """
-        if self._enc_tail >= self.segment_records:
-            self._bin.reset()
-            self._enc_tail = 1
-            frame = self._bin.passthrough(seq, kind, data)
-            return (seq, 1, [HEADER_FRAME, frame], seq)
-        self._enc_tail += 1
-        return (seq, 1, [self._bin.passthrough(seq, kind, data)], None)
+                heartbeat = (seq, float(data["time"]))
+            seq += 1
+        self._commit(entries)
+        if heartbeat is not None:
+            self._heartbeat = heartbeat
+        return list(range(first, seq))
 
     def append_events(self, events: Iterable[ServiceEvent]) -> list[int]:
-        """Group-commit telemetry events via the specialized encoder.
+        """Group-commit telemetry events via the struct-packed encoder.
 
-        The batch ingest pipeline's hot path.  With the ``json`` codec
-        the on-disk bytes are identical to
-        ``append_many(("event", encode_event(e)) for e in events)``,
-        but the canonical body is template-encoded
-        (:func:`fast_event_body`) instead of paying a generic
-        sorted-key ``json.dumps`` per record.  With the ``binary``
-        codec the batch goes through the struct-packed encoder of
-        :mod:`repro.service.codec` — same record semantics, ~3x the
-        throughput.
+        The batch ingest pipeline's hot path.  Record semantics are
+        those of ``append_many(("event", encode_event(e)) for e in
+        events)``, but the hot telemetry kinds are packed by
+        :meth:`~repro.service.codec.BinaryEncoder.encode_event_batch`
+        instead of paying a generic sorted-key ``json.dumps`` per
+        record.
         """
         if not isinstance(events, (list, tuple)):
             events = list(events)
-        first = seq = self._next_seq
-        if self.codec == "binary":
-            entries: list = []
-            seq, self._enc_tail = self._bin.encode_event_batch(
-                encode_event,
-                events,
-                seq,
-                self._enc_tail,
-                self.segment_records,
-                HEADER_FRAME,
-                entries,
-            )
-        else:
-            entries = []
-            for event in events:
-                body = fast_event_body(seq, event)
-                if body is None:
-                    body = canonical_json(
-                        {"seq": seq, "kind": "event", "data": encode_event(event)}
-                    )
-                entries.append((seq, frame_bytes(body)))
-                seq += 1
+        first = self._next_seq
+        entries: list = []
+        seq, self._enc_tail = self._bin.encode_event_batch(
+            encode_event,
+            events,
+            first,
+            self._enc_tail,
+            self.segment_records,
+            HEADER_FRAME,
+            entries,
+        )
         self._commit(entries)
         # Newest heartbeat of the batch, scanning from its end: replay
         # chunks close with one, so this usually stops at once.
@@ -944,7 +723,7 @@ class EventJournal:
                 break
         return list(range(first, seq))
 
-    def _commit(self, entries: list[tuple[int, bytes]]) -> None:
+    def _commit(self, entries: list[tuple]) -> None:
         """Hand encoded entries to the sync or async write path."""
         if not entries:
             return
@@ -981,41 +760,8 @@ class EventJournal:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _write_entries(self, entries: list[tuple[int, bytes]]) -> None:
-        """Write encoded entries with group commit, rotating as needed.
-
-        One ``write()`` + flush (+ at most one ``fsync``) per segment
-        file touched; a batch only spans two files when it crosses a
-        rotation boundary.
-        """
-        if self.codec == "binary":
-            self._write_entries_binary(entries)
-            return
-        observed = self._m_append is not None
-        started = time.perf_counter() if observed else 0.0
-        i = 0
-        while i < len(entries):
-            fh = self._writer(entries[i][0])
-            room = self.segment_records - self._tail_records
-            chunk = entries[i : i + room]
-            fh.write(b"".join(line for _, line in chunk))
-            fh.flush()
-            if self.fsync:
-                if observed:
-                    fsync_started = time.perf_counter()
-                    os.fsync(fh.fileno())
-                    self._m_fsync.observe(time.perf_counter() - fsync_started)
-                else:
-                    os.fsync(fh.fileno())
-            self._tail_records += len(chunk)
-            i += len(chunk)
-        if observed:
-            self._m_append.observe(time.perf_counter() - started)
-            self._m_batch.observe(len(entries))
-            self._m_records.inc(len(entries))
-
-    def _write_entries_binary(self, entries) -> None:
-        """Write binary run entries with group commit.
+    def _write_entries(self, entries: list[tuple]) -> None:
+        """Write encoded run entries with group commit.
 
         Each entry is ``(last_seq, nrecords, parts, rotate_seq)`` — see
         :meth:`repro.service.codec.BinaryEncoder.encode_event_batch`.
@@ -1067,54 +813,19 @@ class EventJournal:
             self._m_batch.observe(total)
             self._m_records.inc(total)
 
-    def _writer(self, seq: int):
-        if self._fh is not None and self._tail_records >= self.segment_records:
-            self._fh.close()
-            self._fh = None
-            self._tail_path = None  # force a fresh segment
-        if self._fh is None:
-            if (
-                self._tail_path is not None
-                and self._tail_records < self.segment_records
-                and self._tail_path.suffix == ".jsonl"
-            ):
-                path = self._tail_path
-            else:
-                path = self.root / f"segment-{seq:010d}.jsonl"
-                self._tail_path = path
-                self._tail_records = 0
-                if self._m_rotations is not None:
-                    self._m_rotations.inc()
-            self._fh = path.open("ab")
-        return self._fh
-
     @staticmethod
-    def _count_lines(path: Path) -> int:
-        with path.open("rb") as fh:
-            return sum(1 for _ in fh)
-
-    @classmethod
-    def _count_records(cls, path: Path) -> int:
-        """Record count of one segment, whichever codec wrote it."""
-        if path.suffix != BINARY_SUFFIX:
-            return cls._count_lines(path)
+    def _count_records(path: Path) -> int:
+        """Record count of one segment (define and header frames excluded)."""
         payloads, _, _ = split_frames(path.read_bytes())
         return sum(1 for p in payloads if p[0] not in (0x01, 0x7F))
 
     # -- read side ----------------------------------------------------------
 
     def segments(self) -> list[Path]:
-        """Segment files in sequence order, whichever codec wrote them."""
-        paths = list(self.root.glob(_SEGMENT_GLOB))
-        paths.extend(self.root.glob(_BINARY_SEGMENT_GLOB))
-        return sorted(paths, key=self._first_seq_of)
+        """Segment files in sequence order (see :func:`segment_paths`)."""
+        return segment_paths(self.root)
 
-    @staticmethod
-    def _first_seq_of(path: Path) -> int:
-        return int(path.stem.split("-")[1])
-
-    def _read_segment(self, path: Path, *, final: bool) -> Iterator[JournalRecord]:
-        yield from read_segment(path, final=final)
+    _first_seq_of = staticmethod(_first_seq_of)
 
     def iter_records(self, after: int = 0) -> Iterator[JournalRecord]:
         """Yield records with ``seq > after`` across all segments, in order.
@@ -1129,7 +840,7 @@ class EventJournal:
             nxt = self._first_seq_of(segments[i + 1]) if i + 1 < len(segments) else None
             if nxt is not None and nxt - 1 <= after:
                 continue
-            for record in self._read_segment(path, final=(i == len(segments) - 1)):
+            for record in read_segment(path, final=(i == len(segments) - 1)):
                 if record.seq <= after:
                     continue
                 yield record
@@ -1152,7 +863,7 @@ class EventJournal:
             self.flush()  # never scan past a buffered write
             found = None
             for i, path in enumerate(reversed(self.segments())):
-                for record in self._read_segment(path, final=(i == 0)):
+                for record in read_segment(path, final=(i == 0)):
                     if (
                         record.kind == "event"
                         and record.data.get("type") == "Heartbeat"
@@ -1215,7 +926,7 @@ class EventJournal:
                 path.unlink()
                 continue
             kept, trimmed = [], 0
-            for record in self._read_segment(path, final=True):
+            for record in read_segment(path, final=True):
                 if record.seq <= seq:
                     kept.append(record)
                 else:
@@ -1224,30 +935,17 @@ class EventJournal:
             if trimmed:
                 if not kept:
                     path.unlink()
-                elif path.suffix == BINARY_SUFFIX:
+                else:
                     # Rewrite as header + passthrough frames: a valid
-                    # binary segment with an empty string table, so
-                    # later appends (which re-define strings on first
-                    # use) continue it safely.
+                    # segment with an empty string table, so later
+                    # appends (which re-define strings on first use)
+                    # continue it safely.
                     enc = BinaryEncoder()
                     blob = HEADER_FRAME + b"".join(
                         enc.passthrough(r.seq, r.kind, r.data) for r in kept
                     )
                     tmp = path.with_suffix(".tmp")
                     tmp.write_bytes(blob)
-                    os.replace(tmp, path)
-                else:
-                    text = "".join(
-                        frame_line(
-                            canonical_json(
-                                {"seq": r.seq, "kind": r.kind, "data": r.data}
-                            )
-                        )
-                        + "\n"
-                        for r in kept
-                    )
-                    tmp = path.with_suffix(".tmp")
-                    tmp.write_text(text, encoding="utf-8")
                     os.replace(tmp, path)
             break
         self._next_seq = min(self._next_seq, seq + 1)
@@ -1258,5 +956,5 @@ class EventJournal:
         self._tail_records = (
             self._count_records(self._tail_path) if self._tail_path else 0
         )
-        self._sync_binary_encoder()
+        self._sync_encoder()
         return removed

@@ -370,7 +370,7 @@ class ServiceState:
     Layout under ``root`` (single-shard, identical to PR 2/3)::
 
         meta.json                    scenario/service descriptor (resume)
-        journal/segment-*.jsonl      CRC-framed write-ahead records
+        journal/segment-*.binl       CRC-framed write-ahead records
         snapshots/snapshot-*.json    periodic full-state snapshots
 
     With ``shards > 1`` the data plane is split per tenant-shard: the
@@ -379,7 +379,7 @@ class ServiceState:
     the broadcast chunk heartbeats) while each shard's telemetry lives
     in its own journal::
 
-        journal/segment-*.jsonl      control journal
+        journal/segment-*.binl       control journal
         shard-00/journal/...         shard 0 telemetry (+ heartbeats)
         shard-01/journal/...         shard 1 telemetry (+ heartbeats)
         snapshots/snapshot-*.json    one snapshot covering ALL journals
@@ -410,11 +410,6 @@ class ServiceState:
             so a durable daemon's disk footprint stays bounded by the
             snapshot retention window instead of its lifetime.
         shards: Data-plane shard count this state dir is laid out for.
-        journal_codec: Record codec new journal segments are written
-            with — ``"json"`` (debug/compat text) or ``"binary"`` (the
-            struct-packed format of :mod:`repro.service.codec`).  Reads
-            always handle both, so mixed-codec state dirs (e.g. a dir
-            resumed under a different codec) replay transparently.
     """
 
     def __init__(
@@ -429,7 +424,6 @@ class ServiceState:
         keep_segments: int = 2,
         auto_compact: bool = True,
         shards: int = 1,
-        journal_codec: str = "json",
     ):
         if snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
@@ -444,7 +438,6 @@ class ServiceState:
             segment_records=segment_records,
             fsync=fsync,
             async_writer=async_journal,
-            codec=journal_codec,
         )
         self.snapshots = SnapshotStore(self.root / "snapshots", keep=keep_snapshots)
         self.snapshot_every = int(snapshot_every)
@@ -512,7 +505,6 @@ class ServiceState:
                 self.shard_journal_path(shard_id),
                 segment_records=self.journal.segment_records,
                 fsync=self.journal.fsync,
-                codec=self.journal.codec,
             )
         return journal
 
@@ -521,7 +513,6 @@ class ServiceState:
         return {
             "segment_records": self.journal.segment_records,
             "fsync": self.journal.fsync,
-            "codec": self.journal.codec,
         }
 
     def note_shard_records(self, count: int) -> None:

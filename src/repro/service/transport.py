@@ -10,23 +10,18 @@ drain barrier, and ``failover_shard`` already use, so nothing above
 the handle knows whether a shard is an object, a fork, or a socket.
 
 **Wire format.**  One frame = a 4-byte big-endian length prefix
-followed by a CRC-framed canonical-JSON line — the exact
-:func:`~repro.service.journal.frame_line` framing the journal uses on
-disk, so a corrupted frame is detected by the same checksum that
-guards the journal.  Every frame is a request and every request gets
-exactly one reply (stop-and-wait), which makes reply ordering, and
-therefore the drain barrier ("a drain reply follows every batch sent
-before it"), trivial.
-
-Ingest batches may alternatively ride the journal's **binary record
-frames** (:mod:`repro.service.codec`): a frame body whose first byte
-is ``0x00`` is a binary wire message (JSON CRC frames always start
+followed by a body.  Control ops and every reply are CRC-framed
+canonical-JSON lines — the :func:`~repro.service.journal.frame_line`
+framing snapshots use on disk.  Ingest batches ride the journal's
+**record frames** (:mod:`repro.service.codec`): a body whose first
+byte is ``0x00`` is an ingest message (JSON CRC frames always start
 with an ASCII hex digit), carrying the same per-record crc32 the
-binary journal uses on disk, so TCP shards stop paying the JSON
-encode twice when the journal codec is binary.  The server
-auto-detects per frame; replies and every non-ingest op stay JSON, so
-``wire_codec="json"`` (the resolution of ``"auto"`` over a JSON
-journal) keeps the wire byte-identical to the JSON-only protocol.
+journal uses on disk, so a telemetry record has one encoding from the
+control plane's socket to the shard's segment file.  The server
+dispatches per frame on that first byte.  Every frame is a request and
+every request gets exactly one reply (stop-and-wait), which makes
+reply ordering, and therefore the drain barrier ("a drain reply
+follows every batch sent before it"), trivial.
 
 **Delivery contract.**  Batches are client-sequence-numbered and held
 in a bounded send queue until the server acknowledges them; the server
@@ -68,7 +63,7 @@ import struct
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.service.codec import (
@@ -98,11 +93,8 @@ _monotonic = time.monotonic
 #: Length prefix: one unsigned 32-bit big-endian frame size.
 _LEN = struct.Struct("!I")
 
-#: First body byte of a binary wire message (JSON frames start with hex).
+#: First body byte of an ingest wire message (JSON frames start with hex).
 _WIRE_MAGIC_BYTE = bytes([WIRE_MAGIC])
-
-#: Wire codecs a resolved :attr:`TransportConfig.wire_codec` may name.
-WIRE_CODECS = ("json", "binary")
 
 
 class TransportError(RuntimeError):
@@ -137,13 +129,6 @@ class TransportConfig:
             ``heartbeat_age`` stays fresh on a quiet connection.
             Supervised handles cap this at their heartbeat interval, so
             a tight ``failover_after`` never outruns the ping cadence.
-        wire_codec: Encoding for ingest frames: ``"json"`` (the CRC
-            text frames, byte-identical to the JSON-only protocol),
-            ``"binary"`` (the journal's binary record frames), or
-            ``"auto"`` — :func:`start_remote_shards` resolves auto to
-            the shard journal codec so binary journals skip the double
-            JSON encode.  Replies and non-ingest ops are always JSON;
-            the server auto-detects the codec per frame.
     """
 
     connect_timeout: float = 1.0
@@ -155,7 +140,6 @@ class TransportConfig:
     max_coalesce: int = 32
     max_frame: int = 64 * 1024 * 1024
     ping_idle: float = 0.5
-    wire_codec: str = "auto"
 
 
 def _recv_exact(sock: socket.socket, size: int) -> bytes:
@@ -178,7 +162,7 @@ def send_frame(sock: socket.socket, payload: Mapping) -> None:
 
 
 def send_raw_frame(sock: socket.socket, body: bytes) -> None:
-    """Send one length-prefixed pre-encoded frame body (binary wire)."""
+    """Send one length-prefixed pre-encoded frame body (ingest message)."""
     sock.sendall(_LEN.pack(len(body)) + body)
 
 
@@ -189,7 +173,7 @@ def recv_raw_frame(
 
     Raises :class:`TransportError` on an oversized length prefix and
     ``ConnectionError``/``socket.timeout`` on a broken or stalled
-    connection.  The body's own CRC is validated by the codec-specific
+    connection.  The body's own CRC is validated by its
     decoder (:func:`decode_text_frame` or
     :func:`~repro.service.codec.decode_wire_batches`).
     """
@@ -306,8 +290,8 @@ class ShardServer:
         while not self._stop.is_set():
             raw = recv_raw_frame(conn, self.config.max_frame)
             if raw[:1] == _WIRE_MAGIC_BYTE:
-                # Binary ingest message: journal record frames, decoded
-                # to the exact batch shape the JSON ingest op carries.
+                # Ingest message: journal record frames, decoded to the
+                # batch shape the ``ingest`` op handler applies.
                 try:
                     request = {"op": "ingest", "batches": decode_wire_batches(raw)}
                 except ValueError as exc:
@@ -472,10 +456,6 @@ class RemoteShardHandle:
         self.heartbeat_interval = float(heartbeat_interval)
         self.failover_after = None if failover_after is None else float(failover_after)
         self.config = config or TransportConfig()
-        if self.config.wire_codec not in ("auto",) + WIRE_CODECS:
-            raise ValueError(f"unknown wire codec {self.config.wire_codec!r}")
-        # Unresolved "auto" (a directly-built handle) stays on JSON.
-        self._binary_wire = self.config.wire_codec == "binary"
         self.launcher = launcher
         # Idle pings must outpace the failure detector: a quiet but
         # healthy connection may otherwise age right up to the fencing
@@ -867,7 +847,7 @@ class RemoteShardHandle:
         """One stop-and-wait exchange on the live connection.
 
         ``payload`` is an op mapping (JSON frame) or pre-encoded bytes
-        (binary ingest frame); replies are always JSON.
+        (ingest message); replies are always JSON.
         """
         if self._latency > 0.0:
             time.sleep(self._latency)
@@ -908,18 +888,9 @@ class RemoteShardHandle:
                             self._queue.popleft()
                 continue
             self.retries += sum(1 for entry in batches if entry[3])
-            if self._binary_wire:
-                payload = encode_wire_batches(
-                    [(entry[1], entry[2]) for entry in batches], encode_event
-                )
-            else:
-                payload = {
-                    "op": "ingest",
-                    "batches": [
-                        [entry[1], [encode_event(e) for e in entry[2]]]
-                        for entry in batches
-                    ],
-                }
+            payload = encode_wire_batches(
+                [(entry[1], entry[2]) for entry in batches], encode_event
+            )
             for entry in batches:
                 entry[3] = True
             reply = self._exchange(payload, None)
@@ -1082,15 +1053,9 @@ def start_remote_shards(
 
     The TCP twin of :func:`~repro.service.sharding.start_shard_workers`
     with the same journal-ownership contract: ``journal_paths`` is
-    ``None`` or one path per shard, opened inside the workers.  A
-    ``wire_codec`` of ``"auto"`` (the default) resolves to the shard
-    journal codec, so binary-journal fleets ship binary ingest frames
-    and JSON fleets keep the JSON-only wire byte-identical.
+    ``None`` or one path per shard, opened inside the workers.
     """
     config = config or TransportConfig()
-    if config.wire_codec == "auto":
-        codec = str(dict(journal_opts or {}).get("codec", "json"))
-        config = replace(config, wire_codec=codec if codec in WIRE_CODECS else "json")
     launcher = WorkerLauncher(
         window,
         journal_paths,

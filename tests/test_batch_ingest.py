@@ -1,8 +1,6 @@
 """Tests for the fast durable ingest path: group commit, batch ingest,
 heap-driven eviction, journal compaction, and node recovery."""
 
-import json
-import math
 import os
 import threading
 import time
@@ -26,10 +24,8 @@ from repro.service.ingest import RollingWindow, stats_gap
 from repro.service.journal import (
     EventJournal,
     JournalError,
-    canonical_json,
     decode_event,
     encode_event,
-    fast_event_body,
 )
 from repro.service.replay import build_controller, build_service, make_scenario
 from repro.service.snapshot import ServiceState
@@ -103,88 +99,6 @@ def _service_config():
     return ServiceConfig(window=600.0, retune_interval=300.0, min_window_jobs=3)
 
 
-ODD_EVENTS = [
-    JobSubmitted(1.0, tenant='te"nant', job_id="a\\b", deadline=math.inf),
-    JobSubmitted(2.0, tenant="unié", job_id="x"),
-    TenantJoined(3.0, tenant="café"),
-    NodeRecovered(4.0, pool="map", containers=2),
-    JobCompleted(
-        5.0,
-        record=JobRecord(
-            job_id="j",
-            tenant="t",
-            submit_time=1.0,
-            finish_time=5.0,
-            deadline=4.5,
-            num_tasks=3,
-            tags=("etl", "b"),
-            stage_deps=(("map", ()), ("reduce", ("map",))),
-        ),
-    ),
-    TaskCompleted(6.0, record=_task("j", "j/t0", "t", 6.0, 2.0, attempt=1)),
-    TenantLeft(7.0, tenant="t"),
-    NodeLost(8.0, pool="reduce"),
-    Heartbeat(9.0),
-]
-
-
-class TestFastEncoder:
-    def test_byte_parity_with_generic_encoder(self):
-        """The template encoder must match canonical_json byte-for-byte."""
-        for seq, event in enumerate(_events(seed=3, count=100) + ODD_EVENTS, 1):
-            fast = fast_event_body(seq, event)
-            ref = canonical_json(
-                {"seq": seq, "kind": "event", "data": encode_event(event)}
-            )
-            if fast is not None:
-                assert fast == ref
-            # Either way the record decodes back to the original event.
-            body = fast if fast is not None else ref
-            payload = json.loads(body)
-            assert decode_event(payload["data"]) == event
-
-    def test_int_valued_fields_keep_parity(self):
-        """Int times/fields must encode as ints, exactly like json.dumps
-        (a float event time equal to an int finish_time must not leak a
-        float repr into the record)."""
-        events = [
-            TaskCompleted(3.0, record=_task("j", "j/t0", "t", 3, 1)),
-            JobCompleted(
-                3.0,
-                record=JobRecord(
-                    job_id="j", tenant="t", submit_time=1, finish_time=3
-                ),
-            ),
-            Heartbeat(6),
-        ]
-        for seq, event in enumerate(events, 1):
-            fast = fast_event_body(seq, event)
-            ref = canonical_json(
-                {"seq": seq, "kind": "event", "data": encode_event(event)}
-            )
-            assert fast is None or fast == ref
-
-    def test_escape_needing_strings_fall_back(self):
-        assert fast_event_body(1, TenantJoined(1.0, tenant="unié")) is None
-        assert fast_event_body(1, TenantJoined(1.0, tenant='q"q')) is None
-        assert (
-            fast_event_body(1, JobSubmitted(1.0, tenant="a", job_id="x", deadline=math.inf))
-            is None
-        )
-
-    def test_append_events_matches_append_many_bytes(self, tmp_path):
-        events = _events(seed=4, count=50) + ODD_EVENTS
-        a = EventJournal(tmp_path / "a")
-        a.append_events(events)
-        a.close()
-        b = EventJournal(tmp_path / "b")
-        b.append_many(("event", encode_event(e)) for e in events)
-        b.close()
-        texts_a = [p.read_bytes() for p in a.segments()]
-        texts_b = [p.read_bytes() for p in b.segments()]
-        assert texts_a == texts_b
-
-
 class TestGroupCommit:
     def test_append_many_roundtrip_with_rotation(self, tmp_path):
         journal = EventJournal(tmp_path, segment_records=3)
@@ -212,7 +126,7 @@ class TestGroupCommit:
         journal.close()
 
     def test_torn_batch_repaired_as_single_torn_line(self, tmp_path):
-        """A batch interrupted mid-write leaves a prefix + one torn line."""
+        """A batch interrupted mid-write leaves a prefix + one torn frame."""
         journal = EventJournal(tmp_path, segment_records=1000)
         events = _events(seed=7, count=20)
         journal.append_events(events)
@@ -233,7 +147,7 @@ class TestGroupCommit:
         """The read-then-append pattern must not re-scan the segment.
 
         ``iter_records`` closes the write handle; the next append used
-        to pay an O(segment) ``_count_lines`` scan on reopen.  The
+        to pay an O(segment) record-count scan on reopen.  The
         cached tail count makes it O(1) — enforced by making the scan
         explode.
         """
@@ -242,7 +156,7 @@ class TestGroupCommit:
         assert len(list(journal.iter_records())) == 30
         monkeypatch.setattr(
             EventJournal,
-            "_count_lines",
+            "_count_records",
             staticmethod(lambda path: pytest.fail("tail was re-counted")),
         )
         journal.append("event", encode_event(Heartbeat(1e9)))

@@ -230,22 +230,25 @@ class TestTuneCommand:
 
 
 class TestDumpJournal:
-    """`repro dump-journal` renders any codec's segments as JSON lines."""
+    """`repro dump-journal` renders the binary segments as JSON lines."""
 
     @staticmethod
-    def _state_dir(tmp_path, codec, name="st", segment_records=4):
+    def _events():
         from repro.service.events import Heartbeat, JobSubmitted
-        from repro.service.journal import EventJournal
 
-        root = tmp_path / name
-        journal = EventJournal(
-            root / "journal", codec=codec, segment_records=segment_records
-        )
         events = []
         for i in range(6):
             events.append(JobSubmitted(float(i), tenant="acme", job_id=f"j{i}"))
             events.append(Heartbeat(float(i) + 0.5))
-        journal.append_events(events)
+        return events
+
+    @classmethod
+    def _state_dir(cls, tmp_path, name="st", segment_records=4):
+        from repro.service.journal import EventJournal
+
+        root = tmp_path / name
+        journal = EventJournal(root / "journal", segment_records=segment_records)
+        journal.append_events(cls._events())
         journal.close()
         return root
 
@@ -254,24 +257,33 @@ class TestDumpJournal:
         assert main(argv, out=out) == 0
         return [json.loads(line) for line in out.getvalue().splitlines()]
 
-    def test_dumps_binary_and_json_identically(self, tmp_path):
-        json_dir = self._state_dir(tmp_path, "json", name="stj")
-        binary_dir = self._state_dir(tmp_path, "binary", name="stb")
-        from_json = self._dump(["dump-journal", "--state-dir", str(json_dir)])
-        from_binary = self._dump(["dump-journal", "--state-dir", str(binary_dir)])
-        assert from_json == from_binary
-        assert [r["seq"] for r in from_json] == list(range(1, 13))
-        assert from_json[0]["data"]["job_id"] == "j0"
+    def test_dumps_every_record_as_a_json_line(self, tmp_path):
+        from repro.service.journal import encode_event
+
+        root = self._state_dir(tmp_path)
+        records = self._dump(["dump-journal", "--state-dir", str(root)])
+        assert records == [
+            {"data": encode_event(event), "kind": "event", "seq": seq}
+            for seq, event in enumerate(self._events(), 1)
+        ]
+
+    def test_json_segment_of_an_older_build_refused(self, tmp_path):
+        root = self._state_dir(tmp_path)
+        (root / "meta.json").write_text("{}")
+        (root / "journal" / "segment-0000000013.jsonl").write_text("")
+        for argv in (["dump-journal"], ["status"], ["resume"]):
+            with pytest.raises(SystemExit, match=r"segment-0000000013\.jsonl"):
+                main(argv + ["--state-dir", str(root)], out=io.StringIO())
 
     def test_segment_filter(self, tmp_path):
-        root = self._state_dir(tmp_path, "binary")
+        root = self._state_dir(tmp_path)
         records = self._dump(
             ["dump-journal", "--state-dir", str(root), "--segment", "5"]
         )
         assert [r["seq"] for r in records] == [5, 6, 7, 8]
 
     def test_unknown_segment_rejected(self, tmp_path):
-        root = self._state_dir(tmp_path, "binary")
+        root = self._state_dir(tmp_path)
         with pytest.raises(SystemExit, match="segments start at"):
             main(
                 ["dump-journal", "--state-dir", str(root), "--segment", "3"],
@@ -285,7 +297,7 @@ class TestDumpJournal:
             )
 
     def test_missing_shard_rejected(self, tmp_path):
-        root = self._state_dir(tmp_path, "binary")
+        root = self._state_dir(tmp_path)
         with pytest.raises(SystemExit, match="has no shard"):
             main(
                 ["dump-journal", "--state-dir", str(root), "--shard", "2"],
@@ -297,10 +309,8 @@ class TestDumpJournal:
         from repro.service.journal import EventJournal
         from repro.service.sharding import shard_dir_name
 
-        root = self._state_dir(tmp_path, "json")
-        shard = EventJournal(
-            root / shard_dir_name(1) / "journal", codec="binary"
-        )
+        root = self._state_dir(tmp_path)
+        shard = EventJournal(root / shard_dir_name(1) / "journal")
         shard.append_events([Heartbeat(42.0)])
         shard.close()
         records = self._dump(

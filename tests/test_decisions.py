@@ -371,8 +371,8 @@ class TestLegacyWireFormat:
         state.close()
 
     def test_legacy_decision_sequence_matches_default_pipeline(self, tmp_path):
-        """An explicitly-built legacy engine and the default spec make
-        byte-identical journals (same scenario, same seed)."""
+        """An explicitly-built legacy engine and the default spec journal
+        the same decision and config records (same scenario, same seed)."""
         a = self._durable_run(tmp_path, "legacy", "a")
         scenario = make_scenario("steady", scale=1.0, horizon=3600.0)
         state_b = ServiceState(tmp_path / "b")

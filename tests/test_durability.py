@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.service.codec import HEADER_FRAME
 from repro.service.daemon import ServiceConfig, TempoService
 from repro.service.events import (
     Heartbeat,
@@ -174,8 +175,9 @@ class TestEventJournal:
             journal.append("event", encode_event(Heartbeat(float(i))))
         journal.close()
         segment = journal.segments()[-1]
-        with segment.open("a") as fh:
-            fh.write('deadbeef {"seq": 6, "kin')  # the interrupted append
+        first_frame = segment.read_bytes()[len(HEADER_FRAME):]
+        with segment.open("ab") as fh:
+            fh.write(first_frame[:20])  # an append interrupted 20 bytes in
         reopened = EventJournal(tmp_path)
         assert reopened.last_seq == 5
         assert len(list(reopened.iter_records())) == 5
@@ -186,9 +188,9 @@ class TestEventJournal:
             journal.append("event", encode_event(Heartbeat(float(i))))
         journal.close()
         segment = journal.segments()[-1]
-        lines = segment.read_text().splitlines()
-        lines[1] = lines[1][:-3] + "xyz"  # flip bytes inside an early record
-        segment.write_text("".join(line + "\n" for line in lines))
+        raw = bytearray(segment.read_bytes())
+        raw[len(HEADER_FRAME) + 12] ^= 0xFF  # flip a byte inside the first record
+        segment.write_bytes(bytes(raw))
         with pytest.raises(JournalError):
             list(EventJournal(tmp_path).iter_records())
 
@@ -223,9 +225,8 @@ class TestEventJournal:
         journal = EventJournal(tmp_path)
         assert journal.last_heartbeat() is None
 
-    @pytest.mark.parametrize("codec", ["json", "binary"])
     def test_last_heartbeat_tracked_on_every_append_path(
-        self, tmp_path, codec, monkeypatch
+        self, tmp_path, monkeypatch
     ):
         """A journal answers from what it appended: no segment is read."""
         import repro.service.journal as journal_module
@@ -233,7 +234,7 @@ class TestEventJournal:
         def no_reads(path, *, final):
             raise AssertionError(f"warm last_heartbeat() read {path.name}")
 
-        journal = EventJournal(tmp_path, segment_records=4, codec=codec)
+        journal = EventJournal(tmp_path, segment_records=4)
         monkeypatch.setattr(journal_module, "read_segment", no_reads)
         submit = JobSubmitted(1.0, tenant="A", job_id="a")
         assert journal.last_heartbeat() is None
@@ -250,7 +251,7 @@ class TestEventJournal:
         monkeypatch.undo()
         # A cold open of the same directory scans to the same answer.
         journal.close()
-        assert EventJournal(tmp_path, codec=codec).last_heartbeat() == (5, 30.0)
+        assert EventJournal(tmp_path).last_heartbeat() == (5, 30.0)
 
     def test_truncate_past_cached_heartbeat_rescans(self, tmp_path):
         journal = EventJournal(tmp_path, segment_records=4)
@@ -783,6 +784,8 @@ class TestCliResume:
                 "transport": "direct",
                 "revert_windows": 1,
                 "continuous": True,
+                # Written by the build that still had codecs: ignored.
+                "journal_codec": "binary",
             }
         )
         service = build_service(scenario, config, seed=1, state=state)

@@ -291,8 +291,9 @@ class TestServiceIntegration:
 
         Every journaled record except wall-clock artifacts — the
         ``latency`` field (phase timing) and ``metrics`` records
-        (histograms of those timings) — must be byte-identical between
-        a serial and a pooled run of the same scenario and seed.
+        (histograms of those timings) — must be equal, record for
+        record, between a serial and a pooled run of the same scenario
+        and seed.
         """
 
         def comparable(record):

@@ -390,6 +390,19 @@ class TestFaultInjector:
         service.shards[1].ingest(telemetry)
         assert injector.dropped_by_shard() == {1: len(telemetry)}
 
+    def test_kill_over_an_open_partition_books_the_buffered_tail(self):
+        service = _StubService(shards=1)
+        injector = FaultInjector(
+            [FaultSpec("partition", at=1.0, shard=0, amount=60.0), "kill-shard:0@t=2"]
+        )
+        injector.arm(service)
+        injector.advance(300.0)
+        telemetry = [e for e in _events(seed=3, count=2) if isinstance(e, TELEMETRY)]
+        service.shards[0].ingest(telemetry)  # buffered: never journaled
+        injector.advance(600.0)
+        assert isinstance(service.shards[0], DeadShard)
+        assert injector.dropped_by_shard() == {0: len(telemetry)}
+
 
 class TestCrashMatrix:
     """Every fault kind x {1, 2, 4} shards x {in-process, workers}.

@@ -21,7 +21,7 @@ from repro.service.events import (
     TenantLeft,
 )
 from repro.service.ingest import RollingWindow, TenantWindowStats, stats_gap
-from repro.service.journal import JournalError
+from repro.service.journal import EventJournal, JournalError
 from repro.service.replay import (
     ScenarioReplayer,
     build_controller,
@@ -388,16 +388,15 @@ class TestShardedDurability:
             assert (tmp_path / f"shard-{i:02d}" / "journal").is_dir()
         # Telemetry lives only in shard journals; the control journal
         # holds control events and decision/config records.
-        control = (tmp_path / "journal").glob("segment-*.jsonl")
-        for path in control:
-            for line in path.read_text().splitlines():
-                body = json.loads(line.split(" ", 1)[1])
-                if body["kind"] == "event":
-                    assert body["data"]["type"] in (
-                        "Heartbeat",
-                        "NodeLost",
-                        "NodeRecovered",
-                    )
+        control = list(EventJournal(tmp_path / "journal").iter_records())
+        assert control
+        for record in control:
+            if record.kind == "event":
+                assert record.data["type"] in (
+                    "Heartbeat",
+                    "NodeLost",
+                    "NodeRecovered",
+                )
 
     def test_resume_restores_sharded_state(self, tmp_path):
         """Acceptance: sharded serve -> kill -> resume restores window
@@ -530,11 +529,9 @@ class TestCheckpointCost:
     decides exactly what a cold open of the same directory decides."""
 
     @staticmethod
-    def _serve(root, shards, codec="json", **state_options):
+    def _serve(root, shards, **state_options):
         options = dict(snapshot_every=250, segment_records=32, keep_segments=1)
-        state = ServiceState(
-            root, shards=shards, journal_codec=codec, **{**options, **state_options}
-        )
+        state = ServiceState(root, shards=shards, **{**options, **state_options})
         service = build_service(
             _scenario(),
             _service_config(min_window_jobs=10**9),  # every tick holds
@@ -588,16 +585,15 @@ class TestCheckpointCost:
         service.close()
         state.close()
 
-    @pytest.mark.parametrize("codec", ["json", "binary"])
     @pytest.mark.parametrize("shards", [1, 4])
     def test_warm_and_cold_compaction_delete_the_same_segments(
-        self, tmp_path, shards, codec
+        self, tmp_path, shards
     ):
         """In-memory boundary + coverage (the serving process) and a
         header/tail scan (``repro compact`` on a cold dir) agree."""
         events = _events(seed=22, count=500, controls=False)
         warm_root = tmp_path / "warm"
-        state, service = self._serve(warm_root, shards, codec, auto_compact=False)
+        state, service = self._serve(warm_root, shards, auto_compact=False)
         compared = 0
         for stop in (len(events) // 2, len(events)):
             self._feed(service, events[compared:stop])
@@ -615,7 +611,6 @@ class TestCheckpointCost:
                 shards=shards,
                 segment_records=32,
                 keep_segments=1,
-                journal_codec=codec,
                 auto_compact=False,
             )
             assert cold.snapshots.retained() == state.snapshots.retained()
@@ -677,9 +672,12 @@ class TestWorkerShards:
         for i in range(4):
             a_dir = inproc_dir / f"shard-{i:02d}" / "journal"
             b_dir = worker_dir / f"shard-{i:02d}" / "journal"
-            a = {p.name: p.read_bytes() for p in a_dir.glob("segment-*.jsonl")}
-            b = {p.name: p.read_bytes() for p in b_dir.glob("segment-*.jsonl")}
-            assert a == b, f"shard {i} journal bytes differ"
+            a = list(EventJournal(a_dir).iter_records())
+            b = list(EventJournal(b_dir).iter_records())
+            assert a and a == b, f"shard {i} journal records differ"
+            assert [p.read_bytes() for p in EventJournal(a_dir).segments()] == [
+                p.read_bytes() for p in EventJournal(b_dir).segments()
+            ], f"shard {i} journal bytes differ"
 
     def test_worker_mode_same_decisions_and_stats(self):
         events = _events(seed=12, count=400)
