@@ -64,6 +64,12 @@ small operational CLI:
     record) — the operator's view of the journal.  Read-only like
     ``status``.
 
+``python -m repro dump-snapshot``
+    Render one snapshot file (the newest, or ``--seq N``) as JSON
+    lines: its header, its control state, then one line per retained
+    rolling-window entry decoded from the binary window frames.
+    Read-only like ``status``.
+
 ``python -m repro status``
     Read-only introspection of a serving state dir: pretty-print the
     freshest persisted metrics registry (newest snapshot vs newest
@@ -1100,13 +1106,73 @@ def cmd_dump_journal(args: argparse.Namespace, out) -> int:
                     file=out,
                 )
     except BrokenPipeError:
-        # `dump-journal | head` is the expected operator usage: exit
-        # quietly when the consumer stops reading, and point stdout at
-        # devnull so the interpreter's exit-time flush stays quiet too.
-        import os as _os
-        import sys as _sys
+        _silence_stdout()
+    return 0
 
-        _os.dup2(_os.open(_os.devnull, _os.O_WRONLY), _sys.stdout.fileno())
+
+def _silence_stdout() -> None:
+    """After a ``BrokenPipeError``: `dump-... | head` is the expected
+    operator usage, so exit quietly when the consumer stops reading —
+    stdout is pointed at devnull so the interpreter's exit-time flush
+    stays quiet too."""
+    import os as _os
+
+    _os.dup2(_os.open(_os.devnull, _os.O_WRONLY), sys.stdout.fileno())
+
+
+def cmd_dump_snapshot(args: argparse.Namespace, out) -> int:
+    """``repro dump-snapshot``: render one snapshot file as JSON lines.
+
+    Line 1 is the header (format tag, ``seq``, ``shard_seqs``), line 2
+    the control state (``windows`` there is each window's byte size),
+    and every further line one retained window entry —
+    ``{"window":i,"tenant":...,"kind":"task"|"job"|"submit","time":...,
+    "record":{...}|null}`` — decoded from the binary window frames.
+    Dumps the newest snapshot, or the one covering journal seq
+    ``--seq``.  Purely read-only, like ``repro status``: it never
+    constructs a :class:`~repro.service.snapshot.ServiceState`.
+    """
+    from itertools import chain, repeat
+
+    from repro.service.codec import decode_window_tenant, split_window_state
+    from repro.service.journal import canonical_json
+    from repro.service.snapshot import SNAPSHOT_FORMAT, read_snapshot
+    from repro.workload.trace import job_record_to_dict, task_record_to_dict
+
+    paths = sorted((Path(args.state_dir) / "snapshots").glob("snapshot-*.json"))
+    if args.seq is not None:
+        paths = [p for p in paths if int(p.stem.split("-")[1]) == args.seq]
+    if not paths:
+        raise SystemExit(
+            f"{args.state_dir} holds no snapshot"
+            + ("" if args.seq is None else f" at seq {args.seq}")
+        )
+    try:
+        header, state = read_snapshot(paths[-1])
+    except ValueError as exc:
+        raise SystemExit(f"{paths[-1]} is unreadable to this build: {exc}")
+    windows = state.get("windows", [])
+    try:
+        print(canonical_json({"format": SNAPSHOT_FORMAT, **header}), file=out)
+        print(
+            canonical_json({**state, "windows": [len(w) for w in windows]}), file=out
+        )
+        for index, window in enumerate(windows):
+            for frame in split_window_state(window)[3]:
+                tenant, task_times, tasks, job_times, jobs, submits = (
+                    decode_window_tenant(frame)
+                )
+                entries = chain(
+                    zip(repeat("task"), task_times, map(task_record_to_dict, tasks)),
+                    zip(repeat("job"), job_times, map(job_record_to_dict, jobs)),
+                    zip(repeat("submit"), submits, repeat(None)),
+                )
+                for kind, time, record in entries:
+                    entry = {"window": index, "tenant": tenant, "kind": kind,
+                             "time": time, "record": record}
+                    print(canonical_json(entry), file=out)
+    except BrokenPipeError:
+        _silence_stdout()
     return 0
 
 
@@ -1480,6 +1546,22 @@ def build_parser() -> argparse.ArgumentParser:
         "control journal",
     )
     dump.set_defaults(func=cmd_dump_journal)
+
+    dump_snapshot = sub.add_parser(
+        "dump-snapshot",
+        help="render a state dir's newest snapshot (header, control state, "
+        "window entries) as JSON lines",
+    )
+    dump_snapshot.add_argument(
+        "--state-dir", required=True, help="state dir to dump (read-only)"
+    )
+    dump_snapshot.add_argument(
+        "--seq",
+        type=int,
+        default=None,
+        help="dump the snapshot covering this journal seq (default: the newest)",
+    )
+    dump_snapshot.set_defaults(func=cmd_dump_snapshot)
 
     status = sub.add_parser(
         "status", help="show the persisted metrics of a serving state dir"

@@ -26,13 +26,16 @@ _INGEST_TOTAL = "tempo_ingest_events_total"
 def load_latest_snapshot(root: str | Path) -> tuple[int, dict] | None:
     """Newest readable snapshot under ``root/snapshots`` as ``(seq, state)``.
 
-    Unreadable (torn or corrupt) snapshots fall back to older ones, the
-    same policy resume uses; ``None`` when no snapshot is readable.
+    Only the header and control frames are read — counters and
+    registries, never the window entries (``state["windows"]`` is their
+    byte sizes).  Files whose header or control frame is torn or
+    corrupt fall back to older ones, the policy resume uses; ``None``
+    when no snapshot is readable.
     """
     snapshots = sorted(Path(root).glob("snapshots/snapshot-*.json"))
     for path in reversed(snapshots):
         try:
-            header, state = read_snapshot(path)
+            header, state = read_snapshot(path, stop_after="control")
             return header["seq"], state
         except ValueError:
             continue

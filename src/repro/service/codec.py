@@ -1,10 +1,13 @@
-"""The journal record codec: struct-packed frames behind CRC framing.
+"""The record codec: struct-packed frames behind CRC framing.
 
 The one representation of a journaled record, on disk
 (:mod:`repro.service.journal` segments) and in TCP ingest frames
-(:mod:`repro.service.transport`).  Rendering sorted-key JSON text per
-record is what bounds a durable ingest path, so a record is a
-length-prefixed, crc32-checked binary frame, with per-record-type
+(:mod:`repro.service.transport`) — and of a rolling window's retained
+entries, in snapshot files, shard drain replies and ``restore`` calls
+(the ``0x10``-``0x12`` *window state* frames below).  Rendering
+sorted-key JSON text per record is what bounds a durable ingest path,
+so a record is a length-prefixed, crc32-checked binary frame, with
+per-record-type
 precompiled :mod:`struct` pack formats for the hot telemetry kinds
 (``TaskCompleted``, ``JobCompleted``, ``JobSubmitted``, ``Heartbeat``)
 and an interned string table per segment for the repeated strings
@@ -30,9 +33,21 @@ and the payload's first byte is the record type:
 ``0x03``   ``JobCompleted``.
 ``0x04``   ``JobSubmitted``.
 ``0x05``   ``Heartbeat``.
+``0x10``   Window-state header: layout version, window length,
+           clock, ingest count, number of tenant frames that follow.
+``0x11``   One tenant's retained tasks, jobs and submits as typed
+           columns (one f64 block, one i64 block, one u32 block of
+           string/shape ids, flag bytes, a length-prefixed string
+           table).
+``0x12``   The same tenant as canonical-JSON rows: the passthrough
+           for values the typed columns cannot hold exactly.
 ``0x7f``   Segment header: magic + format version + codec id.  The
            first frame of every segment.
 =========  ====================================================
+
+A **window state** is one ``0x10`` frame followed by exactly the number
+of ``0x11``/``0x12`` frames it announces, so a state is self-delimiting
+and a missing or damaged tenant frame makes the whole state unreadable.
 
 Corruption detection: every frame is covered by its own crc32, a torn
 final write is recognized (nothing parseable follows the failure point)
@@ -50,7 +65,9 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from struct import Struct
+from dataclasses import astuple
+from itertools import accumulate, chain, islice, repeat
+from struct import Struct, pack, unpack_from
 
 from repro.service.events import (
     Heartbeat,
@@ -58,6 +75,7 @@ from repro.service.events import (
     JobSubmitted,
     TaskCompleted,
 )
+from repro.workload.trace import JobRecord, TaskRecord
 
 __all__ = [
     "BINARY_SUFFIX",
@@ -65,9 +83,14 @@ __all__ = [
     "HEADER_FRAME",
     "decode_payload",
     "decode_wire_batches",
+    "decode_window_tenant",
     "encode_wire_batches",
+    "encode_window_header",
+    "encode_window_tenant",
     "frame_payload",
+    "peek_window_tenant",
     "split_frames",
+    "split_window_state",
 ]
 
 #: Journal segment file extension.
@@ -576,6 +599,249 @@ class BinaryEncoder:
                 parts.append(_U32.pack(lookup(dep)))
         suffix = self.suffixes[(tags, deps_list)] = b"".join(parts)
         return suffix
+
+
+# -- window state --------------------------------------------------------------
+
+_RT_WINDOW = 0x10
+_RT_WIN_COLUMNS = 0x11
+_RT_WIN_ROWS = 0x12
+
+#: Layout version of the window-state frames; a state announcing any
+#: other is refused, not guessed at.
+_WIN_LAYOUT = 1
+#: Window-state header: rtype, layout version, window length, clock,
+#: ingest count, tenant frames that follow.
+_WIN_HEAD = Struct("<BBddqI")
+#: Prefix of both tenant frame kinds: rtype, retained entries,
+#: len(tenant name), then the name (UTF-8, ``surrogatepass`` — routing
+#: a frame by tenant never needs its body).
+_WIN_TENANT = Struct("<BII")
+#: Typed tenant body counts: tasks, jobs, submits, strings, shape words.
+_WIN_COUNTS = Struct("<IIIII")
+
+
+def encode_window_header(window: float, now: float, events: int, tenants: int) -> bytes:
+    """The framed header that opens a window state."""
+    return frame_payload(
+        _WIN_HEAD.pack(_RT_WINDOW, _WIN_LAYOUT, window, now, events, tenants)
+    )
+
+
+def split_window_state(data) -> tuple[float, float, int, list[memoryview]]:
+    """Parse one window state into ``(window, now, events, tenant payloads)``.
+
+    Every frame is CRC-checked and the header's tenant count must match
+    the frames present; ``ValueError`` for anything else — a state is
+    read whole or not at all.
+    """
+    payloads, _, error = split_frames(data)
+    if error is not None:
+        raise ValueError(f"damaged window state: {error}")
+    head = payloads[0] if payloads else b""
+    if len(head) != _WIN_HEAD.size or head[0] != _RT_WINDOW:
+        raise ValueError("not a window state (no header frame)")
+    _, layout, window, now, events, tenants = _WIN_HEAD.unpack(head)
+    if layout != _WIN_LAYOUT:
+        raise ValueError(
+            f"window state layout {layout}; this build reads only {_WIN_LAYOUT}"
+        )
+    if len(payloads) - 1 != tenants:
+        raise ValueError(
+            f"window state holds {len(payloads) - 1} of {tenants} tenant frames"
+        )
+    return window, now, events, payloads[1:]
+
+
+def _column_body(name, task_times, tasks, job_times, jobs, submits) -> bytes:
+    """One tenant's entries as typed columns; raises when they do not fit."""
+    t_job = [r.job_id for r in tasks]
+    t_id = [r.task_id for r in tasks]
+    t_pool = [r.pool for r in tasks]
+    t_stage = [r.stage for r in tasks]
+    flags = [r.preempted for r in tasks] + [r.failed for r in tasks]
+    j_job = [r.job_id for r in jobs]
+    j_deadline = [r.deadline for r in jobs]
+    j_shape = [(r.tags, r.stage_deps) for r in jobs]
+    if {r.tenant for r in tasks}.union(r.tenant for r in jobs) - {name}:
+        raise ValueError("record filed under another tenant")
+    if not set(flags) <= {False, True}:
+        raise ValueError("non-boolean flag")
+    if any(type(d) is not float for d in j_deadline if d is not None):
+        raise ValueError("non-float deadline")
+    # Repeated strings are interned and referenced by id.  Distinct
+    # (tags, stage_deps) shapes are few: each is spelled once, as counts
+    # and string ids, and jobs refer to it by index.
+    repeated = dict.fromkeys(chain(t_job, t_pool, t_stage, j_job))
+    ids = {string: i for i, string in enumerate(repeated)}
+    shapes = {shape: i for i, shape in enumerate(dict.fromkeys(j_shape))}
+    words: list[int] = []
+    for tags, deps in shapes:
+        if type(tags) is not tuple or type(deps) is not tuple:
+            raise ValueError("tags/stage_deps must be tuples")
+        words.append(len(tags))
+        words.extend(ids.setdefault(tag, len(ids)) for tag in tags)
+        words.append(len(deps))
+        for stage, after in deps:
+            if type(after) is not tuple:
+                raise ValueError("stage_deps must hold tuples")
+            words += ids.setdefault(stage, len(ids)), len(after)
+            words.extend(ids.setdefault(dep, len(ids)) for dep in after)
+    # The string table: the interned strings, then the (unique) task ids
+    # in task order; a non-str or a lone surrogate raises here.
+    text = "".join(chain(ids, t_id)).encode("utf-8")
+    nt, nj, ns = len(tasks), len(jobs), len(submits)
+    return b"".join((
+        _WIN_COUNTS.pack(nt, nj, ns, len(ids), len(words)),
+        pack(
+            f"<{4 * nt + 4 * nj + ns}d",
+            *task_times,
+            *[r.submit_time for r in tasks],
+            *[r.start_time for r in tasks],
+            *[r.finish_time for r in tasks],
+            *job_times,
+            *[r.submit_time for r in jobs],
+            *[r.finish_time for r in jobs],
+            *[0.0 if d is None else d for d in j_deadline],
+            *submits,
+        ),
+        pack(
+            f"<{2 * nt + nj}q",
+            *[r.containers for r in tasks],
+            *[r.attempt for r in tasks],
+            *[r.num_tasks for r in jobs],
+        ),
+        pack(
+            f"<{4 * nt + 2 * nj + len(ids) + len(words)}I",
+            *map(ids.get, t_job), *map(ids.get, t_pool), *map(ids.get, t_stage),
+            *map(ids.get, j_job), *map(shapes.get, j_shape),
+            *map(len, ids), *map(len, t_id), *words,
+        ),
+        bytes(flags),
+        bytes([d is not None for d in j_deadline]),
+        text,
+    ))
+
+
+def encode_window_tenant(name, task_times, tasks, job_times, jobs, submits) -> bytes:
+    """One tenant's retained entries as one CRC'd frame.
+
+    ``task_times[i]``/``job_times[i]`` is the entry time of
+    ``tasks[i]``/``jobs[i]`` (sequences, retention order).  EAFP like
+    :class:`BinaryEncoder`: anything the typed columns cannot hold
+    exactly — a non-string id, a lone surrogate, a non-float deadline,
+    an integer past 64 bits — makes this tenant's frame the
+    canonical-JSON row passthrough instead.
+    """
+    try:
+        rtype = _RT_WIN_COLUMNS
+        body = _column_body(name, task_times, tasks, job_times, jobs, submits)
+    except Exception:
+        rtype = _RT_WIN_ROWS
+        # A row is the entry time, then the record's fields in declaration
+        # order — its positional constructor call.
+        body = _canonical({
+            "tasks": [[t, *astuple(r)] for t, r in zip(task_times, tasks)],
+            "jobs": [[t, *astuple(r)] for t, r in zip(job_times, jobs)],
+            "submits": list(submits),
+        }).encode("utf-8")
+    raw = name.encode("utf-8", "surrogatepass")
+    entries = len(tasks) + len(jobs) + len(submits)
+    return frame_payload(_WIN_TENANT.pack(rtype, entries, len(raw)) + raw + body)
+
+
+def peek_window_tenant(payload: memoryview) -> tuple[str, int, int, int]:
+    """``(tenant, retained entries, rtype, body offset)`` of a tenant frame."""
+    rtype, entries, size = _WIN_TENANT.unpack_from(payload)
+    if rtype not in (_RT_WIN_COLUMNS, _RT_WIN_ROWS):
+        raise ValueError(f"unknown window record type 0x{rtype:02x}")
+    end = _WIN_TENANT.size + size
+    name = str(payload[_WIN_TENANT.size : end], "utf-8", "surrogatepass")
+    return name, entries, rtype, end
+
+
+def _decode_columns(name: str, payload: memoryview, o: int):
+    """Inverse of :func:`_column_body`."""
+    nt, nj, ns, nstrings, nwords = _WIN_COUNTS.unpack_from(payload, o)
+    o += _WIN_COUNTS.size
+    f64 = unpack_from(f"<{4 * nt + 4 * nj + ns}d", payload, o)
+    o += 8 * len(f64)
+    i64 = unpack_from(f"<{2 * nt + nj}q", payload, o)
+    o += 8 * len(i64)
+    u32 = unpack_from(f"<{4 * nt + 2 * nj + nstrings + nwords}I", payload, o)
+    o += 4 * len(u32)
+    flags = payload[o : o + 2 * nt + nj].tolist()
+    text = str(payload[o + 2 * nt + nj :], "utf-8")
+    u = 3 * nt + 2 * nj  # id columns end, string lengths begin
+    ends = list(accumulate(u32[u : u + nstrings + nt]))
+    if len(flags) != 2 * nt + nj or (ends[-1] if ends else 0) != len(text):
+        raise ValueError("columns and string table disagree")
+    table = [text[a:b] for a, b in zip([0] + ends, ends)]
+    string = table.__getitem__
+    shapes = []
+    words = iter(u32[len(u32) - nwords :])
+    for ntags in words:
+        tags = tuple(map(string, islice(words, ntags)))
+        deps = tuple([
+            (string(next(words)), tuple(map(string, islice(words, next(words)))))
+            for _ in range(next(words))
+        ])
+        shapes.append((tags, deps))
+    tasks = list(map(
+        TaskRecord,
+        map(string, u32[:nt]), table[nstrings:], repeat(name),
+        map(string, u32[nt : 2 * nt]), map(string, u32[2 * nt : 3 * nt]),
+        f64[nt : 2 * nt], f64[2 * nt : 3 * nt], f64[3 * nt : 4 * nt],
+        i64[:nt], map(bool, flags[:nt]), map(bool, flags[nt : 2 * nt]),
+        i64[nt : 2 * nt],
+    ))
+    f = 4 * nt  # job columns begin
+    jobs = [
+        JobRecord(string(job), name, submit, finish, deadline if has else None,
+                  num_tasks, *shapes[shape])
+        for job, submit, finish, deadline, has, num_tasks, shape in zip(
+            u32[3 * nt : u - nj], f64[f + nj : f + 2 * nj],
+            f64[f + 2 * nj : f + 3 * nj], f64[f + 3 * nj : f + 4 * nj],
+            flags[2 * nt :], i64[2 * nt :], u32[u - nj : u],
+        )
+    ]
+    return (
+        list(f64[:nt]), tasks, list(f64[f : f + nj]), jobs, list(f64[f + 4 * nj :])
+    )
+
+
+def _decode_rows(name: str, payload: memoryview, o: int):
+    """Inverse of the row passthrough in :func:`encode_window_tenant`."""
+    rows = json.loads(str(payload[o:], "utf-8"))
+    jobs = [
+        JobRecord(
+            *scalars, tuple(tags), tuple((stage, tuple(after)) for stage, after in deps)
+        )
+        for _, *scalars, tags, deps in rows["jobs"]
+    ]
+    return (
+        [row[0] for row in rows["tasks"]],
+        [TaskRecord(*row[1:]) for row in rows["tasks"]],
+        [row[0] for row in rows["jobs"]],
+        jobs,
+        rows["submits"],
+    )
+
+
+def decode_window_tenant(payload: memoryview):
+    """Decode one tenant frame of a window state.
+
+    Returns ``(tenant, task_times, tasks, job_times, jobs, submits)``
+    — the arguments :func:`encode_window_tenant` took.  ``ValueError``
+    when the frame does not decode: damage that slipped past the CRC
+    must never restore silently.
+    """
+    try:
+        name, _, rtype, offset = peek_window_tenant(payload)
+        decode = _decode_columns if rtype == _RT_WIN_COLUMNS else _decode_rows
+        return (name, *decode(name, payload, offset))
+    except Exception as exc:
+        raise ValueError(f"undecodable window tenant frame: {exc!r}") from exc
 
 
 # -- wire batches --------------------------------------------------------------

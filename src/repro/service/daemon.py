@@ -78,6 +78,7 @@ from repro.obs import (
 )
 from repro.rm.cluster import ClusterSpec
 from repro.rm.config import RMConfig
+from repro.service.codec import split_window_state
 from repro.service.events import (
     DecisionMade,
     EventBus,
@@ -901,16 +902,9 @@ class TempoService:
                 loaded = state.load_latest_snapshot()
                 if loaded is not None:
                     base_seq, snapshot = loaded
-                    if shards == 1:
-                        window_state = snapshot.get("window")
-                    else:
-                        windows = snapshot.get("shard_windows")
-                        if windows is not None:
-                            window_state = windows[shard_id]
-                        recorded = snapshot.get("sharding", {}).get("shard_seqs")
-                        base_seq = (
-                            int(recorded[shard_id]) if recorded is not None else 0
-                        )
+                    window_state = snapshot["windows"][shard_id]
+                    if shards > 1:
+                        base_seq = int(snapshot["sharding"]["shard_seqs"][shard_id])
                 else:
                     segments = journal.segments()
                     if segments and journal._first_seq_of(segments[0]) > 1:
@@ -1825,20 +1819,21 @@ class TempoService:
     # -- durability ---------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Everything a resumed daemon needs, as one JSON-ready dict.
+        """Everything a resumed daemon needs, as one dict.
 
-        Single-shard snapshots keep the PR 2 shape (one ``window``
-        key); sharded snapshots carry every shard's window state plus
-        the shard layout and each journal's covered position under
-        ``sharding`` — one snapshot covers all N+1 journals.
+        ``windows`` holds every shard's window state (1 or N ``bytes``
+        values, :meth:`RollingWindow.to_state` output as is); the rest
+        is JSON-ready.  Sharded services add the shard layout and each
+        journal's covered position under ``sharding`` — one snapshot
+        covers all N+1 journals.
         """
         with self._lock:
             if self.router.shards == 1:
-                extra = {"window": self.shards[0].window.to_state()}
+                extra = {"windows": [self.shards[0].window.to_state()]}
             else:
                 states = self._drain_shards(self._now)
                 extra = {
-                    "shard_windows": [s["window"] for s in states],
+                    "windows": [s["window"] for s in states],
                     "sharding": {
                         "shards": self.router.shards,
                         "router": "crc32",
@@ -1851,17 +1846,8 @@ class TempoService:
                 "active_tenants": sorted(self.active_tenants),
                 "nodes_lost": self.nodes_lost,
                 "nodes_recovered": self.nodes_recovered,
-                # Failover counters ride the snapshot only once a
-                # failover happened, keeping snapshot bytes identical
-                # for every fault-free service.
-                **(
-                    {
-                        "shard_failures": self.shard_failures,
-                        "shard_recoveries": self.shard_recoveries,
-                    }
-                    if self.shard_failures or self.shard_recoveries
-                    else {}
-                ),
+                "shard_failures": self.shard_failures,
+                "shard_recoveries": self.shard_recoveries,
                 "lost_capacity": dict(self.lost_capacity),
                 "events": self._events,
                 "last_attempt": self._last_attempt,
@@ -1883,8 +1869,7 @@ class TempoService:
                 ],
                 "decisions": [_decision_to_dict(d) for d in self.decisions],
                 "controller": controller_state_dict(self.controller),
-                # Registry dumps ride the snapshot only when sampling is
-                # on, keeping default snapshot bytes exactly as before.
+                # Registry dumps are data: present only when sampled.
                 **(
                     {"metrics": self._metrics_state()}
                     if self.config.sample_metrics
@@ -1893,29 +1878,18 @@ class TempoService:
             }
 
     def _restore_state(self, state: dict) -> None:
-        if "shard_windows" in state:
-            sharding = state.get("sharding", {})
-            recorded = int(sharding.get("shards", len(state["shard_windows"])))
-            if recorded != self.router.shards:
-                raise JournalError(
-                    f"snapshot records {recorded} shard(s) but the service "
-                    f"was built with {self.router.shards}; resume with "
-                    "--reshard to change the layout"
-                )
-            for shard, window_state in zip(self.shards, state["shard_windows"]):
-                shard.restore(window_state)
-            self._now = max(
-                (float(w["now"]) for w in state["shard_windows"]), default=0.0
+        windows = state["windows"]
+        if len(windows) != self.router.shards:
+            raise JournalError(
+                f"snapshot records {len(windows)} shard(s) but the service "
+                f"was built with {self.router.shards}; resume with "
+                "--reshard to change the layout"
             )
-            self._telemetry = int(sharding.get("telemetry", 0))
-        else:
-            if self.router.shards != 1:
-                raise JournalError(
-                    "single-shard snapshot cannot restore a sharded service; "
-                    "resume with --reshard to change the layout"
-                )
-            self.shards[0].window = RollingWindow.from_state(state["window"])
-            self._now = self.shards[0].window.now
+        for shard, window_state in zip(self.shards, windows):
+            shard.restore(window_state)
+        # Each state's header frame carries its clock: (window, now, ...).
+        self._now = max(split_window_state(w)[1] for w in windows)
+        self._telemetry = int(state.get("sharding", {}).get("telemetry", 0))
         self.active_tenants = set(state["active_tenants"])
         self.nodes_lost = int(state["nodes_lost"])
         self.nodes_recovered = int(state.get("nodes_recovered", 0))
@@ -2354,13 +2328,15 @@ class TempoService:
                 for i in range(shards)
             ]
             merged_state = merged.to_state()
-            partitions = RollingWindow.split_state(
-                merged_state, shards, self.router.shard_of
+            # One window again keeps the stream-wide ingest count; N
+            # parts each count the retained entries they received.
+            partitions = (
+                [merged_state]
+                if shards == 1
+                else RollingWindow.split_state(
+                    merged_state, shards, self.router.shard_of
+                )
             )
-            if shards == 1:
-                # One window again: its ingest counter resumes the
-                # stream-wide total, not just the retained entries.
-                partitions[0]["events"] = merged_state["events"]
             for shard, part in zip(self.shards, partitions):
                 shard.restore(part)
             self._telemetry = prior_telemetry

@@ -15,6 +15,13 @@ records in O(events); it exists so tests (and the replay driver's
 ``--verify`` path) can assert that the incremental bookkeeping never
 drifts from a from-scratch recompute.
 
+A window's persisted, mergeable form is one ``bytes`` value
+(:meth:`RollingWindow.to_state`): a window-header frame then one frame
+per tenant with its retained entries as typed columns, all
+:mod:`repro.service.codec` frames.  Snapshot files, shard drains (in
+process, ``multiprocessing`` queue, TCP), ``restore`` and resharding all
+carry that value as is; nothing renders a window entry as JSON.
+
 ``window_drift`` condenses two snapshots into a scalar change measure —
 the stability signal the daemon's retune guard uses to skip tuning when
 the workload has not materially moved (the stability idea SAM argues
@@ -27,60 +34,25 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
+from repro.service.codec import (
+    decode_window_tenant,
+    encode_window_header,
+    encode_window_tenant,
+    frame_payload,
+    peek_window_tenant,
+    split_window_state,
+)
 from repro.service.events import (
     JobCompleted,
     JobSubmitted,
     ServiceEvent,
     TaskCompleted,
 )
-from repro.service.journal import JournalError
 from repro.stats.distributions import LognormalModel, PoissonProcessModel
 from repro.workload.trace import JobRecord, TaskRecord, Trace
-
-#: Column order of the positional entry rows in a window state
-#: (:meth:`RollingWindow.to_state`): the entry time, then the record's
-#: fields in declaration order (so a row past its time is the record's
-#: positional constructor call).  Every state names it once, under
-#: ``"fields"``, which makes it the state's format tag — a state whose
-#: tag differs is refused, not guessed at.
-WINDOW_STATE_FIELDS = {
-    "tasks": [
-        "time", "job_id", "task_id", "tenant", "pool", "stage", "submit_time",
-        "start_time", "finish_time", "containers", "preempted", "failed", "attempt",
-    ],
-    "jobs": [
-        "time", "job_id", "tenant", "submit_time", "finish_time", "deadline",
-        "num_tasks", "tags", "stage_deps",
-    ],
-}
-
-
-def _task_row(time: float, r: TaskRecord) -> list:
-    """One task entry as a ``WINDOW_STATE_FIELDS["tasks"]`` row."""
-    return [
-        time, r.job_id, r.task_id, r.tenant, r.pool, r.stage, r.submit_time,
-        r.start_time, r.finish_time, r.containers, r.preempted, r.failed, r.attempt,
-    ]
-
-
-def _job_row(time: float, r: JobRecord) -> list:
-    """One job entry as a ``WINDOW_STATE_FIELDS["jobs"]`` row (JSON-faithful:
-    the tuple-valued fields become lists)."""
-    return [
-        time, r.job_id, r.tenant, r.submit_time, r.finish_time, r.deadline,
-        r.num_tasks, list(r.tags), [[s, list(d)] for s, d in r.stage_deps],
-    ]
-
-
-def _job_from_row(row) -> JobRecord:
-    """Inverse of :func:`_job_row` (``tags`` and ``stage_deps`` come last)."""
-    *scalars, tags, stage_deps = row[1:]
-    return JobRecord(
-        *scalars, tuple(tags), tuple((stage, tuple(deps)) for stage, deps in stage_deps)
-    )
-
 
 @dataclass(frozen=True)
 class TenantWindowStats:
@@ -523,146 +495,130 @@ class RollingWindow:
             )
         return out
 
-    def to_state(self) -> dict:
-        """JSON-ready dump of the retained raw entries (snapshot payload).
+    def to_state(self) -> bytes:
+        """The retained raw entries as one ``bytes`` value (codec frames).
 
-        Entries are positional rows in the column order named once
-        under ``"fields"`` (:data:`WINDOW_STATE_FIELDS`) — about half
-        the bytes and half the encode time of a dict per entry, on every
-        snapshot and every shard drain.  Only the raw records are
-        persisted, never the running sums: :meth:`from_state` refolds
-        every retained entry through the same accumulator arithmetic, so
-        a restored window's incremental statistics are again verifiable
-        against ``batch_recompute`` — there is no second, subtly
-        different serialization of the sums to drift out of agreement.
+        A window-header frame (length, clock, ingest count) then one
+        CRC'd frame per tenant holding its tasks, jobs and submits as
+        typed columns (:func:`~repro.service.codec.encode_window_tenant`).
+        This value is the window's only persisted or mergeable form: a
+        snapshot file, a shard drain reply and a ``restore`` call all
+        carry it as is.  Only the raw records are persisted, never the
+        running sums: :meth:`from_state` refolds every retained entry
+        through the same accumulator arithmetic, so a restored window's
+        incremental statistics are again verifiable against
+        ``batch_recompute`` — there is no second, subtly different
+        serialization of the sums to drift out of agreement.
         """
-        return {
-            "window": self.window,
-            "now": self._now,
-            "events": self._events,
-            "fields": {k: list(names) for k, names in WINDOW_STATE_FIELDS.items()},
-            "tenants": {
-                name: {
-                    "tasks": [_task_row(t, rec) for t, rec, _ in acc.tasks],
-                    "jobs": [_job_row(t, rec) for t, rec in acc.jobs],
-                    "submits": list(acc.submits),
-                }
-                for name, acc in self._tenants.items()
-            },
-        }
-
-    @staticmethod
-    def _check_fields(state: Mapping) -> None:
-        """Refuse a state whose row layout is not this build's."""
-        if state.get("fields") != WINDOW_STATE_FIELDS:
-            raise JournalError(
-                f"window state rows are laid out as {state.get('fields')!r}; "
-                f"this build reads only {WINDOW_STATE_FIELDS!r}"
+        frames = [
+            encode_window_header(
+                self.window, self._now, self._events, len(self._tenants)
             )
+        ]
+        for name, acc in self._tenants.items():
+            task_times, tasks, _ = zip(*acc.tasks) if acc.tasks else ((), (), ())
+            job_times, jobs = zip(*acc.jobs) if acc.jobs else ((), ())
+            frames.append(
+                encode_window_tenant(
+                    name, task_times, tasks, job_times, jobs, acc.submits
+                )
+            )
+        return b"".join(frames)
 
-    def _refold(self, name: str, tasks, jobs, submits) -> None:
-        """Fold one tenant's persisted rows back in, in retention order."""
+    def _refold(self, name, task_times, tasks, job_times, jobs, submits) -> None:
+        """Fold one tenant's decoded entries back in, in retention order."""
         acc = self._acc(name)
-        for row in tasks:
-            acc.add_task(float(row[0]), TaskRecord(*row[1:]))
-        for row in jobs:
-            acc.add_job(float(row[0]), _job_from_row(row))
-        acc.submits.extend(float(t) for t in submits)
+        for time, record in zip(task_times, tasks):
+            acc.add_task(time, record)
+        for time, record in zip(job_times, jobs):
+            acc.add_job(time, record)
+        acc.submits.extend(submits)
         earliest = acc.earliest()
         if earliest is not None:
             self._note_entry(name, acc, earliest)
 
     @classmethod
-    def from_state(cls, state: Mapping) -> "RollingWindow":
+    def from_state(cls, state: bytes) -> "RollingWindow":
         """Rebuild a window from :meth:`to_state` output.
 
         Entries are refolded in retention order, so eviction order and
         the running sums are reconstructed from first principles.
-        Raises :class:`~repro.service.journal.JournalError` for a state
-        in any other row layout (``"fields"`` missing or different).
+        Raises ``ValueError`` for bytes that are not a readable window
+        state of this build's layout (``TypeError`` for the row dicts
+        earlier builds produced) — refused, never partially restored.
         """
-        cls._check_fields(state)
-        window = cls(state["window"])
-        for name, slot in state["tenants"].items():
-            window._refold(name, slot["tasks"], slot["jobs"], slot["submits"])
-        window._now = float(state["now"])
-        window._events = int(state["events"])
-        return window
+        return cls.merge_states([state])
 
     @classmethod
-    def merge_states(cls, states: Iterable[Mapping]) -> "RollingWindow":
+    def merge_states(cls, states: Iterable[bytes]) -> "RollingWindow":
         """Rebuild ONE window from several shards' :meth:`to_state` dumps.
 
         The control plane's view of a sharded data plane: every shard's
         retained raw entries are refolded through the same accumulator
-        arithmetic as :meth:`from_state`, so the merged window's
-        incremental statistics are verifiable against
-        :meth:`batch_recompute` and — because sharding partitions events
-        by tenant — identical (to floating-point accumulation error,
-        well under 1e-9) to a single window that ingested the whole
-        stream.  A tenant appearing in several states (only possible
-        outside the per-tenant routing invariant, e.g. mid-reshard) has
-        its entries interleaved in time order before refolding.  All
-        states must share the same window length and row layout; the
-        merged clock is the maximum of the parts'.
+        arithmetic, so the merged window's incremental statistics are
+        verifiable against :meth:`batch_recompute` and — because
+        sharding partitions events by tenant — identical (to
+        floating-point accumulation error, well under 1e-9) to a single
+        window that ingested the whole stream.  A tenant appearing in
+        several states (only possible outside the per-tenant routing
+        invariant, e.g. mid-reshard) has its entries interleaved in
+        time order before refolding.  All states must share the same
+        window length; the merged clock is the maximum of the parts'.
         """
-        states = list(states)
-        if not states:
+        parsed = [split_window_state(state) for state in states]
+        if not parsed:
             raise ValueError("cannot merge zero window states")
-        length = float(states[0]["window"])
-        if any(float(s["window"]) != length for s in states):
+        if any(part[0] != parsed[0][0] for part in parsed):
             raise ValueError("merge_states requires equal window lengths")
-        merged = cls(length)
-        slots: dict[str, tuple[list, list, list]] = {}
-        multi: set[str] = set()
-        for state in states:
-            cls._check_fields(state)
-            for name, slot in state["tenants"].items():
+        merged = cls(parsed[0][0])
+        slots: dict[str, list] = {}
+        for _, _, _, frames in parsed:
+            for frame in frames:
+                name, *columns = decode_window_tenant(frame)
                 mine = slots.get(name)
                 if mine is None:
-                    slots[name] = (
-                        list(slot["tasks"]),
-                        list(slot["jobs"]),
-                        list(slot["submits"]),
+                    slots[name] = columns
+                    continue
+                # Stable sort on entry time keeps each part's internal
+                # order, reconstructing one plausible arrival interleaving.
+                for at in (0, 2):
+                    pairs = sorted(
+                        zip(mine[at] + columns[at], mine[at + 1] + columns[at + 1]),
+                        key=itemgetter(0),
                     )
-                else:
-                    multi.add(name)
-                    mine[0].extend(slot["tasks"])
-                    mine[1].extend(slot["jobs"])
-                    mine[2].extend(slot["submits"])
-        for name in multi:
-            # Stable sort on entry time keeps each part's internal
-            # order, reconstructing one plausible arrival interleaving.
-            tasks, jobs, submits = slots[name]
-            tasks.sort(key=lambda row: row[0])
-            jobs.sort(key=lambda row: row[0])
-            submits.sort()
-        for name, (tasks, jobs, submits) in slots.items():
-            merged._refold(name, tasks, jobs, submits)
-        merged._now = max(float(s["now"]) for s in states)
-        merged._events = sum(int(s["events"]) for s in states)
+                    mine[at] = [time for time, _ in pairs]
+                    mine[at + 1] = [record for _, record in pairs]
+                mine[4] = sorted(mine[4] + columns[4])
+        for name, columns in slots.items():
+            merged._refold(name, *columns)
+        merged._now = max(part[1] for part in parsed)
+        merged._events = sum(part[2] for part in parsed)
         return merged
 
     @staticmethod
     def split_state(
-        state: Mapping, parts: int, part_of: Callable[[str], int]
-    ) -> list[dict]:
+        state: bytes, parts: int, part_of: Callable[[str], int]
+    ) -> list[bytes]:
         """Partition one :meth:`to_state` dump by tenant (resharding).
 
-        Tenant ``name``'s rows move, untouched, to part
-        ``part_of(name)``; every part keeps the window length, clock and
-        row layout, and counts as ingested exactly the entries it
-        received.  Refolding the parts and merging them again gives the
-        statistics of ``state``.
+        Tenant ``name``'s frame moves, undecoded, to part
+        ``part_of(name)``; every part keeps the window length and clock,
+        and counts as ingested exactly the entries it received.
+        Refolding the parts and merging them again gives the statistics
+        of ``state``.
         """
-        out = [{**state, "events": 0, "tenants": {}} for _ in range(parts)]
-        for name, slot in state["tenants"].items():
-            part = out[part_of(name)]
-            part["tenants"][name] = slot
-            part["events"] += (
-                len(slot["tasks"]) + len(slot["jobs"]) + len(slot["submits"])
-            )
-        return out
+        window, now, _, frames = split_window_state(state)
+        out: list[list[bytes]] = [[] for _ in range(parts)]
+        received = [0] * parts
+        for frame in frames:
+            name, entries, _, _ = peek_window_tenant(frame)
+            part = part_of(name)
+            out[part].append(frame_payload(frame))
+            received[part] += entries
+        return [
+            encode_window_header(window, now, count, len(moved)) + b"".join(moved)
+            for moved, count in zip(out, received)
+        ]
 
     def trace(self, capacity: Mapping[str, int] | None = None) -> Trace:
         """The window's retained records as a Trace re-anchored to t=0.

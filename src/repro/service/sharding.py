@@ -146,7 +146,7 @@ class ShardHandle(Protocol):
     def heartbeat_age(self) -> float:
         """Seconds since the shard last proved liveness (0 = in-process)."""
 
-    def restore(self, window_state: Mapping) -> None:
+    def restore(self, window_state: bytes) -> None:
         """Replace the shard's window with a persisted state."""
 
     def close(self) -> None:
@@ -358,8 +358,9 @@ class IngestShard:
 
         The control plane calls this when it needs the *full* window —
         an applied tune's trace, a durability snapshot — the returned
-        dict is what :meth:`RollingWindow.merge_states` consumes, plus
-        the shard's journal position (for snapshot coverage).
+        dict's ``window`` is the ``bytes`` value
+        :meth:`RollingWindow.merge_states` consumes, beside the shard's
+        journal position (for snapshot coverage).
         """
         self.window.advance(now)
         state = {
@@ -383,7 +384,7 @@ class IngestShard:
         self.window.advance(now)
         return self.window.snapshot()
 
-    def restore(self, window_state: Mapping) -> None:
+    def restore(self, window_state: bytes) -> None:
         """Replace the shard's window with a persisted state."""
         self.window = RollingWindow.from_state(window_state)
 
@@ -637,9 +638,9 @@ class ShardWorkerHandle:
         self.pending_batches = 0
         return stats
 
-    def restore(self, window_state: Mapping) -> None:
+    def restore(self, window_state: bytes) -> None:
         """Replace the worker's window with a persisted state."""
-        self._commands.put(("restore", dict(window_state)))
+        self._commands.put(("restore", window_state))
         self._reply("ok")
 
     def close(self) -> None:

@@ -5,11 +5,16 @@ daemon — replay everything from the first event — but recovery time then
 grows with the daemon's lifetime.  Snapshots bound it: every so often
 the full serving state (retained rolling-window entries, applied-config
 history, controller tuning state, decisions, counters) is written as one
-atomically renamed file of two CRC frames — a header saying what the
-file covers, then the state — under ``<state-dir>/snapshots/``, tagged
-with the journal sequence number it covers.  Resume then loads the
-newest readable snapshot and replays only
-the journal tail past it (:meth:`~repro.service.daemon.TempoService.resume`).
+atomically renamed file under ``<state-dir>/snapshots/``, tagged with
+the journal sequence number it covers.  The file has three parts, every
+frame CRC-checked: a JSON text line saying what the file covers, a JSON
+text line with the control state (everything but the windows — ``head
+-2`` reads both), then the 1 or N rolling-window states as the binary
+:mod:`repro.service.codec` frames :meth:`RollingWindow.to_state
+<repro.service.ingest.RollingWindow.to_state>` produced, written without
+re-encoding.  Resume then loads the newest readable snapshot and replays
+only the journal tail past it
+(:meth:`~repro.service.daemon.TempoService.resume`).
 
 :class:`ServiceState` is the facade the daemon talks to — one object
 owning the state directory: the journal, the snapshot store, the
@@ -37,6 +42,7 @@ import numpy as np
 
 from repro.core.decisions import _floats_in, _floats_out
 from repro.rm.config import RMConfig, TenantConfig
+from repro.service.codec import split_window_state
 from repro.service.ingest import TenantWindowStats
 from repro.service.journal import (
     EventJournal,
@@ -51,9 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.controller import TempoController
 
 #: Format tag in every snapshot file's header frame.  A file without it
-#: — including the single-frame files earlier builds wrote — is
-#: unreadable to this build and handled exactly like a corrupt one.
-SNAPSHOT_FORMAT = "tempo-snapshot/2"
+#: — including the all-JSON ``tempo-snapshot/2`` files earlier builds
+#: wrote — is unreadable to this build and handled exactly like a
+#: corrupt one.
+SNAPSHOT_FORMAT = "tempo-snapshot/3"
 
 
 # -- RM configuration codec ---------------------------------------------------
@@ -128,10 +135,8 @@ def controller_state_dict(controller: "TempoController") -> dict:
     vectors feeding the multi-window average, and the ratcheted
     best-effort thresholds.  Non-legacy decision pipelines additionally
     persist the retained selection-time prediction and the engine's
-    freeze fuse — the legacy pipeline adds neither key, keeping its
-    snapshot and journal bytes identical to the pre-decision-plane
-    format.  The PALD sample buffer is deliberately NOT captured (see
-    the module docstring).
+    freeze fuse (the legacy pipeline has neither).  The PALD sample
+    buffer is deliberately NOT captured (see the module docstring).
     """
     prev = None
     if controller._prev is not None:
@@ -199,19 +204,25 @@ def restore_controller_state(controller: "TempoController", state: Mapping) -> N
 # -- snapshot store -----------------------------------------------------------
 
 
-def read_snapshot(path: Path, *, header_only: bool = False) -> tuple[dict, dict | None]:
+def read_snapshot(
+    path: Path, *, stop_after: str | None = None
+) -> tuple[dict, dict | None]:
     """Read one snapshot file as ``(header, state)`` without touching it.
 
     The one decoder of the snapshot file format, shared by
-    :class:`SnapshotStore` and read-only tooling (``repro status``).
-    The header carries ``seq`` and ``shard_seqs`` (``None`` when the
-    state covers no shard journals).  ``header_only`` stops after the
-    first line — the cold paths that only ask what a file *covers*
-    never load the body — and returns ``state`` as ``None``.  Raises
-    ``ValueError`` for anything that is not a readable
-    :data:`SNAPSHOT_FORMAT` file: a damaged or truncated frame, a
-    missing body, or a file of another format (including the earlier
-    single-frame shape, which is deliberately not a second read path).
+    :class:`SnapshotStore` and read-only tooling (``repro status``,
+    ``repro dump-snapshot``).  The header carries ``seq`` and
+    ``shard_seqs`` (``None`` when the state covers no shard journals).
+    ``stop_after="header"`` reads only the first line and returns
+    ``state`` as ``None`` — the cold paths that only ask what a file
+    *covers*; ``stop_after="control"`` reads the two text lines and
+    leaves ``state["windows"]`` as the byte sizes the control frame
+    records, never loading a window.  Read whole, ``state["windows"]``
+    holds each window state as the ``bytes`` it was written from,
+    every frame CRC-checked.  Raises ``ValueError`` for anything that
+    is not a readable :data:`SNAPSHOT_FORMAT` file: a damaged, torn or
+    missing frame anywhere, or a file of another format (earlier
+    builds' shapes are deliberately not a second read path).
     """
     with path.open("rb") as fh:
         try:
@@ -225,18 +236,33 @@ def read_snapshot(path: Path, *, header_only: bool = False) -> tuple[dict, dict 
             }
         except (KeyError, TypeError) as exc:
             raise ValueError(f"not a {SNAPSHOT_FORMAT} header: {exc!r}") from exc
-        if header_only:
+        if stop_after == "header":
             return header, None
-        return header, json.loads(unframe_bytes(fh.readline()))
+        state = json.loads(unframe_bytes(fh.readline()))
+        if stop_after == "control" or "windows" not in state:
+            return header, state
+        body = fh.read()
+    sizes = state["windows"]
+    if sum(sizes) != len(body):
+        raise ValueError(f"window frames are {len(body)} bytes, expected {sizes}")
+    windows, offset = [], 0
+    for size in sizes:
+        windows.append(body[offset : offset + size])
+        split_window_state(windows[-1])  # all of it readable, or none of it used
+        offset += size
+    state["windows"] = windows
+    return header, state
 
 
 class SnapshotStore:
     """CRC-framed, atomically written snapshot files with pruning.
 
     Files are named ``snapshot-<seq>.json`` where ``seq`` is the journal
-    sequence number the state includes, and hold two CRC-framed lines:
-    a small **header** (format tag, ``seq``, and the shard-journal
-    positions the state covers) and the **body** (the state itself).
+    sequence number the state includes, and hold two CRC-framed text
+    lines — a small **header** (format tag, ``seq``, and the
+    shard-journal positions the state covers) and the **control
+    state** — followed by the state's rolling windows as binary codec
+    frames (see :func:`read_snapshot`).
     Writes go to a temp file first and are renamed into place, so a
     crash mid-snapshot leaves at worst a stale temp file — removed the
     next time the store opens — never a half snapshot under a valid
@@ -261,7 +287,7 @@ class SnapshotStore:
         self._retained: list[tuple[int, list[int] | None]] = []
         for path in sorted(self.root.glob("snapshot-*.json")):
             try:
-                shard_seqs = read_snapshot(path, header_only=True)[0]["shard_seqs"]
+                shard_seqs = read_snapshot(path, stop_after="header")[0]["shard_seqs"]
             except ValueError:
                 shard_seqs = None  # unreadable: still retained, covers nothing
             self._retained.append((int(path.stem.split("-")[1]), shard_seqs))
@@ -294,8 +320,11 @@ class SnapshotStore:
         """Persist one snapshot covering journal records up to ``seq``.
 
         ``shard_seqs`` are the shard-journal positions ``state``
-        includes (sharded layouts).  Header and body are each encoded
-        to bytes exactly once.  With ``fsync`` the temp file is forced
+        includes (sharded layouts).  ``state["windows"]``, when present,
+        is a list of :meth:`RollingWindow.to_state
+        <repro.service.ingest.RollingWindow.to_state>` values: they are
+        written as they are, after a control frame that holds the rest
+        of ``state`` and their byte sizes.  With ``fsync`` the temp file is forced
         to stable storage before the rename and the directory after it
         — the caller is about to delete the journal prefix this file
         covers, so the file must survive a power loss first; without it
@@ -307,9 +336,13 @@ class SnapshotStore:
         header = {"format": SNAPSHOT_FORMAT, "seq": seq, "shard_seqs": shard_seqs}
         path = self._path(seq)
         tmp = path.with_suffix(".tmp")
+        windows = state.get("windows", ())
+        if windows:
+            state = {**state, "windows": [len(blob) for blob in windows]}
         with tmp.open("wb") as fh:
             fh.write(frame_bytes(canonical_json(header)))
             fh.write(frame_bytes(canonical_json(state)))
+            fh.writelines(windows)
             if fsync:
                 fh.flush()
                 os.fsync(fh.fileno())
@@ -367,7 +400,7 @@ class SnapshotStore:
 class ServiceState:
     """The daemon's durable home: journal + snapshots + meta descriptor.
 
-    Layout under ``root`` (single-shard, identical to PR 2/3)::
+    Layout under ``root`` (single-shard)::
 
         meta.json                    scenario/service descriptor (resume)
         journal/segment-*.binl       CRC-framed write-ahead records
@@ -479,9 +512,7 @@ class ServiceState:
         """On-disk journal directory of one shard.
 
         Single-shard state dirs have no ``shard-NN`` tree: shard 0's
-        journal *is* the top-level journal, which is what keeps
-        ``--shards 1`` output byte-identical to the pre-sharding
-        pipeline.
+        journal *is* the top-level journal.
         """
         if self.shards == 1:
             return self.root / "journal"

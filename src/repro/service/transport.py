@@ -17,11 +17,16 @@ framing snapshots use on disk.  Ingest batches ride the journal's
 byte is ``0x00`` is an ingest message (JSON CRC frames always start
 with an ASCII hex digit), carrying the same per-record crc32 the
 journal uses on disk, so a telemetry record has one encoding from the
-control plane's socket to the shard's segment file.  The server
-dispatches per frame on that first byte.  Every frame is a request and
-every request gets exactly one reply (stop-and-wait), which makes
-reply ordering, and therefore the drain barrier ("a drain reply
-follows every batch sent before it"), trivial.
+control plane's socket to the shard's segment file.  A body whose
+first byte is ``0x01`` carries one rolling-window state
+(:meth:`RollingWindow.to_state <repro.service.ingest.RollingWindow.
+to_state>` bytes, every codec frame inside self-CRC'd) exactly as a
+snapshot file holds it: sent alone it is the ``restore`` request, and
+a ``state`` reply's JSON frame is followed by one.  The server
+dispatches per frame on that first byte.  Every request gets exactly
+one reply (stop-and-wait), which makes reply ordering, and therefore
+the drain barrier ("a drain reply follows every batch sent before
+it"), trivial.
 
 **Delivery contract.**  Batches are client-sequence-numbered and held
 in a bounded send queue until the server acknowledges them; the server
@@ -95,6 +100,8 @@ _LEN = struct.Struct("!I")
 
 #: First body byte of an ingest wire message (JSON frames start with hex).
 _WIRE_MAGIC_BYTE = bytes([WIRE_MAGIC])
+#: First body byte of a frame carrying one window state.
+_WINDOW_MAGIC_BYTE = b"\x01"
 
 
 class TransportError(RuntimeError):
@@ -296,6 +303,8 @@ class ShardServer:
                     request = {"op": "ingest", "batches": decode_wire_batches(raw)}
                 except ValueError as exc:
                     raise TransportError(f"corrupt binary frame: {exc}") from exc
+            elif raw[:1] == _WINDOW_MAGIC_BYTE:
+                request = {"op": "restore", "window": raw[1:]}
             else:
                 request = decode_text_frame(raw)
             try:
@@ -310,10 +319,17 @@ class ShardServer:
                     self.shard.close()
                     self._stop.set()
                 raise _StopServing() from exc
+            window = reply.pop("window", None)
             send_frame(conn, reply)
+            if window is not None:
+                send_raw_frame(conn, _WINDOW_MAGIC_BYTE + window)
 
     def _handle(self, request: Mapping) -> dict:
-        """Apply one request to the shard; return the reply payload."""
+        """Apply one request to the shard; return the reply payload.
+
+        A ``window`` entry in the reply is window-state bytes: it
+        travels as its own raw frame behind the JSON reply.
+        """
         op = request["op"]
         shard = self.shard
         if op == "hello":
@@ -340,7 +356,8 @@ class ShardServer:
             self.applied = applied
             return {"op": "ack", "seq": applied}
         if op == "state":
-            return {"op": "state", "state": shard.drain_state(float(request["now"]))}
+            state = shard.drain_state(float(request["now"]))
+            return {"op": "state", "window": state.pop("window"), "state": state}
         if op == "stats":
             snapshot = shard.drain_stats(float(request["now"]))
             return {
@@ -570,9 +587,9 @@ class RemoteShardHandle:
         reply = self._sync({"op": "stats", "now": float(now)}, "stats")
         return {name: stats_from_dict(data) for name, data in reply["stats"].items()}
 
-    def restore(self, window_state: Mapping) -> None:
+    def restore(self, window_state: bytes) -> None:
         """Replace the worker's window with a persisted state."""
-        self._sync({"op": "restore", "window": dict(window_state)}, "ok")
+        self._sync(_WINDOW_MAGIC_BYTE + window_state, "ok")
 
     def stall(self, seconds: float) -> None:
         """Inject a worker stall (fire-and-forget, fault injection)."""
@@ -665,8 +682,11 @@ class RemoteShardHandle:
 
     # -- internals ------------------------------------------------------------
 
-    def _sync(self, payload: dict, expected: str, timeout: float | None = None):
-        """Submit one synchronous request and wait (bounded) for its reply."""
+    def _sync(self, payload, expected: str, timeout: float | None = None):
+        """Submit one synchronous request and wait (bounded) for its reply.
+
+        ``payload`` is an op mapping or a pre-encoded raw frame body.
+        """
         if self._dead:
             raise ShardFailedError(self.shard_id, self.reason or "partition")
         if self._ever_connected and self._sock is None:
@@ -677,7 +697,7 @@ class RemoteShardHandle:
             )
         waiter = _SyncWaiter()
         with self._lock:
-            self._queue.append(["sync", dict(payload), waiter])
+            self._queue.append(["sync", payload, waiter])
         self._wake.set()
         bound = timeout
         if bound is None:
@@ -847,7 +867,8 @@ class RemoteShardHandle:
         """One stop-and-wait exchange on the live connection.
 
         ``payload`` is an op mapping (JSON frame) or pre-encoded bytes
-        (ingest message); replies are always JSON.
+        (ingest message, window state); replies are JSON, a ``state``
+        reply followed by the raw frame holding the window.
         """
         if self._latency > 0.0:
             time.sleep(self._latency)
@@ -856,6 +877,11 @@ class RemoteShardHandle:
         else:
             send_frame(sock, payload)
         reply = recv_frame(sock, self.config.max_frame)
+        if reply.get("op") == "state":
+            raw = recv_raw_frame(sock, self.config.max_frame)
+            if raw[:1] != _WINDOW_MAGIC_BYTE:
+                raise TransportError("state reply without its window frame")
+            reply["state"]["window"] = raw[1:]
         self._last_reply = _monotonic()
         return reply
 

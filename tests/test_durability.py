@@ -1,16 +1,20 @@
 """Tests for the durable serving state: journal, snapshots, resume."""
 
+import dataclasses
 import json
 import math
 import os
 import shutil
 import stat
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.service.codec import HEADER_FRAME
+from repro.service.codec import HEADER_FRAME, peek_window_tenant, split_window_state
 from repro.service.daemon import ServiceConfig, TempoService
 from repro.service.events import (
     Heartbeat,
@@ -22,7 +26,7 @@ from repro.service.events import (
     TenantJoined,
     TenantLeft,
 )
-from repro.service.ingest import WINDOW_STATE_FIELDS, RollingWindow, stats_gap
+from repro.service.ingest import RollingWindow, stats_gap
 from repro.service.journal import (
     EventJournal,
     JournalError,
@@ -38,12 +42,7 @@ from repro.service.snapshot import (
     config_from_dict,
     config_to_dict,
 )
-from repro.workload.trace import (
-    JobRecord,
-    TaskRecord,
-    job_record_to_dict,
-    task_record_to_dict,
-)
+from repro.workload.trace import JobRecord, TaskRecord
 
 
 def _task(job_id, task_id, tenant, finish, duration, **kwargs):
@@ -293,23 +292,32 @@ class TestSnapshotStore:
     @staticmethod
     def _damage(path, how):
         """Break one snapshot file the way a bad disk or old build would."""
-        header, body = path.read_bytes().splitlines(keepends=True)
+        header, rest = path.read_bytes().split(b"\n", 1)
+        control, windows = rest.split(b"\n", 1)
+        header, control = header + b"\n", control + b"\n"
+        assert windows  # the file under test carries window frames
 
-        def flipped(line):
-            return line[:12] + bytes([line[12] ^ 0x01]) + line[13:]
+        def flipped(raw, at=12):
+            return raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1 :]
 
         path.write_bytes(
             {
                 "header_truncated": header[: len(header) // 2],
-                "header_crc": flipped(header) + body,
-                "body_crc": header + flipped(body),
-                "body_truncated": header + body[: len(body) // 2],
+                "header_crc": flipped(header) + control + windows,
+                "body_crc": header + flipped(control) + windows,
+                "body_truncated": header + control[: len(control) // 2],
                 "body_missing": header,
-                # What builds before the header frame wrote: one frame
-                # holding seq and state together.  Not a second read path.
+                "window_crc": header + control + flipped(windows, len(windows) // 2),
+                "window_truncated": header + control + windows[: len(windows) // 2],
+                "window_missing": header + control,
+                # What the previous build wrote: header and one all-JSON
+                # body line.  Not a second read path.
                 "old_shape": frame_bytes(
-                    canonical_json({"seq": 20, "state": {"value": 20}})
-                ),
+                    canonical_json(
+                        {"format": "tempo-snapshot/2", "seq": 20, "shard_seqs": [8, 9]}
+                    )
+                )
+                + frame_bytes(canonical_json({"value": 20})),
             }[how]
         )
 
@@ -321,21 +329,32 @@ class TestSnapshotStore:
             "body_crc",
             "body_truncated",
             "body_missing",
+            "window_crc",
+            "window_truncated",
+            "window_missing",
             "old_shape",
         ],
     )
     def test_damaged_frame_falls_back_to_older_snapshot(self, tmp_path, how):
+        window = RollingWindow(1e6)
+        for event in ALL_EVENT_SHAPES[:4]:
+            window.ingest(event)
+        windows = [window.to_state(), RollingWindow(1e6).to_state()]
+        older = {"value": 10, "windows": windows}
         store = SnapshotStore(tmp_path, keep=3)
-        store.write(10, {"value": 10}, shard_seqs=[4, 5])
-        self._damage(store.write(20, {"value": 20}, shard_seqs=[8, 9]), how)
-        assert store.load_latest() == (10, {"value": 10})
+        store.write(10, older, shard_seqs=[4, 5])
+        newest = store.write(20, {"value": 20, "windows": windows}, shard_seqs=[8, 9])
+        assert store.load_latest() == (20, {"value": 20, "windows": windows})
+        self._damage(newest, how)
+        assert store.load_latest() == (10, older)
         # A store opened on the damaged directory agrees, still counts
         # the file for retention, and claims no coverage it cannot read.
         reopened = SnapshotStore(tmp_path, keep=3)
-        assert reopened.load_latest() == (10, {"value": 10})
+        assert reopened.load_latest() == (10, older)
         coverage = dict(reopened.retained())
         assert coverage[10] == [4, 5]
-        assert coverage[20] == ([8, 9] if how.startswith("body") else None)
+        header_intact = how.startswith(("body", "window"))
+        assert coverage[20] == ([8, 9] if header_intact else None)
 
     def test_retained_coverage_follows_writes_and_deletes(self, tmp_path):
         store = SnapshotStore(tmp_path, keep=2)
@@ -420,6 +439,18 @@ class TestConfigCodec:
             )
 
 
+def _assert_stats_close(a, b, tol=1e-9):
+    """Two ``RollingWindow.snapshot()`` dicts agree field by field."""
+    assert set(a) == set(b)
+    for name in a:
+        for field in dataclasses.fields(a[name]):
+            if field.name != "tenant":
+                assert (
+                    abs(getattr(a[name], field.name) - getattr(b[name], field.name))
+                    < tol
+                ), (name, field.name)
+
+
 class TestWindowState:
     def test_state_roundtrip_matches_batch_recompute(self):
         window = RollingWindow(600.0)
@@ -430,69 +461,177 @@ class TestWindowState:
         assert restored.now == window.now
         assert restored.events_ingested == window.events_ingested
         assert stats_gap(restored) < 1e-9
-        a, b = window.snapshot(), restored.snapshot()
-        assert set(a) == set(b)
-        for name in a:
-            for field in (
-                "jobs",
-                "tasks",
-                "submitted",
-                "arrival_rate",
-                "mean_response",
-                "log_duration_mean",
-                "log_duration_std",
-                "preempted_fraction",
-                "failed_fraction",
-            ):
-                assert abs(getattr(a[name], field) - getattr(b[name], field)) < 1e-9
+        _assert_stats_close(window.snapshot(), restored.snapshot())
 
-    def test_state_is_json_serializable(self):
-        window = RollingWindow(300.0)
-        for event in _events(seed=12, count=40):
-            if isinstance(event, (JobSubmitted, TaskCompleted, JobCompleted)):
-                window.ingest(event)
-        text = json.dumps(window.to_state())
-        restored = RollingWindow.from_state(json.loads(text))
-        assert stats_gap(restored) < 1e-9
+    @staticmethod
+    def _retained(window):
+        """Every retained ``(time, record)`` per tenant, in retention order."""
+        return {
+            name: (
+                [(time, record) for time, record, _ in acc.tasks],
+                list(acc.jobs),
+                list(acc.submits),
+            )
+            for name, acc in window._tenants.items()
+        }
 
-    def test_rows_are_positional_in_the_named_field_order(self):
-        """The order is named once per state and is each record's own
-        constructor order, so a row past its time rebuilds the record."""
-        from dataclasses import fields
+    @staticmethod
+    def _frame_types(state):
+        """Record type byte of each tenant frame, by tenant."""
+        frames = split_window_state(state)[3]
+        return {peek_window_tenant(f)[0]: peek_window_tenant(f)[2] for f in frames}
 
-        assert WINDOW_STATE_FIELDS["tasks"][1:] == [f.name for f in fields(TaskRecord)]
-        assert WINDOW_STATE_FIELDS["jobs"][1:] == [f.name for f in fields(JobRecord)]
+    def test_every_retained_entry_roundtrips_exactly(self):
         window = RollingWindow(1e6)
-        for event in ALL_EVENT_SHAPES:
+        for event in ALL_EVENT_SHAPES[:4]:
+            window.ingest(event)
+        for i, deadline in enumerate((None, math.inf, -math.inf, 0.0, -0.0)):
+            window.ingest(
+                JobCompleted(
+                    3.0 + i,
+                    record=JobRecord("b%d" % i, "B", 1.0, math.inf, deadline, i),
+                )
+            )
+        window.ingest(TaskCompleted(9.0, record=_task("b0", "", "B", math.inf, 1.0)))
+        window.ingest(JobSubmitted(4.0, tenant="only-submits", job_id="s0"))
+        state = window.to_state()
+        assert isinstance(state, bytes)
+        assert set(self._frame_types(state).values()) == {0x11}  # typed columns
+        restored = RollingWindow.from_state(state)
+        assert self._retained(restored) == self._retained(window)
+        assert restored._tenants["A"].jobs[0][1] == ALL_EVENT_SHAPES[3].record
+        assert restored._tenants["B"].jobs[0][1].deadline is None
+        assert math.copysign(1.0, restored._tenants["B"].jobs[4][1].deadline) == -1.0
+        assert (restored.window, restored.now, restored.events_ingested) == (
+            window.window,
+            window.now,
+            window.events_ingested,
+        )
+        assert restored.to_state() == state
+
+    def test_nan_deadline_roundtrips(self):
+        window = RollingWindow(1e6)
+        window.ingest(
+            JobCompleted(2.0, record=JobRecord("n0", "N", 1.0, 2.0, deadline=math.nan))
+        )
+        state = window.to_state()
+        assert self._frame_types(state) == {"N": 0x11}
+        restored = RollingWindow.from_state(state)
+        assert repr(self._retained(restored)) == repr(self._retained(window))
+
+    _TEXT = st.one_of(
+        st.sampled_from(["", "\x00", "\x1f", "a\nb", "\U0001f600", "x\x1fy\x00z"]),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    )
+    _WHOLE = st.integers(0, 10**6).map(float)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_TEXT, _TEXT, _TEXT, _TEXT, _TEXT, _WHOLE, _WHOLE, _WHOLE,
+                      st.lists(_TEXT, max_size=3), st.booleans()),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_fuzzed_strings_and_whole_floats_roundtrip(self, rows):
+        window = RollingWindow(1e9)
+        for tenant, job, task, pool, stage, submit, wait, run, tags, flag in rows:
+            start = submit + wait
+            record = TaskRecord(
+                job, task, tenant, pool, stage, submit, start, start + run,
+                preempted=flag, failed=not flag and run == 0.0,
+            )
+            window.ingest(JobSubmitted(submit, tenant=tenant, job_id=job))
+            window.ingest(TaskCompleted(start + run, record=record))
+            window.ingest(
+                JobCompleted(
+                    start + run,
+                    record=JobRecord(
+                        job, tenant, submit, start + run, run if flag else None,
+                        len(tags), tuple(tags), ((stage, tuple(tags)),),
+                    ),
+                )
+            )
+        state = window.to_state()
+        assert set(self._frame_types(state).values()) == {0x11}
+        restored = RollingWindow.from_state(state)
+        assert self._retained(restored) == self._retained(window)
+        assert stats_gap(restored) < 1e-9
+        _assert_stats_close(restored.snapshot(), window.snapshot())
+
+    def test_values_the_columns_cannot_hold_pass_through_as_rows(self):
+        """A lone surrogate or a non-float deadline makes that tenant's
+        frame (only) the canonical-JSON row passthrough — still exact."""
+        window = RollingWindow(1e6)
+        for event in ALL_EVENT_SHAPES[:4]:
+            window.ingest(event)
+        window.ingest(
+            TaskCompleted(3.0, record=_task("s0", "s0/\ud800", "S", 3.0, 1.0, failed=True))
+        )
+        window.ingest(
+            JobCompleted(3.0, record=JobRecord("i0", "I", 1, 3, deadline=7, num_tasks=1))
+        )
+        window.ingest(JobSubmitted(3.5, tenant="\udfff", job_id="u0"))
+        state = window.to_state()
+        assert self._frame_types(state) == {
+            "A": 0x11, "S": 0x12, "I": 0x12, "\udfff": 0x11,
+        }
+        restored = RollingWindow.from_state(state)
+        assert self._retained(restored) == self._retained(window)
+        assert type(restored._tenants["I"].jobs[0][1].deadline) is int
+        assert stats_gap(restored) < 1e-9
+        assert restored.to_state() == state
+
+    @pytest.mark.parametrize("parts", [1, 3, 4])
+    def test_split_then_merge_keeps_the_statistics(self, parts):
+        from repro.service.sharding import stable_shard
+
+        window = RollingWindow(600.0)
+        tenants = ("a", "bb", "ccc", "dddd", "eeeee")
+        for event in _events(seed=13, tenants=tenants):
             if isinstance(event, (JobSubmitted, TaskCompleted, JobCompleted)):
                 window.ingest(event)
-        state = json.loads(json.dumps(window.to_state()))
-        assert state["fields"] == WINDOW_STATE_FIELDS
-        (task_row,) = state["tenants"]["A"]["tasks"]
-        (job_row,) = state["tenants"]["A"]["jobs"]
-        task, job = ALL_EVENT_SHAPES[2], ALL_EVENT_SHAPES[3]
-        named = dict(zip(state["fields"]["tasks"], task_row))
-        assert named.pop("time") == task.time
-        assert named == task_record_to_dict(task.record)
-        named = dict(zip(state["fields"]["jobs"], job_row))
-        assert named.pop("time") == job.time
-        assert named == job_record_to_dict(job.record)
-        restored = RollingWindow.from_state(state)
-        assert restored._tenants["A"].tasks[0][1] == task.record
-        assert restored._tenants["A"].jobs[0][1] == job.record  # tuples again
+        state = window.to_state()
+        split = RollingWindow.split_state(
+            state, parts, lambda name: stable_shard(name, parts)
+        )
+        assert len(split) == parts and all(isinstance(s, bytes) for s in split)
+        merged = RollingWindow.merge_states(split)
+        _assert_stats_close(merged.snapshot(), window.snapshot())
+        assert stats_gap(merged) < 1e-9
+        assert merged.now == window.now
+        retained = sum(
+            len(tasks) + len(jobs) + len(submits)
+            for tasks, jobs, submits in self._retained(window).values()
+        )
+        assert merged.events_ingested == retained
+        for part in split:  # whole tenants moved, nobody duplicated
+            assert RollingWindow.from_state(part).window == window.window
+        owners = [set(RollingWindow.from_state(part).tenants()) for part in split]
+        assert sorted(t for o in owners for t in o) == sorted(window.tenants())
 
-    def test_other_row_layouts_are_refused_by_name(self):
-        """Dict-per-entry states (earlier builds) are not a second read
-        path: the error names the layout found and the one expected."""
+    def test_other_layouts_are_refused_not_guessed_at(self):
+        """Row dicts (earlier builds), another layout version, a torn or
+        flipped frame: each raises, never yields a partial window."""
         window = RollingWindow(300.0)
         window.ingest(ALL_EVENT_SHAPES[2])
         state = window.to_state()
-        old_shape = {key: value for key, value in state.items() if key != "fields"}
-        with pytest.raises(JournalError, match=r"laid out as None.*'tasks': \['time'"):
-            RollingWindow.from_state(old_shape)
-        reordered = {**state, "fields": {**state["fields"], "tasks": ["time", "x"]}}
-        with pytest.raises(JournalError, match=r"laid out as .*'x'"):
-            RollingWindow.merge_states([state, reordered])
+        with pytest.raises(TypeError, match="bytes-like"):
+            RollingWindow.from_state({"window": 300.0, "tenants": {}})
+        with pytest.raises(ValueError, match="torn"):
+            RollingWindow.from_state(state[: -len(state) // 3])
+        header_frame = RollingWindow(300.0).to_state()
+        with pytest.raises(ValueError, match="0 of 1 tenant frames"):
+            RollingWindow.from_state(state[: len(header_frame)])
+        flipped = state[:-5] + bytes([state[-5] ^ 1]) + state[-4:]
+        with pytest.raises(ValueError, match="damaged window state"):
+            RollingWindow.merge_states([state, flipped])
+        other = bytearray(header_frame)
+        other[9] = 2  # the header's layout-version byte
+        other[:4] = zlib.crc32(bytes(other[8:])).to_bytes(4, "little")
+        with pytest.raises(ValueError, match="layout 2.*reads only 1"):
+            RollingWindow.from_state(bytes(other))
 
 
 def _assert_equivalent(live: TempoService, resumed: TempoService) -> None:

@@ -209,17 +209,14 @@ class TestMergedStatistics:
             now = reference.now
             for window in windows:
                 window.advance(now)
+            # The bytes a snapshot, an mp queue and a TCP drain all carry.
             states = [w.to_state() for w in windows]
-            wire = [json.loads(json.dumps(state)) for state in states]
-            for merged in (
-                RollingWindow.merge_states(states),
-                RollingWindow.merge_states(wire),  # what a snapshot/TCP drain holds
-            ):
-                assert merged.now == reference.now
-                assert merged.events_ingested == reference.events_ingested
-                _stats_close(merged.snapshot(), reference.batch_recompute())
-                assert stats_gap(merged) < 1e-9
-            for state, window in zip(wire, windows):
+            merged = RollingWindow.merge_states(states)
+            assert merged.now == reference.now
+            assert merged.events_ingested == reference.events_ingested
+            _stats_close(merged.snapshot(), reference.batch_recompute())
+            assert stats_gap(merged) < 1e-9
+            for state, window in zip(states, windows):
                 restored = RollingWindow.from_state(state)
                 _stats_close(restored.snapshot(), window.batch_recompute())
                 assert restored.to_state() == state
@@ -244,12 +241,11 @@ class TestMergedStatistics:
             halves[i % 2].ingest(event)
         for half in halves:
             half.advance(reference.now)
-        states = [json.loads(json.dumps(h.to_state())) for h in halves]
-        merged = RollingWindow.merge_states(states)
+        merged = RollingWindow.merge_states([h.to_state() for h in halves])
         _stats_close(merged.snapshot(), reference.batch_recompute())
         assert stats_gap(merged) < 1e-9
-        # Time-ordered interleave: the merged rows are the reference's.
-        assert merged.to_state()["tenants"] == reference.to_state()["tenants"]
+        # Time-ordered interleave: the merged entries are the reference's.
+        assert merged.to_state() == reference.to_state()
 
     def test_tenant_stats_merged_inverts_sums(self):
         window = RollingWindow(600.0)
@@ -629,6 +625,62 @@ class TestCheckpointCost:
         assert resumed.events_processed == service.events_processed
         assert resumed.stats_gap_now() < 1e-9
         resumed.close()
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_no_json_on_the_window_path(self, tmp_path, monkeypatch, shards):
+        """What a checkpoint renders as JSON does not grow with the
+        window: 4x the retained entries, the same control frame — and
+        the window bytes on disk are the very objects ``to_state``
+        returned, handed through ``state_dict`` and written as they are."""
+        jobs = 4000
+        events = []
+        for i in range(jobs):  # 3 entries a job, all inside one cadence interval
+            at, tenant = 200.0 * i / jobs, TENANTS[i % len(TENANTS)]
+            events += [
+                JobSubmitted(at, tenant=tenant, job_id=f"j{i}"),
+                TaskCompleted(
+                    at + 1.0, record=_task(f"j{i}", f"j{i}/t0", tenant, at + 1.0, 0.5)
+                ),
+                JobCompleted(at + 1.0, record=JobRecord(f"j{i}", tenant, at, at + 1.0)),
+            ]
+        state, service = self._serve(
+            tmp_path, shards, snapshot_every=10**9, auto_compact=False
+        )
+        produced, handed = [], []
+        real_to_state, real_write = RollingWindow.to_state, state.snapshots.write
+
+        def to_state(window):
+            produced.append(real_to_state(window))
+            return produced[-1]
+
+        def write(seq, snapshot, **kwargs):
+            handed.append(snapshot["windows"])
+            return real_write(seq, snapshot, **kwargs)
+
+        monkeypatch.setattr(RollingWindow, "to_state", to_state)
+        monkeypatch.setattr(state.snapshots, "write", write)
+        sizes, fed = [], 0
+        for stop in (len(events) // 4, len(events)):  # 1x, then 4x the entries
+            service.ingest_batch(events[fed:stop])
+            fed = stop
+            path = state.write_snapshot(service.state_dict())
+            _header, control, windows = path.read_bytes().split(b"\n", 2)
+            assert len(handed[-1]) == shards
+            assert windows == b"".join(handed[-1])
+            for blob in handed[-1]:  # identity: no copy, no re-encode
+                assert any(blob is made for made in produced)
+            retained = sum(
+                RollingWindow.from_state(blob).events_ingested for blob in handed[-1]
+            )
+            assert retained == stop
+            sizes.append((len(control), len(windows)))
+        assert not service.decisions  # no tick fired: the control state is still
+        (control_1x, windows_1x), (control_4x, windows_4x) = sizes
+        assert control_1x < 8192
+        assert abs(control_4x - control_1x) <= 16  # counters gained digits, only
+        assert windows_4x > 3 * windows_1x > 3 * 3000 * 16
+        service.close()
+        state.close()
 
     def test_rewind_invalidates_cached_shard_boundaries(self, tmp_path):
         """A heartbeat that reached one shard only (crash mid-broadcast)
