@@ -681,10 +681,12 @@ def cmd_resume(args: argparse.Namespace, out) -> int:
     if meta.get("log_json"):
         service.on_decision(_json_decision_logger(out))
     restored_verdicts = _verdict_line(service.decisions)
+    _, replayed, replay_seconds = service.last_resume
     print(
         f"resumed from {args.state_dir}: events={service.events_processed} "
         f"retunes={service.retunes} configs={len(service.config_history)} "
-        f"shards={service.num_shards} t={start:.0f}s"
+        f"shards={service.num_shards} t={start:.0f}s "
+        f"replayed={replayed} in {replay_seconds:.3f} s"
         + (f" {restored_verdicts}" if restored_verdicts else "")
         + (f" (dropped {dropped} partial-interval records)" if dropped else ""),
         file=out,
@@ -1003,6 +1005,13 @@ def cmd_status(args: argparse.Namespace, out) -> int:
         )
     print(f"metrics source: {status['source']}", file=out)
     dump = registry.to_dict()
+    replayed = dump["gauges"].get("tempo_resume_replayed_records")
+    if replayed is not None:
+        seconds = dump["gauges"]["tempo_resume_seconds"]["value"]
+        print(
+            f"last resume: replayed={replayed['value']:.0f} in {seconds:.3f} s",
+            file=out,
+        )
     if dump["counters"]:
         print("\ncounters:", file=out)
         for key in sorted(dump["counters"]):

@@ -15,9 +15,12 @@ and an interned string table per segment for the repeated strings
 repeats its job id, so the id is defined once and referenced as a fixed
 u32 afterwards).  Everything the typed formats cannot express
 faithfully falls back to a JSON *passthrough* frame carrying the
-canonical JSON body, so every record decodes to exactly the dict
-``encode_event`` produced for it — the round-trip contract the test
-suite asserts directly and by hypothesis fuzz.
+canonical JSON body.  A typed frame decodes straight to the event that
+was appended (its constructors run again on the way in); a passthrough
+frame decodes to the dict that was appended, and the journal builds the
+event from it only when one is asked for.  Either way the round trip
+is exact — the contract the test suite asserts directly and by
+hypothesis fuzz.
 
 Frame layout (all integers little-endian)::
 
@@ -73,6 +76,7 @@ from repro.service.events import (
     Heartbeat,
     JobCompleted,
     JobSubmitted,
+    ServiceEvent,
     TaskCompleted,
 )
 from repro.workload.trace import JobRecord, TaskRecord
@@ -113,6 +117,8 @@ _HB = Struct("<BQd")
 _DEADLINE = Struct("<d")
 _U16 = Struct("<H")
 _U32 = Struct("<I")
+#: One ``stage_deps`` entry's head: stage id, number of dep ids that follow.
+_STAGE = Struct("<IH")
 
 _RT_PASSTHROUGH = 0x00
 _RT_DEFINE = 0x01
@@ -200,14 +206,18 @@ def split_frames(
 
 def decode_payload(
     payload: memoryview, table: list[str]
-) -> tuple[int, str, dict] | None:
-    """Decode one frame payload into ``(seq, kind, data)``.
+) -> tuple[int, str, ServiceEvent | dict] | None:
+    """Decode one frame payload into ``(seq, kind, body)``.
 
-    ``table`` is the segment's string table, mutated in place when the
-    payload is a define frame.  Returns ``None`` for frames that carry
-    no record (defines and the segment header).  Raises ``ValueError``
-    on unknown record types or references past the table — corruption
-    that slipped past the CRC must never decode silently.
+    A typed frame's body is its :class:`ServiceEvent`, built
+    positionally from the unpacked tuple and the string table (the
+    constructors' validation runs); a passthrough frame's body is its
+    JSON dict.  ``table`` is the segment's string table, mutated in
+    place when the payload is a define frame.  Returns ``None`` for
+    frames that carry no record (defines and the segment header).
+    Raises ``ValueError`` on unknown record types or references past the
+    table — corruption that slipped past the CRC must never decode
+    silently.
     """
     rtype = payload[0]
     if rtype == _RT_TASK:
@@ -228,29 +238,21 @@ def decode_payload(
             lk,
         ) = _TASK.unpack_from(payload)
         o = _TASK.size
-        task_id = str(payload[o : o + lk], "utf-8")
-        return (
-            seq,
-            "event",
-            {
-                "type": "TaskCompleted",
-                "time": time,
-                "record": {
-                    "job_id": table[jid],
-                    "task_id": task_id,
-                    "tenant": table[tid],
-                    "pool": table[pid],
-                    "stage": table[sid],
-                    "submit_time": submit,
-                    "start_time": start,
-                    "finish_time": finish,
-                    "containers": containers,
-                    "preempted": bool(flags & 2),
-                    "failed": bool(flags & 1),
-                    "attempt": attempt,
-                },
-            },
+        record = TaskRecord(
+            table[jid],
+            str(payload[o : o + lk], "utf-8"),
+            table[tid],
+            table[pid],
+            table[sid],
+            submit,
+            start,
+            finish,
+            containers,
+            flags & 2 != 0,
+            flags & 1 != 0,
+            attempt,
         )
+        return seq, "event", TaskCompleted(time, record)
     if rtype == _RT_JOBC:
         _, seq, time, submit, finish, num_tasks, flags, tid, jid = _JOBC.unpack_from(
             payload
@@ -260,67 +262,41 @@ def decode_payload(
         if flags & 1:
             (deadline,) = _DEADLINE.unpack_from(payload, o)
             o += _DEADLINE.size
+        # The suffix is u16 counts between runs of u32 table ids.
         (ntags,) = _U16.unpack_from(payload, o)
-        o += 2
-        tags = []
-        for _i in range(ntags):
-            (idx,) = _U32.unpack_from(payload, o)
-            tags.append(table[idx])
-            o += 4
+        tags = unpack_from(f"<{ntags}I", payload, o + 2)
+        o += 2 + 4 * ntags
         (ndeps,) = _U16.unpack_from(payload, o)
         o += 2
         stage_deps = []
         for _i in range(ndeps):
-            (sidx,) = _U32.unpack_from(payload, o)
-            o += 4
-            (nd,) = _U16.unpack_from(payload, o)
-            o += 2
-            deps = []
-            for _j in range(nd):
-                (didx,) = _U32.unpack_from(payload, o)
-                deps.append(table[didx])
-                o += 4
-            stage_deps.append([table[sidx], deps])
-        return (
-            seq,
-            "event",
-            {
-                "type": "JobCompleted",
-                "time": time,
-                "record": {
-                    "job_id": table[jid],
-                    "tenant": table[tid],
-                    "submit_time": submit,
-                    "finish_time": finish,
-                    "deadline": deadline,
-                    "num_tasks": num_tasks,
-                    "tags": tags,
-                    "stage_deps": stage_deps,
-                },
-            },
+            sidx, nd = _STAGE.unpack_from(payload, o)
+            deps = unpack_from(f"<{nd}I", payload, o + 6)
+            o += 6 + 4 * nd
+            stage_deps.append((table[sidx], tuple([table[d] for d in deps])))
+        record = JobRecord(
+            table[jid],
+            table[tid],
+            submit,
+            finish,
+            deadline,
+            num_tasks,
+            tuple([table[t] for t in tags]),
+            tuple(stage_deps),
         )
+        return seq, "event", JobCompleted(time, record)
     if rtype == _RT_JOBS:
         _, seq, time, flags, tid, jid = _JOBS.unpack_from(payload)
         deadline = None
         if flags & 1:
             (deadline,) = _DEADLINE.unpack_from(payload, _JOBS.size)
-        return (
-            seq,
-            "event",
-            {
-                "type": "JobSubmitted",
-                "time": time,
-                "tenant": table[tid],
-                "job_id": table[jid],
-                "deadline": deadline,
-            },
-        )
+        return seq, "event", JobSubmitted(time, table[tid], table[jid], deadline)
     if rtype == _RT_HB:
         _, seq, time = _HB.unpack_from(payload)
-        return (seq, "event", {"type": "Heartbeat", "time": time})
+        return seq, "event", Heartbeat(time)
     if rtype == _RT_PASSTHROUGH:
         row = json.loads(str(payload[1:], "utf-8"))
-        return (int(row["seq"]), str(row["kind"]), row["data"])
+        return int(row["seq"]), str(row["kind"]), row["data"]
     if rtype == _RT_DEFINE:
         table.append(str(payload[1:], "utf-8"))
         return None
@@ -363,23 +339,27 @@ class BinaryEncoder:
         self.ids.clear()
         self.suffixes.clear()
 
-    def load_table(self, payloads: list[memoryview]) -> int:
+    def load_table(self, payloads: list[memoryview]) -> tuple[int, int]:
         """Rebuild the table from an existing segment's frame payloads.
 
-        Returns the number of record frames seen, so a journal
-        re-opening a binary tail segment can restore both its encoder
-        state and its record count in one scan.
+        Returns ``(record frames seen, seq of the last one)`` — ``(0, 0)``
+        when the segment holds none — so a journal re-opening a segment
+        learns its encoder state, its record count and its position from
+        one scan that decodes a single record.
         """
         self.reset()
         ids = self.ids
-        records = 0
+        table: list[str] = []
+        records, last = 0, None
         for payload in payloads:
             rtype = payload[0]
             if rtype == _RT_DEFINE:
-                ids[str(payload[1:], "utf-8")] = len(ids)
+                decode_payload(payload, table)
+                ids[table[-1]] = len(ids)
             elif rtype != _RT_HEADER:
                 records += 1
-        return records
+                last = payload
+        return records, 0 if last is None else decode_payload(last, table)[0]
 
     def passthrough(self, seq: int, kind: str, data: dict) -> bytes:
         """Encode any record as a CRC-framed canonical-JSON payload."""
@@ -874,10 +854,14 @@ def encode_wire_batches(batches, encode_event) -> bytes:
     return b"".join(parts)
 
 
-def decode_wire_batches(data: bytes | memoryview) -> list[tuple[int, list[dict]]]:
-    """Decode a binary wire message back to ``[(seq, [event dicts])]``.
+def decode_wire_batches(
+    data: bytes | memoryview, decode_event
+) -> list[tuple[int, list[ServiceEvent]]]:
+    """Decode a binary wire message back to ``[(seq, [events])]``.
 
-    Raises ``ValueError`` on framing or CRC damage.
+    ``decode_event`` is the journal's generic dict decoder, used for
+    passthrough frames only.  Raises ``ValueError`` on framing or CRC
+    damage.
     """
     mv = memoryview(data)
     magic, nbatches = _WIRE_HEAD.unpack_from(mv, 0)
@@ -885,11 +869,11 @@ def decode_wire_batches(data: bytes | memoryview) -> list[tuple[int, list[dict]]
         raise ValueError("not a binary wire message")
     offset = _WIRE_HEAD.size
     table: list[str] = []
-    batches: list[tuple[int, list[dict]]] = []
+    batches: list[tuple[int, list[ServiceEvent]]] = []
     for _ in range(nbatches):
         seq, count = _WIRE_BATCH.unpack_from(mv, offset)
         offset += _WIRE_BATCH.size
-        events: list[dict] = []
+        events: list[ServiceEvent] = []
         while len(events) < count:
             if len(mv) - offset < _HEAD.size:
                 raise ValueError("truncated binary wire message")
@@ -903,6 +887,9 @@ def decode_wire_batches(data: bytes | memoryview) -> list[tuple[int, list[dict]]
             offset = end
             decoded = decode_payload(payload, table)
             if decoded is not None:
-                events.append(decoded[2])
+                body = decoded[2]
+                events.append(
+                    body if isinstance(body, ServiceEvent) else decode_event(body)
+                )
         batches.append((seq, events))
     return batches

@@ -4,10 +4,9 @@
 TempoController` into an always-on component in the spirit of autonomic
 database daemons (H2O) and stability-aware online tuners (SAM):
 
-* telemetry events flow in (directly via :meth:`TempoService.process`,
-  in journal-group-committed chunks via
-  :meth:`TempoService.ingest_batch` — the replay driver's and the bus
-  drain thread's fast path — or asynchronously through a bounded
+* telemetry events flow in (in journal-group-committed chunks via
+  :meth:`TempoService.ingest_batch` — :meth:`TempoService.process` is a
+  batch of one — or asynchronously through a bounded
   :class:`~repro.service.events.EventBus` drained in batches by a
   background thread);
 * a :class:`~repro.service.ingest.RollingWindow` keeps per-tenant
@@ -100,13 +99,9 @@ from repro.service.ingest import (
     stats_gap,
     window_drift,
 )
-from repro.service.journal import (
-    JournalError,
-    JournalRecord,
-    decode_event,
-    encode_event,
-)
+from repro.service.journal import JournalError, JournalRecord, encode_event
 from repro.service.sharding import (
+    _TELEMETRY_EVENTS,
     IngestShard,
     ShardFailedError,
     ShardPartitionedError,
@@ -523,6 +518,9 @@ class TempoService:
         self._events = 0
         self._bus_consumed = 0  # bus-delivered events fully processed
         self._replaying = False
+        #: ``(snapshot seq or 0, records replayed, wall seconds)`` of the
+        #: :meth:`resume` that built this service; ``None`` for a fresh one.
+        self.last_resume: tuple[int, int, float] | None = None
         self._lock = threading.RLock()
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
@@ -918,7 +916,7 @@ class TempoService:
                 if window_state is not None:
                     replayer.restore(window_state)
                 tail = [
-                    decode_event(record.data)
+                    record.event
                     for record in journal.iter_records(after=base_seq)
                     if record.kind == "event"
                 ]
@@ -1035,51 +1033,13 @@ class TempoService:
     # -- telemetry ingestion ------------------------------------------------
 
     def process(self, event: ServiceEvent) -> RetuneDecision | None:
-        """Ingest one event, advance the clock, retune if the cadence hit.
+        """Ingest one event: :meth:`ingest_batch` of a batch of one.
 
-        With durable state attached, the event is journaled *before* it
-        mutates anything (write-ahead), so a crash between the append
-        and the in-memory update is recovered by replaying the record.
         Returns the :class:`RetuneDecision` when this event triggered a
         cadence tick, else ``None``.
         """
-        with self._lock:
-            if self.failover is not None:
-                self.check_shards()
-            if self.router.shards == 1:
-                window = self.shards[0].window
-                if self.state is not None and not self._replaying:
-                    self.state.record_event(encode_event(event))
-                if isinstance(event, _CONTROL_EVENTS):
-                    self._apply_control(event)
-                    # Control events do not pass through ingest, so the
-                    # clock/eviction advance happens here.
-                    window.advance(event.time)
-                else:
-                    window.ingest(event)  # advances the window itself
-                self._m_ingest_events.inc()
-            else:
-                self._ingest_one_sharded(event)
-            self._events += 1
-            if event.time > self._now:
-                self._now = event.time
-            decision: RetuneDecision | None = None
-            if self._last_attempt is None:
-                # Anchor the cadence at the first event's timestamp.
-                self._last_attempt = event.time
-            elif (
-                not self._replaying
-                and event.time - self._last_attempt >= self.config.retune_interval
-            ):
-                # During journal replay the cadence stays quiet: retune
-                # outcomes are restored from the journal's decision and
-                # config records, never recomputed.
-                decision = self.retune(event.time)
-            if self.state is not None and not self._replaying:
-                force = decision is not None and decision.retuned
-                if self.state.snapshot_due(force=force):
-                    self.state.write_snapshot(self.state_dict())
-            return decision
+        decisions = self.ingest_batch([event])
+        return decisions[0] if decisions else None
 
     def _apply_control(self, event: ServiceEvent) -> None:
         """Apply one control event's state change (no clock advance)."""
@@ -1169,39 +1129,6 @@ class TempoService:
                 self._last_snapshot.pop(event.tenant, None)
             self._force = True
 
-    def _ingest_one_sharded(self, event: ServiceEvent) -> None:
-        """Route one live event through the sharded data plane.
-
-        Tenant-scoped events (telemetry and churn) are journaled and
-        folded by their owning shard; cluster-level control events are
-        journaled in the control journal and applied here; heartbeats
-        are broadcast to every shard journal so all journals share
-        chunk boundaries.
-        """
-        journaling = self.state is not None and not self._replaying
-        shard = self.router.route(event)
-        if shard is None:
-            if journaling:
-                self.state.record_event(encode_event(event))
-            if isinstance(event, Heartbeat):
-                for target_id in range(len(self.shards)):
-                    self._supervised(
-                        target_id, lambda target: target.ingest([event])
-                    )
-                if journaling:
-                    self.state.note_shard_records(len(self.shards))
-            else:
-                self._apply_control(event)  # NodeLost / NodeRecovered
-                self._m_ingest_events.inc()
-        else:
-            if isinstance(event, (TenantJoined, TenantLeft)):
-                self._apply_membership(event)
-            else:
-                self._telemetry += 1
-            self._supervised(shard, lambda target: target.ingest([event]))
-            if journaling:
-                self.state.note_shard_records(1)
-
     def _cadence_chunks(
         self, events: list[ServiceEvent]
     ) -> list[tuple[list[ServiceEvent], float | None]]:
@@ -1232,18 +1159,13 @@ class TempoService:
     def ingest_batch(self, events) -> list[RetuneDecision]:
         """Ingest a chunk of telemetry with group-committed durability.
 
-        The batch fast path: the chunk is journaled write-ahead with
-        one :meth:`~repro.service.snapshot.ServiceState.record_events`
-        group commit per cadence sub-batch (instead of one append per
-        record), telemetry folds through
-        :meth:`~repro.service.ingest.RollingWindow.ingest_many` with a
-        single eviction pass per sub-batch, and the snapshot cadence is
-        checked once at the end.  Control events flush pending telemetry
-        first, so their state changes (tenant drop, capacity loss and
-        recovery) land at exactly the stream position the per-event path
-        would apply them.  Returns the retune decisions of the cadence
-        ticks the batch crossed, in order; the outcomes are identical to
-        feeding the same events through :meth:`process` one at a time.
+        The one live ingest path: each cadence sub-batch goes through
+        :meth:`_apply_events` (journaled write-ahead with one group
+        commit, folded with one eviction pass), a tick's retune runs
+        right after the sub-batch that triggered it, and the snapshot
+        cadence is checked once at the end.  Returns the retune
+        decisions of the cadence ticks the batch crossed, in order; the
+        outcomes do not depend on how a stream is cut into batches.
         """
         events = list(events)
         decisions: list[RetuneDecision] = []
@@ -1253,68 +1175,67 @@ class TempoService:
             if self.failover is not None:
                 self.check_shards()
             retuned = False
-            if self.router.shards == 1:
-                window = self.shards[0].window
-                pending: list[ServiceEvent] = []
-                for chunk, tick in self._cadence_chunks(events):
-                    if self.state is not None and not self._replaying:
-                        self.state.record_events(chunk)
-                    for event in chunk:
-                        if isinstance(event, _CONTROL_EVENTS):
-                            if pending:
-                                window.ingest_many(pending)
-                                pending.clear()
-                            self._apply_control(event)
-                            window.advance(event.time)
-                        else:
-                            pending.append(event)
-                        self._events += 1
-                    if pending:
-                        window.ingest_many(pending)
-                        pending.clear()
-                    self._m_ingest_events.inc(len(chunk))
-                    self._m_ingest_batches.inc()
-                    if tick is not None and not self._replaying:
-                        decision = self.retune(tick)
-                        decisions.append(decision)
-                        retuned = retuned or decision.retuned
-            else:
-                for chunk, tick in self._cadence_chunks(events):
-                    retuned = (
-                        self._ingest_chunk_sharded(chunk, tick, decisions)
-                        or retuned
-                    )
-            if self._last_attempt is None:
-                self._last_attempt = events[0].time
-            if self.state is not None and not self._replaying:
-                if self.state.snapshot_due(force=retuned):
-                    self.state.write_snapshot(self.state_dict())
+            for chunk, tick in self._cadence_chunks(events):
+                self._apply_events(chunk)
+                self._m_ingest_batches.inc()
+                if tick is not None:
+                    decision = self.retune(tick)
+                    decisions.append(decision)
+                    retuned = retuned or decision.retuned
+            if self.state is not None and self.state.snapshot_due(force=retuned):
+                self.state.write_snapshot(self.state_dict())
             return decisions
 
-    def _ingest_chunk_sharded(
-        self,
-        chunk: list[ServiceEvent],
-        tick: float | None,
-        decisions: list[RetuneDecision],
-    ) -> bool:
-        """One cadence sub-batch through the sharded data plane.
+    def _apply_events(self, chunk: list[ServiceEvent]) -> None:
+        """Journal and fold one run of events: live ingest and replay.
+
+        Live, the run is journaled write-ahead first.  Replaying, the
+        journal stays quiet — and so do the cadence, the snapshots and
+        the batch counter, which belong to :meth:`ingest_batch` — so a
+        resumed daemon counts the events it restored and nothing else.
+        Control events flush pending telemetry first, so their state
+        changes (tenant drop, capacity loss and recovery) land at
+        exactly their stream position.
+        """
+        if self._last_attempt is None:
+            # Anchor the cadence at the first event's timestamp.
+            self._last_attempt = chunk[0].time
+        if self.router.shards > 1:
+            self._apply_events_sharded(chunk)
+            return
+        if self.state is not None and not self._replaying:
+            self.state.record_events(chunk)
+        window = self.shards[0].window
+        pending: list[ServiceEvent] = []
+        for event in chunk:
+            if isinstance(event, _CONTROL_EVENTS):
+                if pending:
+                    window.ingest_many(pending)
+                    pending.clear()
+                self._apply_control(event)
+                window.advance(event.time)
+            else:
+                pending.append(event)
+        if pending:
+            window.ingest_many(pending)
+        self._now = window.now
+        self._events += len(chunk)
+        self._m_ingest_events.inc(len(chunk))
+
+    def _apply_events_sharded(self, chunk: list[ServiceEvent]) -> None:
+        """One live run through the sharded data plane.
 
         Cluster-level control events group-commit to the control
-        journal first (so a tick's decision record lands after them, as
-        on the per-event path), then every shard receives its partition
-        — telemetry, tenant churn, and the broadcast heartbeats, each
-        journaled write-ahead by the shard that owns it — and finally
-        the control plane applies the chunk's membership/capacity
-        effects before the tick's retune merges the shard statistics.
-        Returns whether the tick (if any) applied a tune.
+        journal first (so a tick's decision record lands after them),
+        then every shard receives its partition — telemetry, tenant
+        churn, and the broadcast heartbeats, each journaled write-ahead
+        by the shard that owns it — and finally the control plane
+        applies the run's membership/capacity effects.
         """
         parts, control = self.router.partition(chunk)
-        journaling = self.state is not None and not self._replaying
+        journaling = self.state is not None
         if journaling and control:
             self.state.record_events(control)
-        if control:
-            self._m_ingest_events.inc(len(control))
-        self._m_ingest_batches.inc()
         dispatched = 0
         for shard_id, part in enumerate(parts):
             if part:
@@ -1328,21 +1249,21 @@ class TempoService:
                 dispatched += len(part)
         if journaling and dispatched:
             self.state.note_shard_records(dispatched)
-        for event in chunk:
-            self._events += 1
+        self._m_ingest_events.inc(len(control))  # the shards count their own
+        self._account_sharded(chunk)
+
+    def _account_sharded(self, events: list[ServiceEvent]) -> None:
+        """Control-plane bookkeeping of events the shards have folded."""
+        self._events += len(events)
+        for event in events:
             if event.time > self._now:
                 self._now = event.time
             if isinstance(event, (TenantJoined, TenantLeft)):
                 self._apply_membership(event)
-            elif isinstance(event, (NodeLost, NodeRecovered)):
-                self._apply_control(event)
-            elif not isinstance(event, Heartbeat):
+            elif isinstance(event, _TELEMETRY_EVENTS):
                 self._telemetry += 1
-        if tick is not None and not self._replaying:
-            decision = self.retune(tick)
-            decisions.append(decision)
-            return decision.retuned
-        return False
+            elif not isinstance(event, Heartbeat):
+                self._apply_control(event)  # capacity and shard-health events
 
     def retune(self, now: float, force: bool = False) -> RetuneDecision:
         """One guarded retune attempt at simulated time ``now``.
@@ -1940,10 +1861,8 @@ class TempoService:
                     self._shard_metrics_base[i] = dump
 
     def _apply_journal_record(self, record: JournalRecord) -> None:
-        """Re-apply one journal record during resume (cadence quiet)."""
-        if record.kind == "event":
-            self.process(decode_event(record.data))
-        elif record.kind == "decision":
+        """Restore one decision/config/metrics/rollback record on resume."""
+        if record.kind == "decision":
             # A skipped cadence tick (sparse/stable): only the cadence
             # anchor and the decision log move.
             decision = _decision_from_dict(record.data)
@@ -2021,6 +1940,7 @@ class TempoService:
         scenario descriptor in ``meta.json`` is how the CLI rebuilds
         one); its tuning state is overwritten from the persisted state.
         """
+        started = _time.perf_counter()
         if not isinstance(state, ServiceState):
             if shards is None:
                 shards = _detect_shard_layout(state)
@@ -2066,99 +1986,123 @@ class TempoService:
         service._replaying = True
         try:
             if state.shards == 1:
-                for record in state.journal.iter_records(after=after):
-                    service._apply_journal_record(record)
+                replayed = service._replay(after)
             else:
-                service._replay_sharded(after, shard_after)
+                replayed = service._replay_sharded(after, shard_after)
         finally:
             service._replaying = False
+        seconds = _time.perf_counter() - started
+        service.last_resume = (after, replayed, seconds)
+        service.metrics.gauge(
+            "tempo_resume_replayed_records",
+            "Journal records replayed past the snapshot by the last resume.",
+        ).set(replayed)
+        service.metrics.gauge(
+            "tempo_resume_seconds",
+            "Wall seconds the last resume took (snapshot load and replay).",
+        ).set(seconds)
         if shard_workers and state.shards > 1:
             service.promote_to_workers()
         elif tcp_workers and state.shards > 1:
             service.promote_to_remote(transport)
         return service
 
-    def _replay_sharded(self, control_after: int, shard_after: list[int]) -> None:
-        """Replay N+1 journal tails interleaved in event-time order.
+    def _replay(self, after: int) -> int:
+        """Replay the single journal's tail; returns the records replayed.
 
-        Each journal is internally ordered; the global interleaving the
-        live daemon saw is reconstructed by sorting on ``(event time,
-        kind rank, stream, position)`` — telemetry before the decision
-        that fired at the same instant, each stream's own order
-        preserved on ties.  Bounded cross-stream disorder (completion
-        telemetry carrying timestamps past a chunk edge) only perturbs
-        where the stability baseline is re-measured, never the restored
-        decisions, configs, or window statistics — all of which are
-        order-insensitive or restored verbatim.
+        Consecutive event records collect into a run that
+        :meth:`_apply_events` folds as one batch; a run ends at the next
+        decision/config/metrics/rollback record — restored at exactly
+        its journal position — and never outgrows a segment.
+        """
+        journal = self.state.journal
+        bound = journal.segment_records
+        run: list[ServiceEvent] = []
+        replayed = 0
+        for replayed, record in enumerate(journal.iter_records(after), 1):
+            if record.kind == "event":
+                run.append(record.event)
+                if len(run) < bound:
+                    continue
+            if run:
+                self._apply_events(run)
+                run = []
+            if record.kind != "event":
+                self._apply_journal_record(record)
+        if run:
+            self._apply_events(run)
+        return replayed
+
+    def _replay_sharded(self, control_after: int, shard_after: list[int]) -> int:
+        """Replay N+1 journal tails along the control journal's spine.
+
+        Control records apply in their journal order.  Before each
+        decision/config/metrics/rollback record every shard folds, as
+        one run, its tail up to that record's time — telemetry before
+        the decision that fired at the same instant, each stream's own
+        order kept.  Bounded cross-stream disorder (completion telemetry
+        carrying timestamps past a chunk edge) only perturbs where the
+        stability baseline is re-measured, never the restored decisions,
+        configs, or window statistics — all of which are
+        order-insensitive or restored verbatim.  Returns the records
+        replayed across all journals.
         """
         state = self.state
-        entries: list[tuple[float, int, int, int, JournalRecord]] = []
-        last = 0.0
-        for ordinal, record in enumerate(
-            state.journal.iter_records(after=control_after)
-        ):
-            if record.kind == "event":
-                when, rank = float(record.data["time"]), 0
-            elif record.kind == "decision":
-                when, rank = float(record.data["time"]), 1
-            elif record.kind == "config":
-                when, rank = float(record.data["decision"]["time"]), 1
-            elif record.kind == "metrics":
-                when, rank = float(record.data["time"]), 1
-            else:  # rollback carries no timestamp; keep stream position
-                when, rank = last, 1
-            last = max(last, when)
-            entries.append((when, rank, 0, ordinal, record))
-        for i in range(self.router.shards):
-            tail = state.shard_journal(i).iter_records(after=shard_after[i])
-            for ordinal, record in enumerate(tail):
+        bound = state.journal.segment_records
+        replayed = 0
+
+        def shard_events(shard_id: int):
+            nonlocal replayed
+            for record in state.shard_journal(shard_id).iter_records(
+                shard_after[shard_id]
+            ):
                 if record.kind != "event":
                     raise JournalError(
-                        f"unexpected {record.kind!r} record in shard journal {i}"
+                        f"unexpected {record.kind!r} record in shard journal {shard_id}"
                     )
-                entries.append(
-                    (float(record.data["time"]), 0, i + 1, ordinal, record)
-                )
-        entries.sort(key=lambda entry: entry[:4])
-        for _, _, stream, _, record in entries:
-            if stream == 0:
-                self._apply_control_tail_record(record)
-            else:
-                self._apply_shard_tail_record(stream - 1, record)
+                replayed += 1
+                yield record.event
 
-    def _apply_control_tail_record(self, record: JournalRecord) -> None:
-        """Re-apply one control-journal record during a sharded resume."""
-        if record.kind != "event":
-            self._apply_journal_record(record)  # decision/config/rollback
-            return
-        event = decode_event(record.data)
-        self._events += 1
-        if event.time > self._now:
-            self._now = event.time
-        if self._last_attempt is None:
-            self._last_attempt = event.time
-        if not isinstance(event, Heartbeat):
-            self._apply_control(event)  # NodeLost / NodeRecovered
-        # Heartbeats advance the shard clocks through their broadcast
-        # copies in the shard journals; nothing more to do here.
+        tails = [shard_events(i) for i in range(self.router.shards)]
+        heads = [next(tail, None) for tail in tails]
 
-    def _apply_shard_tail_record(self, shard_id: int, record: JournalRecord) -> None:
-        """Re-fold one shard-journal record during a sharded resume."""
-        event = decode_event(record.data)
-        shard = self.shards[shard_id]
-        if isinstance(event, Heartbeat):
-            shard.advance(event.time)  # broadcast copy: clock only
-            return
-        self._events += 1
-        if event.time > self._now:
-            self._now = event.time
-        if self._last_attempt is None:
-            self._last_attempt = event.time
-        if isinstance(event, (TenantJoined, TenantLeft)):
-            self._apply_membership(event)
-        else:
-            self._telemetry += 1
-        shard.fold([event])
+        def fold_until(control: list[ServiceEvent], when: float) -> None:
+            if self._last_attempt is None:
+                # The cadence anchor: the earliest first event of any stream.
+                firsts = [e.time for e in control[:1] + heads if e is not None]
+                self._last_attempt = min(firsts, default=None)
+            self._m_ingest_events.inc(len(control))
+            self._account_sharded(control)
+            for i, shard in enumerate(self.shards):
+                run, event = [], heads[i]
+                while event is not None and event.time <= when:
+                    run.append(event)
+                    event = next(tails[i], None)
+                    if len(run) == bound or event is None or event.time > when:
+                        shard.fold(run)
+                        # Heartbeats here are broadcast copies of control events.
+                        self._account_sharded(
+                            [e for e in run if type(e) is not Heartbeat]
+                        )
+                        run = []
+                heads[i] = event
+
+        run: list[ServiceEvent] = []
+        last = 0.0
+        for record in state.journal.iter_records(control_after):
+            replayed += 1
+            if record.kind == "event":
+                run.append(record.event)
+                last = max(last, run[-1].time)
+                continue
+            # Rollbacks carry no timestamp: they keep their stream position.
+            data = record.data
+            last = max(last, data.get("decision", data).get("time", last))
+            fold_until(run, last)
+            run = []
+            self._apply_journal_record(record)
+        fold_until(run, math.inf)
+        return replayed
 
     def promote_to_workers(self) -> None:
         """Swap in-process shards for worker processes (post-replay).
@@ -2431,10 +2375,7 @@ class TempoService:
                 if staged:
                     for start in range(0, len(staged), _DRAIN_BATCH):
                         batch = staged[start : start + _DRAIN_BATCH]
-                        if len(batch) == 1:
-                            self.process(batch[0])
-                        else:
-                            self.ingest_batch(batch)
+                        self.ingest_batch(batch)
                         self._bus_consumed += len(batch)
                     continue
                 event = self.bus.poll(timeout=0.05)
@@ -2445,10 +2386,7 @@ class TempoService:
                     # of paying the per-record journal tax.
                     batch = [event]
                     batch.extend(self.bus.drain(limit=_DRAIN_BATCH - 1))
-                    if len(batch) == 1:
-                        self.process(event)
-                    else:
-                        self.ingest_batch(batch)
+                    self.ingest_batch(batch)
                     self._bus_consumed += len(batch)
                 elif self._stop.is_set() and not len(self.bus) and not self._staged:
                     return
@@ -2466,7 +2404,7 @@ class TempoService:
 
     @property
     def events_processed(self) -> int:
-        """Events handled by :meth:`process` (telemetry and control)."""
+        """Events ingested or replayed so far (telemetry and control)."""
         return self._events
 
     @property

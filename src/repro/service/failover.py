@@ -63,9 +63,6 @@ FAULT_KINDS = (
     "drop-net",
 )
 
-#: Journal event types counted as telemetry (vs heartbeats/churn).
-_TELEMETRY_TYPES = ("JobSubmitted", "TaskCompleted", "JobCompleted")
-
 #: Kind-appropriate spelling of the magnitude parameter in canonical
 #: specs: the network faults read better with their own unit names
 #: (``partition:1@t=2 dur=3`` — seconds; ``slow-net@t=1 ms=50`` —
@@ -926,12 +923,10 @@ def run_chaos(
         reader = ServiceState(root, shards=shards)
         try:
             for i in range(shards):
-                for record in reader.shard_journal(i).iter_records():
-                    if (
-                        record.kind == "event"
-                        and record.data.get("type") in _TELEMETRY_TYPES
-                    ):
-                        journaled[i] += 1
+                journaled[i] = sum(
+                    record.event_type in _TELEMETRY_EVENTS
+                    for record in reader.shard_journal(i).iter_records()
+                )
         finally:
             reader.close()
     finally:

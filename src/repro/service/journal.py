@@ -14,6 +14,11 @@ can be archived or deleted once a snapshot covers them
 There is one record format, on disk and in TCP ingest frames: the
 struct-packed frames of :mod:`repro.service.codec` (``u32 crc32 | u32
 len | payload``; ``repro dump-journal`` renders them as JSON lines).
+A record read back (:class:`JournalRecord`) carries what its frame
+decoded to — the telemetry event of a typed frame, the dict of a
+passthrough frame — and derives the other view on demand: ``data`` of
+an event is :func:`encode_event` of it, ``event`` of a dict is
+:func:`decode_event` of it.
 On read, a damaged *final* frame of the *final* segment is treated as
 a torn write — the record the process was appending when it died — and
 silently dropped; corruption anywhere else raises
@@ -120,20 +125,52 @@ class JournalError(RuntimeError):
     """Raised when a journal segment is corrupt beyond a torn tail."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class JournalRecord:
     """One decoded journal entry.
 
     Attributes:
         seq: Monotonic sequence number (1-based, dense).
-        kind: ``"event"``, ``"decision"``, ``"config"``, or
-            ``"rollback"``.
-        data: The record payload (shape depends on ``kind``).
+        kind: ``"event"``, ``"decision"``, ``"config"``, ``"metrics"``
+            or ``"rollback"``.
+        body: What the frame decoded to: the :class:`ServiceEvent` of a
+            typed frame, the JSON dict of a passthrough frame.
     """
 
     seq: int
     kind: str
-    data: dict
+    body: ServiceEvent | dict
+
+    @property
+    def data(self) -> dict:
+        """The record payload as a dict (shape depends on ``kind``).
+
+        A typed frame's dict is :func:`encode_event` of its event.
+        """
+        body = self.body
+        return encode_event(body) if isinstance(body, ServiceEvent) else body
+
+    @property
+    def event_type(self) -> type | None:
+        """Event class of an ``"event"`` record, without building it.
+
+        ``None`` for every other kind and for a passthrough dict whose
+        ``type`` this build does not know.
+        """
+        body = self.body
+        if isinstance(body, ServiceEvent):
+            return type(body)
+        return _EVENT_TYPES.get(body.get("type")) if self.kind == "event" else None
+
+    @property
+    def event(self) -> ServiceEvent:
+        """The telemetry event of an ``"event"`` record.
+
+        A passthrough frame's dict is decoded on demand; an unknown
+        event type raises :class:`JournalError` here, not on listing.
+        """
+        body = self.body
+        return body if isinstance(body, ServiceEvent) else decode_event(body)
 
 
 def encode_event(event: ServiceEvent) -> dict:
@@ -337,8 +374,8 @@ def heartbeat_at_or_before(
     for i, path in enumerate(reversed(segments)):
         found = None
         for record in read_segment(path, final=(i == 0)):
-            if record.kind == "event" and record.data.get("type") == "Heartbeat":
-                when = float(record.data["time"])
+            if record.event_type is Heartbeat:
+                when = float(record.event.time)
                 if when <= time:
                     found = (record.seq, when)
         if found is not None:
@@ -520,10 +557,7 @@ class EventJournal:
         self._repair_tail()
         segments = self.segments()
         for i, path in enumerate(reversed(segments)):
-            last = count = 0
-            for record in read_segment(path, final=False):
-                last = record.seq
-                count += 1
+            count, last = self._scan_segment(path)
             if i == 0:
                 self._tail_path = path
                 self._tail_records = count
@@ -618,6 +652,21 @@ class EventJournal:
         with path.open("r+b") as fh:
             fh.truncate(clean_end)
 
+    @staticmethod
+    def _scan_segment(path: Path) -> tuple[int, int]:
+        """Record count and last seq of one segment (``(0, 0)`` if empty).
+
+        Every frame is CRC-checked but only the last record is decoded:
+        opening a journal must not cost a replay of its tail.
+        """
+        payloads, _, error = split_frames(path.read_bytes())
+        try:
+            if error is not None:
+                raise ValueError(error)
+            return BinaryEncoder().load_table(payloads)
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            raise JournalError(f"corrupt journal segment {path.name}: {exc}") from exc
+
     def _sync_encoder(self) -> None:
         """Restore encoder state (string table, tail count) after open.
 
@@ -635,7 +684,7 @@ class EventJournal:
         payloads, _, error = split_frames(path.read_bytes())
         if error is not None:
             return  # unreadable tail: rotate rather than extend it
-        self._enc_tail = self._bin.load_table(payloads)
+        self._enc_tail, _ = self._bin.load_table(payloads)
 
     # -- write side ---------------------------------------------------------
 
@@ -864,11 +913,8 @@ class EventJournal:
             found = None
             for i, path in enumerate(reversed(self.segments())):
                 for record in read_segment(path, final=(i == 0)):
-                    if (
-                        record.kind == "event"
-                        and record.data.get("type") == "Heartbeat"
-                    ):
-                        found = (record.seq, float(record.data["time"]))
+                    if record.event_type is Heartbeat:
+                        found = (record.seq, float(record.event.time))
                 if found is not None:
                     break
             self._heartbeat = found

@@ -309,13 +309,19 @@ class IngestShard:
             return
         if self.journal is not None:
             self.journal.append_events(events)
-        if self._m_events is not None:
-            self._m_events.inc(len(events))
+        if self._m_batches is not None:
             self._m_batches.inc()
         self.fold(events)
 
     def fold(self, events: list[ServiceEvent]) -> None:
-        """Apply a batch to the window only (the resume-replay path)."""
+        """Apply a batch to the window, counting its events.
+
+        On its own this is the replay path: no journal append and no
+        batch counted, so a resumed shard's registry shows the events it
+        restored and nothing a live shard would not have.
+        """
+        if self._m_events is not None:
+            self._m_events.inc(len(events))
         window = self.window
         pending: list[ServiceEvent] = []
         for event in events:

@@ -51,7 +51,7 @@ from repro.service.journal import (
     heartbeat_at_or_before,
     unframe_bytes,
 )
-from repro.service.sharding import shard_dir_name
+from repro.service.sharding import _TELEMETRY_EVENTS, shard_dir_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.controller import TempoController
@@ -808,11 +808,8 @@ class ServiceState:
         boundary = journal.last_heartbeat()
         cut, when = boundary if boundary is not None else (0, 0.0)
         telemetry_dropped = sum(
-            1
+            record.event_type in _TELEMETRY_EVENTS
             for record in journal.iter_records(after=cut)
-            if record.kind == "event"
-            and record.data.get("type")
-            in ("JobSubmitted", "TaskCompleted", "JobCompleted")
         )
         dropped = journal.truncate_after(cut)
         self.snapshots.discard(

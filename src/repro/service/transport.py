@@ -298,9 +298,12 @@ class ShardServer:
             raw = recv_raw_frame(conn, self.config.max_frame)
             if raw[:1] == _WIRE_MAGIC_BYTE:
                 # Ingest message: journal record frames, decoded to the
-                # batch shape the ``ingest`` op handler applies.
+                # event batches the ``ingest`` op handler applies.
                 try:
-                    request = {"op": "ingest", "batches": decode_wire_batches(raw)}
+                    request = {
+                        "op": "ingest",
+                        "batches": decode_wire_batches(raw, decode_event),
+                    }
                 except ValueError as exc:
                     raise TransportError(f"corrupt binary frame: {exc}") from exc
             elif raw[:1] == _WINDOW_MAGIC_BYTE:
@@ -341,11 +344,9 @@ class ShardServer:
             return {"op": "hello-ack", "shard": shard.shard_id, "applied": self.applied}
         if op == "ingest":
             applied = self.applied
-            for seq, encoded in request["batches"]:
-                seq = int(seq)
+            for seq, events in request["batches"]:
                 if seq <= applied:
                     continue  # reconnect replay of an acknowledged batch
-                events = [decode_event(item) for item in encoded]
                 if self._slow_batches > 0:
                     self._slow_batches -= 1
                     for event in events:

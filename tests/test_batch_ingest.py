@@ -316,50 +316,51 @@ class TestHeapEviction:
 
 
 class TestIngestBatchParity:
-    def test_same_decisions_and_stats_as_process(self):
+    def test_one_event_at_a_time_equals_any_chunking(self, tmp_path):
+        """``process(e)`` is ``ingest_batch([e])``: a stream fed one event
+        at a time and the same stream in chunks of 1/7/512 reach the same
+        decisions, window stats and journal record sequence."""
         events = _events(seed=13, count=500)
         mid = events[len(events) // 2].time
         events.append(NodeLost(mid, pool="map", containers=2))
         events.append(TenantJoined(mid + 1.0, tenant="newbie"))
         events.append(TenantLeft(mid + 50.0, tenant="newbie"))
         events.sort(key=lambda e: e.time)
-        one = _build(seed=1)
-        for event in events:
-            one.process(event)
-        batched = _build(seed=1)
-        for i in range(0, len(events), 97):
-            batched.ingest_batch(events[i : i + 97])
-        assert one.events_processed == batched.events_processed
-        assert one.retunes == batched.retunes
-        assert [(d.time, d.retuned, d.reason) for d in one.decisions] == [
-            (d.time, d.retuned, d.reason) for d in batched.decisions
-        ]
-        assert one.rm_config.describe() == batched.rm_config.describe()
-        assert one.active_tenants == batched.active_tenants
-        assert one.lost_capacity == batched.lost_capacity
-        assert stats_gap(batched.window) < 1e-9
-        a, b = one.window.snapshot(), batched.window.snapshot()
-        assert set(a) == set(b)
-        for name in a:
-            assert abs(a[name].arrival_rate - b[name].arrival_rate) < 1e-9
-            assert abs(a[name].mean_response - b[name].mean_response) < 1e-9
 
-    def test_same_journal_record_structure_as_process(self, tmp_path):
-        events = _events(seed=14, count=300)
-        state_a = ServiceState(tmp_path / "a", snapshot_every=10**9)
-        one = _build(state=state_a, seed=1)
-        for event in events:
-            one.process(event)
-        state_a.close()
-        state_b = ServiceState(tmp_path / "b", snapshot_every=10**9)
-        batched = _build(state=state_b, seed=1)
-        for i in range(0, len(events), 128):
-            batched.ingest_batch(events[i : i + 128])
-        state_b.close()
-        rec_a = [(r.seq, r.kind) for r in state_a.journal.iter_records()]
-        rec_b = [(r.seq, r.kind) for r in state_b.journal.iter_records()]
-        assert rec_a == rec_b
-        assert one.retunes == batched.retunes >= 1
+        def run(name, feed):
+            state = ServiceState(tmp_path / name, snapshot_every=10**9)
+            service = _build(state=state, seed=1)
+            feed(service)
+            state.close()
+            return service, [(r.seq, r.kind) for r in state.journal.iter_records()]
+
+        def one_at_a_time(service):
+            for event in events:
+                service.process(event)
+
+        one, records = run("one", one_at_a_time)
+        assert one.retunes >= 1
+        for size in (1, 7, 512):
+
+            def chunked(service, size=size):
+                for i in range(0, len(events), size):
+                    service.ingest_batch(events[i : i + size])
+
+            batched, batched_records = run(f"chunks-{size}", chunked)
+            assert batched_records == records
+            assert one.events_processed == batched.events_processed
+            assert [(d.time, d.retuned, d.reason) for d in one.decisions] == [
+                (d.time, d.retuned, d.reason) for d in batched.decisions
+            ]
+            assert one.rm_config.describe() == batched.rm_config.describe()
+            assert one.active_tenants == batched.active_tenants
+            assert one.lost_capacity == batched.lost_capacity
+            assert stats_gap(batched.window) < 1e-9
+            a, b = one.window.snapshot(), batched.window.snapshot()
+            assert set(a) == set(b)
+            for name in a:
+                assert abs(a[name].arrival_rate - b[name].arrival_rate) < 1e-9
+                assert abs(a[name].mean_response - b[name].mean_response) < 1e-9
 
     def test_resume_from_batch_written_journal(self, tmp_path):
         state = ServiceState(tmp_path, segment_records=64, snapshot_every=300)

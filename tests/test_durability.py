@@ -820,6 +820,204 @@ class TestResume:
         assert len(resumed.config_history) == len(live.config_history)
 
 
+def _assert_stats_close(a, b) -> None:
+    """Two per-tenant statistics snapshots agree to 1e-9 (or both absent)."""
+    assert (a is None) == (b is None)
+    if a is None:
+        return
+    assert set(a) == set(b)
+    for name in a:
+        mine, theirs = dataclasses.asdict(a[name]), dataclasses.asdict(b[name])
+        assert mine == pytest.approx(theirs, rel=0, abs=1e-9, nan_ok=True)
+
+
+class TestReplayIsBatchIngest:
+    """Resume folds event runs through the batch apply path."""
+
+    @staticmethod
+    def _counters(service):
+        return service.metrics_snapshot().to_dict()["counters"]
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_replay_restores_event_counts_and_invents_no_batches(
+        self, tmp_path, shards
+    ):
+        """A resumed daemon's metrics agree with the one that never
+        crashed on what was ingested, and claim no ingest batch, journal
+        append or rotation the replay did not perform."""
+        from repro.obs.introspect import snapshot_registry
+
+        config = dataclasses.replace(_service_config(), sample_metrics=True)
+        scenario = make_scenario("steady", scale=1.0, horizon=3600.0)
+        state = ServiceState(
+            tmp_path, segment_records=64, snapshot_every=300, shards=shards
+        )
+        live = build_service(scenario, config, state=state, shards=shards)
+        events = _events(seed=9, count=300)
+        mid = events[len(events) // 2].time
+        events += [
+            NodeLost(mid, pool="map", containers=3),
+            NodeRecovered(mid + 40.0, pool="map", containers=1),
+            TenantJoined(mid + 1.0, tenant="newbie"),
+            TenantLeft(mid + 90.0, tenant="newbie"),
+        ]
+        events += [Heartbeat(t) for t in np.arange(100.0, events[-1].time, 400.0)]
+        events.sort(key=lambda e: e.time)
+        for i in range(0, len(events), 50):
+            live.ingest_batch(events[i : i + 50])
+        live.close()
+        state.close()
+        snapshot_seq, snapshot = state.load_latest_snapshot()
+        at_snapshot = snapshot_registry(snapshot).to_dict()["counters"]
+        resumed = TempoService.resume(
+            build_controller(scenario), tmp_path, config, shards=shards
+        )
+        after, replayed, _ = resumed.last_resume
+        assert after == snapshot_seq > 0 and replayed > 0  # snapshot + tail
+        assert resumed.events_processed == live.events_processed
+        assert resumed.telemetry_ingested == live.telemetry_ingested
+        assert resumed.active_tenants == live.active_tenants
+        assert resumed.lost_capacity == live.lost_capacity == {"map": 2}
+        was, now = self._counters(live), self._counters(resumed)
+        assert now["tempo_ingest_events_total"] == was["tempo_ingest_events_total"]
+        untouched = ["tempo_ingest_batches_total"] + [
+            key for key in at_snapshot if key.startswith("tempo_journal_")
+        ]
+        for key in untouched:
+            assert now[key] == at_snapshot[key] <= was[key], key
+        for key in ("tempo_ingest_batches_total", "tempo_journal_records_total"):
+            assert now[key] < was[key], key  # the tail was live work
+        resumed.close()
+        resumed.state.close()
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_resume_says_what_it_cost(self, tmp_path, shards):
+        state = ServiceState(tmp_path, snapshot_every=10**9, shards=shards)
+        live = _build(state=state, shards=shards)
+        for i in range(0, 300, 64):
+            live.ingest_batch(_events(seed=3, count=100)[i : i + 64])
+        live.close()
+        state.close()
+        assert live.last_resume is None
+        for path in state.snapshots.paths():
+            path.unlink()  # an applied tune snapshots: replay it all instead
+        journaled = sum(
+            journal.last_seq
+            for journal in [state.journal]
+            + [state.shard_journal(i) for i in range(shards) if shards > 1]
+        )
+        resumed = TempoService.resume(
+            build_controller(make_scenario("steady", scale=1.0, horizon=3600.0)),
+            tmp_path,
+            _service_config(),
+            shards=shards,
+        )
+        after, replayed, seconds = resumed.last_resume
+        assert (after, replayed) == (0, journaled) and seconds > 0
+        gauges = resumed.metrics_snapshot().to_dict()["gauges"]
+        assert gauges["tempo_resume_replayed_records"]["value"] == journaled
+        assert gauges["tempo_resume_seconds"]["value"] == seconds
+        resumed.close()
+        resumed.state.close()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_batch_replay_equals_live_wherever_the_runs_break(
+        self, tmp_path_factory, data
+    ):
+        """Control records, tenant churn, capacity changes and segment
+        edges fall inside, before and after the replayed event runs; the
+        resumed service equals the one that never crashed.
+
+        Every event has its own instant: across shards, replay orders
+        same-instant telemetry before a decision, which only the single
+        journal's own order can do better than.
+        """
+        shards = data.draw(st.sampled_from([1, 3]), label="shards")
+        ops = data.draw(
+            st.lists(
+                st.sampled_from(
+                    ["job", "job", "job", "job", "beat", "left", "joined", "lost",
+                     "recovered"]
+                ),
+                min_size=20,
+                max_size=90,
+            ),
+            label="ops",
+        )
+        tenants = ("deadline", "besteffort")
+        events, t = [], 0.0
+        for i, op in enumerate(ops):
+            tenant = tenants[i % 2] if i % 7 else "newbie"
+            if op == "job":
+                job_id = f"{tenants[i % 2]}-{i}"
+                record = JobRecord(
+                    job_id=job_id, tenant=tenants[i % 2], submit_time=t + 3.0,
+                    finish_time=t + 25.0,
+                )
+                events += [
+                    JobSubmitted(t + 3.0, tenant=tenants[i % 2], job_id=job_id),
+                    TaskCompleted(
+                        t + 24.0,
+                        record=_task(job_id, f"{job_id}/t0", tenants[i % 2],
+                                     t + 24.0, 5.0 + i % 11),
+                    ),
+                    JobCompleted(t + 25.0, record=record),
+                ]
+            elif op == "beat":
+                events.append(Heartbeat(t + 3.0))
+            elif op in ("left", "joined"):
+                cls = TenantLeft if op == "left" else TenantJoined
+                events.append(cls(t + 3.0, tenant=tenant))
+            else:
+                cls = NodeLost if op == "lost" else NodeRecovered
+                events.append(cls(t + 3.0, pool="map", containers=1 + i % 3))
+            t += 26.0
+        assert len({e.time for e in events}) == len(events)
+        force_at = data.draw(st.integers(0, len(events)), label="force_at")
+        rollback_at = data.draw(st.integers(0, len(events)), label="rollback_at")
+        cuts = sorted(
+            {0, len(events), force_at, rollback_at}
+            | set(data.draw(st.lists(st.integers(0, len(events)), max_size=6)))
+        )
+        root = tmp_path_factory.mktemp("replay")
+        state = ServiceState(
+            root,
+            segment_records=data.draw(st.sampled_from([3, 8, 64]), label="segment"),
+            snapshot_every=data.draw(st.sampled_from([10**9, 30]), label="snapshot"),
+            auto_compact=False,  # so that any snapshot may be lost below
+            shards=shards,
+        )
+        live = _build(state=state, shards=shards)
+        for start, end in zip(cuts, cuts[1:]):
+            if start == force_at:
+                live.retune(live.now, force=True)
+            if start == rollback_at:
+                live.rollback()
+            live.ingest_batch(events[start:end])
+        live.close()
+        state.close()
+        # Every applied tune snapshots; lose the newest few (or all) so
+        # the replayed tail reaches back over tunes and rollbacks.
+        snapshots = state.snapshots.paths()
+        for path in snapshots[data.draw(st.integers(0, len(snapshots)), label="kept") :]:
+            path.unlink()
+        resumed = TempoService.resume(
+            build_controller(make_scenario("steady", scale=1.0, horizon=3600.0)),
+            root,
+            _service_config(),
+            shards=shards,
+        )
+        _assert_equivalent(live, resumed)
+        assert resumed.stats_gap_now() < 1e-9
+        assert resumed.telemetry_ingested == live.telemetry_ingested
+        assert resumed._last_attempt == live._last_attempt
+        assert resumed._force == live._force
+        _assert_stats_close(live._last_snapshot, resumed._last_snapshot)
+        resumed.close()
+        resumed.state.close()
+
+
 class TestServiceState:
     def test_meta_roundtrip(self, tmp_path):
         state = ServiceState(tmp_path)

@@ -1,10 +1,10 @@
 """Tests for the journal record codec (struct-packed CRC frames).
 
-The contract under test is the round trip: every record decodes to
-exactly what was appended (``decode_event(record.data) == event``) —
-asserted record-type by record-type, by hypothesis fuzz, and end-to-end
-through crash-torn tails, rotation, compaction, rewind, and the wire
-format the TCP transport reuses.
+The contract under test is the round trip: every event record decodes
+to the event that was appended (``record.event == event``) and its dict
+view is ``encode_event`` of it — asserted record-type by record-type,
+by hypothesis fuzz, and end-to-end through crash-torn tails, rotation,
+compaction, rewind, and the wire format the TCP transport reuses.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.service.codec import (
     decode_payload,
     decode_wire_batches,
     encode_wire_batches,
+    frame_payload,
     split_frames,
 )
 from repro.service.events import (
@@ -49,6 +50,7 @@ from repro.service.events import (
 from repro.service.journal import (
     EventJournal,
     JournalError,
+    JournalRecord,
     decode_event,
     encode_event,
     read_segment,
@@ -157,8 +159,11 @@ def test_every_event_type_round_trips_to_the_original_event(tmp_path):
     )
     for record, event in zip(records, events):
         assert record.kind == "event"
-        assert decode_event(record.data) == event
+        assert record.event == event
+        assert record.event_type is type(event)
+        assert record.data == encode_event(event)
     assert [(r.kind, r.data) for r in records[len(events):]] == GENERIC_RECORDS
+    assert {r.event_type for r in records[len(events):]} == {None}
 
 
 def test_binary_segments_use_binl_suffix_and_header(tmp_path):
@@ -381,6 +386,75 @@ def test_mid_file_corruption_raises_instead_of_skipping(tmp_path):
         list(EventJournal(root).iter_records())
 
 
+def test_unreadable_frames_raise_naming_segment_and_frame(tmp_path):
+    """Damage never decodes silently on the straight-to-event path: a
+    torn tail is tolerated only on the final segment, mid-file damage
+    and a string id past the table raise, each naming where."""
+    root = tmp_path / "j"
+    journal = EventJournal(root, segment_records=4)
+    journal.append_events(
+        [TaskCompleted(time=10.0 + i, record=_task(task_id=f"job-0/m{i}")) for i in range(8)]
+    )
+    journal.close()
+    first, last = sorted(root.glob("*" + BINARY_SUFFIX))
+    pristine = first.read_bytes()
+
+    def read_all():
+        return list(EventJournal(root, segment_records=4).iter_records())
+
+    first.write_bytes(pristine[:-3])  # torn, but not the final segment
+    with pytest.raises(JournalError, match=rf"{first.name}: torn"):
+        read_all()
+    damaged = bytearray(pristine)
+    damaged[len(HEADER_FRAME) + 12] ^= 0xFF  # first frame behind the header
+    first.write_bytes(bytes(damaged))
+    with pytest.raises(JournalError, match=rf"{first.name}: crc mismatch at byte"):
+        read_all()
+    # A CRC-valid task frame whose tenant id points past the string table.
+    payloads, _, _ = split_frames(pristine)
+    (frame,) = [i for i, p in enumerate(payloads) if p[0] == 0x02][:1]
+    stray = bytearray(payloads[frame])
+    stray[58:62] = (99).to_bytes(4, "little")
+    first.write_bytes(
+        b"".join(frame_payload(bytes(p)) for p in payloads[:frame])
+        + frame_payload(bytes(stray))
+    )
+    with pytest.raises(JournalError, match=rf"{first.name} frame {frame + 1}: "):
+        read_all()
+    first.write_bytes(pristine)
+    last.write_bytes(last.read_bytes()[:-3])  # the final segment may be torn
+    assert [r.seq for r in read_all()] == list(range(1, 8))
+
+
+def test_unknown_passthrough_event_lists_but_does_not_replay(tmp_path):
+    """A passthrough event of a type this build does not know keeps its
+    dict — ``dump-journal`` lists it — and fails only when an event is
+    asked of it, which is what replay does."""
+    import io
+
+    from repro.cli import main
+    from repro.service.daemon import TempoService
+    from repro.service.replay import build_controller, make_scenario
+
+    mystery = {"type": "Mystery", "time": 2.0, "payload": [1, 2]}
+    journal = EventJournal(tmp_path / "journal")
+    journal.append_events([Heartbeat(time=1.0)])
+    journal.append("event", mystery)
+    journal.close()
+    out = io.StringIO()
+    assert main(["dump-journal", "--state-dir", str(tmp_path)], out=out) == 0
+    assert '"type":"Mystery"' in out.getvalue().splitlines()[1]
+    record = list(EventJournal(tmp_path / "journal").iter_records())[1]
+    assert (record.kind, record.data, record.event_type) == ("event", mystery, None)
+    with pytest.raises(JournalError, match="unknown event type"):
+        record.event
+    with pytest.raises(JournalError, match="unknown event type"):
+        TempoService.resume(
+            build_controller(make_scenario("steady", scale=1.0, horizon=600.0)),
+            tmp_path,
+        )
+
+
 # -- hypothesis fuzz -----------------------------------------------------------
 
 
@@ -482,7 +556,8 @@ def _events_strategy(draw):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_events_strategy(), min_size=1, max_size=12))
 def test_fuzzed_frames_round_trip_to_the_original_events(events):
-    """decode_event(decode(encode(x))) == x over the frame codec, fuzzed."""
+    """decode(encode(x)) == x over the frame codec, fuzzed: typed frames
+    decode straight to the event, passthrough frames to its dict."""
     encoder = BinaryEncoder()
     entries: list = []
     encoder.encode_event_batch(
@@ -496,10 +571,13 @@ def test_fuzzed_frames_round_trip_to_the_original_events(events):
         out for p in payloads if (out := decode_payload(p, table)) is not None
     ]
     assert len(decoded) == len(events)
-    for i, (event, (seq, kind, data)) in enumerate(zip(events, decoded)):
+    for i, (event, (seq, kind, body)) in enumerate(zip(events, decoded)):
         assert seq == 1 + i
         assert kind == "event"
-        assert decode_event(data) == event
+        assert body == event or body == encode_event(event)
+        record = JournalRecord(seq, kind, body)
+        assert record.event == event
+        assert record.data == encode_event(event)
 
 
 @settings(max_examples=25, deadline=None)
@@ -515,7 +593,8 @@ def test_fuzzed_journal_round_trips_across_rotations(
     journal.close()
     records = list(EventJournal(root).iter_records())
     assert [r.seq for r in records] == list(range(1, len(events) + 1))
-    assert [decode_event(r.data) for r in records] == events
+    assert [r.event for r in records] == events
+    assert [r.data for r in records] == [encode_event(e) for e in events]
 
 
 # -- wire format --------------------------------------------------------
@@ -525,17 +604,14 @@ def test_wire_batches_roundtrip():
     batches = [(5, ALL_EVENT_SHAPES[:6]), (11, ALL_EVENT_SHAPES[6:])]
     message = encode_wire_batches(batches, encode_event)
     assert message[0] == 0x00  # WIRE_MAGIC: impossible in a JSON frame
-    decoded = decode_wire_batches(message)
-    assert [(seq, len(events)) for seq, events in decoded] == [(5, 6), (11, 10)]
-    for (_, events), (_, originals) in zip(decoded, batches):
-        assert events == [encode_event(e) for e in originals]
+    assert decode_wire_batches(message, decode_event) == batches
 
 
 def test_wire_batches_reject_damage():
     message = encode_wire_batches([(1, ALL_EVENT_SHAPES[:4])], encode_event)
     with pytest.raises(ValueError):
-        decode_wire_batches(message[: len(message) - 3])
+        decode_wire_batches(message[: len(message) - 3], decode_event)
     corrupt = bytearray(message)
     corrupt[len(message) // 2] ^= 0xFF
     with pytest.raises(ValueError):
-        decode_wire_batches(bytes(corrupt))
+        decode_wire_batches(bytes(corrupt), decode_event)

@@ -316,10 +316,10 @@ class TestTempoService:
         """A drain thread killed by an error must not make quiesce spin."""
         service = self._service()
 
-        def boom(event):
+        def boom(events):
             raise OSError("disk full")
 
-        service.process = boom  # instance attribute shadows the method
+        service.ingest_batch = boom  # instance attribute shadows the method
         service.start()
         service.submit(Heartbeat(1.0))
         with pytest.raises(RuntimeError, match="drain thread died"):

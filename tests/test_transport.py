@@ -28,6 +28,7 @@ from repro.service.failover import (
     FaultInjector,
     FaultSpec,
 )
+from repro.service.codec import encode_wire_batches
 from repro.service.ingest import RollingWindow
 from repro.service.journal import (
     EventJournal,
@@ -51,6 +52,7 @@ from repro.service.transport import (
     TransportError,
     recv_frame,
     send_frame,
+    send_raw_frame,
 )
 from repro.workload.trace import JobRecord, TaskRecord
 
@@ -299,9 +301,7 @@ class TestServerDedupe:
     def test_replayed_batches_are_acked_but_not_applied(self, tmp_path):
         served = _ServedShard(tmp_path)
         events = _events(count=4)
-        first = [encode_event(e) for e in events[:6]]
-        replay = [encode_event(e) for e in events[:6]]  # same seq, resent
-        fresh = [encode_event(e) for e in events[6:]]
+        first, fresh = events[:6], events[6:]
         try:
             conn = socket.create_connection(served.address, timeout=2.0)
             conn.settimeout(2.0)
@@ -310,12 +310,13 @@ class TestServerDedupe:
                 hello = recv_frame(conn)
                 assert hello["op"] == "hello-ack" and hello["applied"] == 0
 
-                send_frame(conn, {"op": "ingest", "batches": [[1, first]]})
+                send_raw_frame(conn, encode_wire_batches([(1, first)], encode_event))
                 assert recv_frame(conn) == {"op": "ack", "seq": 1}
                 # A reconnect replay of seq 1 (plus fresh seq 2) must
                 # ack both while applying only the unseen batch.
-                send_frame(
-                    conn, {"op": "ingest", "batches": [[1, replay], [2, fresh]]}
+                send_raw_frame(
+                    conn,
+                    encode_wire_batches([(1, first), (2, fresh)], encode_event),
                 )
                 assert recv_frame(conn) == {"op": "ack", "seq": 2}
 
