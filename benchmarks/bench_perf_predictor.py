@@ -38,11 +38,12 @@ RESULTS_JSON = RESULTS_DIR / "perf_predictor.json"
 #: The paper's reported rate (35M tasks in 240 s).
 PAPER_TASKS_PER_S = 150_000.0
 
-#: Feasibility floor.  The event-incremental predictor measures
-#: 50-80k tasks/s on the 2-core reference container (the smallest size
-#: is the slowest and the noisiest); half of its worst leaves room for
-#: a slower runner and still fails a fall back to the 12-14k tasks/s of
-#: rescheduling every pool at every instant.
+#: Feasibility floor.  The row-emitting predictor measures 50-95k
+#: tasks/s on the 2-core reference container on a quiet host, and down
+#: to 31-60k when the shared host is busy (the smallest size is the
+#: slowest and the noisiest); the floor leaves room for a slower runner
+#: and still fails a fall back to the 12-14k tasks/s of rescheduling
+#: every pool at every instant.
 FLOOR_TASKS_PER_S = 25_000.0
 
 ROUNDS = 3

@@ -27,59 +27,59 @@ class StarvationClock:
     below_min_since: float | None = None
     below_fair_since: float | None = None
 
-    def update(
+    def step(
         self,
         now: float,
         allocation: int,
         demand: int,
         min_entitlement: int,
         fair_entitlement: int,
-    ) -> None:
-        """Advance the clocks given the current instantaneous state."""
-        wants_more = demand > allocation
-        starving_min = wants_more and allocation < min_entitlement
-        starving_fair = wants_more and allocation < fair_entitlement
-        if starving_min:
-            if self.below_min_since is None:
-                self.below_min_since = now
+        min_timeout: float,
+        fair_timeout: float,
+        fire: bool = True,
+    ) -> tuple[str | None, float]:
+        """Advance both clocks to ``now``; fire at most one expired level.
+
+        A level's clock runs while the tenant has unmet demand and holds
+        less than that level's entitlement, and resets otherwise.  With
+        ``fire``, an expired level — ``"min"`` (the more critical) before
+        ``"fair"`` — is returned and its clock restarts at ``now``: one
+        kill volley per timeout period.  An infinite timeout never
+        expires.  Returns the fired level (or ``None``) and the earliest
+        instant a level could expire next (``inf`` if none can).
+        """
+        level = None
+        deadline = math.inf
+        if demand <= allocation:
+            self.below_min_since = self.below_fair_since = None
+            return level, deadline
+        if allocation < min_entitlement:
+            since = self.below_min_since
+            if since is None:
+                since = self.below_min_since = now
+            if min_timeout != math.inf:
+                deadline = since + min_timeout
+                if fire and now >= deadline - 1e-9:
+                    level = "min"
+                    self.below_min_since = now
+                    deadline = now + min_timeout
         else:
             self.below_min_since = None
-        if starving_fair:
-            if self.below_fair_since is None:
-                self.below_fair_since = now
+        if allocation < fair_entitlement:
+            since = self.below_fair_since
+            if since is None:
+                since = self.below_fair_since = now
+            if fair_timeout != math.inf:
+                due = since + fair_timeout
+                if fire and level is None and now >= due - 1e-9:
+                    level = "fair"
+                    self.below_fair_since = now
+                    due = now + fair_timeout
+                if due < deadline:
+                    deadline = due
         else:
             self.below_fair_since = None
-
-    def next_deadline(self, min_timeout: float, fair_timeout: float) -> float:
-        """Earliest future instant at which a preemption could trigger."""
-        deadlines = []
-        if self.below_min_since is not None and not math.isinf(min_timeout):
-            deadlines.append(self.below_min_since + min_timeout)
-        if self.below_fair_since is not None and not math.isinf(fair_timeout):
-            deadlines.append(self.below_fair_since + fair_timeout)
-        return min(deadlines, default=math.inf)
-
-    def triggered_level(
-        self, now: float, min_timeout: float, fair_timeout: float
-    ) -> str | None:
-        """Which level (if any) has expired by ``now``.
-
-        Returns ``"min"`` (the more critical level), ``"fair"``, or
-        ``None``.
-        """
-        if (
-            self.below_min_since is not None
-            and not math.isinf(min_timeout)
-            and now >= self.below_min_since + min_timeout - 1e-9
-        ):
-            return "min"
-        if (
-            self.below_fair_since is not None
-            and not math.isinf(fair_timeout)
-            and now >= self.below_fair_since + fair_timeout - 1e-9
-        ):
-            return "fair"
-        return None
+        return level, deadline
 
 
 class RunningTask(Protocol):

@@ -125,7 +125,7 @@ from repro.service.snapshot import (
     stats_from_dict,
     stats_to_dict,
 )
-from repro.whatif.model import capacity_floor
+from repro.workload.model import capacity_floor
 
 #: Control events handled by the daemon itself (never folded into the
 #: rolling window).
@@ -1395,7 +1395,7 @@ class TempoService:
 
         This is the cluster the what-if model predicts on.  ``floor``
         (per-pool largest single-task demand, see
-        :func:`~repro.whatif.model.capacity_floor`) bounds the shrink so
+        :func:`~repro.workload.model.capacity_floor`) bounds the shrink so
         every observed task stays placeable; every pool keeps at least
         one container regardless.
         """

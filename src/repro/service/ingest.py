@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
@@ -638,30 +638,26 @@ class RollingWindow:
         tasks: list[TaskRecord] = []
         jobs: list[JobRecord] = []
         for acc in self._tenants.values():
-            for _, record, _ in acc.tasks:
-                finish = max(record.finish_time - start, 0.0)
-                begin = min(max(record.start_time - start, 0.0), finish)
-                submit = min(max(record.submit_time - start, 0.0), begin)
+            for _, r, _ in acc.tasks:
+                finish = max(r.finish_time - start, 0.0)
+                begin = min(max(r.start_time - start, 0.0), finish)
+                submit = min(max(r.submit_time - start, 0.0), begin)
                 tasks.append(
-                    replace(
-                        record,
-                        submit_time=submit,
-                        start_time=begin,
-                        finish_time=finish,
+                    TaskRecord(
+                        r.job_id, r.task_id, r.tenant, r.pool, r.stage,
+                        submit, begin, finish,
+                        r.containers, r.preempted, r.failed, r.attempt,
                     )
                 )
-            for _, record in acc.jobs:
-                if record.submit_time < start:
+            for _, r in acc.jobs:
+                if r.submit_time < start:
                     continue
-                deadline = (
-                    None if record.deadline is None else record.deadline - start
-                )
                 jobs.append(
-                    replace(
-                        record,
-                        submit_time=record.submit_time - start,
-                        finish_time=max(record.finish_time - start, 0.0),
-                        deadline=deadline,
+                    JobRecord(
+                        r.job_id, r.tenant,
+                        r.submit_time - start, max(r.finish_time - start, 0.0),
+                        None if r.deadline is None else r.deadline - start,
+                        r.num_tasks, r.tags, r.stage_deps,
                     )
                 )
         return Trace(tasks, jobs, capacity=capacity, horizon=horizon)

@@ -38,7 +38,8 @@ The write side offers three durability/throughput trade-offs:
   queue drained by a background group-commit thread.  Acknowledged
   records may be lost on a crash (the unflushed tail *is* the torn
   batch); reads and :meth:`close` drain the queue first, and a writer
-  failure re-raises on the next append/flush rather than vanishing.
+  failure is fail-stop: every later append/flush/close raises, and
+  nothing queued behind the failed batch is written.
 
 Every record carries a monotonically increasing sequence number, which
 is what snapshots reference: resume loads the newest snapshot and
@@ -392,9 +393,11 @@ class _AsyncJournalWriter:
     into one buffered write (group commit at whatever batch size the
     producer outpaces the disk by).  ``submit`` blocks when the queue
     holds ``capacity`` records — durability back-pressure instead of
-    unbounded memory growth.  A writer failure is stored and re-raised
-    (wrapped in :class:`JournalError`) on the next ``submit``/``drain``
-    so a dead disk never looks like an acknowledged write.
+    unbounded memory growth.  A writer failure is fail-stop: the writer
+    thread exits, nothing queued after the failed batch is written, and
+    every later ``submit``/``drain`` raises :class:`JournalError`, so a
+    dead disk never looks like an acknowledged write and the journal
+    never has a silent gap.
     """
 
     def __init__(self, journal: "EventJournal", capacity: int):
@@ -470,9 +473,10 @@ class _AsyncJournalWriter:
             self._thread.start()
 
     def _raise_pending_error(self) -> None:
+        # Fail-stop: the error is never cleared.  The failed batch left
+        # a hole, so no later record may land after it.
         if self._error is not None:
-            error, self._error = self._error, None
-            raise JournalError("async journal writer failed") from error
+            raise JournalError("async journal writer failed") from self._error
 
     def _run(self) -> None:
         while True:
@@ -489,7 +493,7 @@ class _AsyncJournalWriter:
                 self._cond.notify_all()
             try:
                 self.journal._write_entries(batch)
-            except BaseException as exc:  # surfaced on next submit/drain
+            except BaseException as exc:  # raised by every later submit/drain
                 with self._cond:
                     self._error = exc
                     self._inflight = False
@@ -794,14 +798,19 @@ class EventJournal:
 
         Appends may follow: the cached tail record count makes the
         reopen O(1) (no segment re-scan), and a stopped async writer
-        thread restarts on the next submit.
+        thread restarts on the next submit.  After an async writer
+        failure the file handle is still closed, then the failure is
+        raised as :class:`JournalError`.
         """
-        if self._async is not None:
-            self._async.drain()
-            self._async.stop()
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        try:
+            if self._async is not None:
+                self._async.drain()
+        finally:
+            if self._async is not None:
+                self._async.stop()
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     def __enter__(self) -> "EventJournal":
         return self

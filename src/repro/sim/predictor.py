@@ -23,8 +23,11 @@ scheduler (Section 3.2):
 The event loop is incremental: an instant reschedules only the pools
 an event touched or whose preemption deadline is due, per-tenant
 settings are resolved from the configuration once per run, and target
-allocations are cached per pool and demand vector.  Each shortcut is
-exact — see :class:`_PredictorRun`.
+allocations are cached per pool and demand vector.  Each finished or
+killed attempt is emitted as a plain row; the returned
+:class:`~repro.sim.schedule.TaskSchedule` builds ``TaskRecord``s only
+when something reads task-level data.  Each shortcut is exact — see
+:class:`_PredictorRun`.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from repro.sim.events import EventQueue
 from repro.sim.runtime import JobRun, validate_workload_fits
 from repro.sim.schedule import TaskSchedule
 from repro.workload.model import JobSpec, StageSpec, TaskSpec, Workload
-from repro.workload.trace import JobRecord, TaskRecord
+from repro.workload.trace import JobRecord
 
 #: Event kinds used by the predictor.
 _ARRIVAL, _FINISH, _PREEMPT = range(3)
@@ -190,7 +193,7 @@ class _Pool:
 class _PredictorRun:
     """One prediction: all mutable simulation state lives here.
 
-    Three shortcuts keep the loop fast; each reproduces the schedule of
+    Four shortcuts keep the loop fast; each reproduces the schedule of
     rescheduling every pool from scratch at every instant.
 
     * **Dirty pools.**  A pool is rescheduled at an instant only if an
@@ -210,6 +213,10 @@ class _PredictorRun:
     * **Target cache.**  Per pool, targets are memoized by the demand
       vector clamped at the kernel's saturation points; the kernel is a
       pure function of exactly that.
+    * **Rows, not records.**  An attempt is emitted as a tuple in
+      ``TaskRecord`` field order; the schedule builds the records on
+      first read.  ``_stop`` checks ``ready <= start <= now`` inline, so
+      the check holds even when no record is ever built.
     """
 
     def __init__(
@@ -223,9 +230,7 @@ class _PredictorRun:
         self.policy = policy
         self.workload = workload
         self.config = config
-        validate_workload_fits(
-            (t for job in workload for _, t in job.tasks()), cluster.as_dict()
-        )
+        validate_workload_fits(workload, cluster.as_dict())
         self.tenants = sorted(workload.tenants())
         self.tenant_index = {t: i for i, t in enumerate(self.tenants)}
         self.pools = [
@@ -240,7 +245,7 @@ class _PredictorRun:
         ]
         self.pool_index = {pool.name: pool for pool in self.pools}
         self.events = EventQueue()
-        self.task_records: list[TaskRecord] = []
+        self.task_rows: list[tuple] = []
         self.job_records: list[JobRecord] = []
         self._scheduled_preempt = math.inf
 
@@ -267,7 +272,7 @@ class _PredictorRun:
             self._reschedule(now)
         horizon = max(now, self.workload.horizon)
         return TaskSchedule(
-            self.task_records,
+            self.task_rows,
             self.job_records,
             cluster=self.cluster,
             config=self.config,
@@ -293,26 +298,33 @@ class _PredictorRun:
             self._record_job(job, now)
 
     def _stop(self, task: _Task, now: float, *, preempted: bool) -> None:
-        """Take the running attempt off its pool and record it."""
+        """Take the running attempt off its pool and emit its row."""
         pool = task.pool
         del pool.running[task.tenant][task]
         pool.held[task.tenant] -= task.containers
         pool.used -= task.containers
         task.event = -1
+        if not task.ready_time <= task.start_time <= now:
+            raise ValueError(
+                f"task {task.spec.task_id} attempt {task.attempt}: require "
+                f"submit <= start <= finish, got "
+                f"({task.ready_time}, {task.start_time}, {now})"
+            )
         spec = task.job.spec
-        self.task_records.append(
-            TaskRecord(
-                job_id=spec.job_id,
-                task_id=task.spec.task_id,
-                tenant=spec.tenant,
-                pool=pool.name,
-                stage=task.stage,
-                submit_time=task.ready_time,
-                start_time=task.start_time,
-                finish_time=now,
-                containers=task.containers,
-                preempted=preempted,
-                attempt=task.attempt,
+        self.task_rows.append(
+            (
+                spec.job_id,
+                task.spec.task_id,
+                spec.tenant,
+                pool.name,
+                task.stage,
+                task.ready_time,
+                task.start_time,
+                now,
+                task.containers,
+                preempted,
+                False,
+                task.attempt,
             )
         )
 
@@ -451,7 +463,7 @@ class _PredictorRun:
     def _starvation_pass(
         self, pool: _Pool, targets: list[int], now: float, *, allow_kills: bool
     ) -> tuple[int, float]:
-        """Update clocks; fire due preemptions.
+        """Step clocks; fire due preemptions.
 
         Returns the kill count and the pool's earliest preemption deadline.
         """
@@ -460,17 +472,11 @@ class _PredictorRun:
         for tenant, clock, min_share, min_timeout, fair_timeout in pool.clocks:
             demand = pool.demand[tenant]
             running = pool.held[tenant]
-            if running >= demand:
-                # Nothing pending (or no work here at all): not starving.
-                clock.below_min_since = clock.below_fair_since = None
-                continue
             min_ent = min(min_share, demand)
             fair_ent = targets[tenant]
-            clock.update(now, running, demand, min_ent, fair_ent)
-            level = (
-                clock.triggered_level(now, min_timeout, fair_timeout)
-                if allow_kills
-                else None
+            level, due = clock.step(
+                now, running, demand, min_ent, fair_ent,
+                min_timeout, fair_timeout, allow_kills,
             )
             if level is not None:
                 needed = (min_ent if level == "min" else fair_ent) - running
@@ -485,12 +491,8 @@ class _PredictorRun:
                     for victim in victims:
                         self._kill(victim, now)
                     total_kills += len(victims)
-                # Restart the clock: one kill volley per timeout period.
-                if level == "min":
-                    clock.below_min_since = now
-                else:
-                    clock.below_fair_since = now
-            deadline = min(deadline, clock.next_deadline(min_timeout, fair_timeout))
+            if due < deadline:
+                deadline = due
         return total_kills, deadline
 
     def _kill(self, task: _Task, now: float) -> None:

@@ -13,7 +13,7 @@ import math
 from collections import deque
 from typing import Iterable
 
-from repro.workload.model import JobSpec, StageSpec, TaskSpec
+from repro.workload.model import JobSpec, StageSpec, TaskSpec, Workload
 
 
 class JobRun:
@@ -258,9 +258,21 @@ class PoolState:
         self._total_running -= run.containers
 
 
-def validate_workload_fits(workload_tasks: Iterable[TaskSpec], capacity: dict[str, int]) -> None:
-    """Reject tasks that can never be placed (demand exceeds pool size)."""
-    for task in workload_tasks:
+def validate_workload_fits(
+    workload: Workload | Iterable[TaskSpec], capacity: dict[str, int]
+) -> None:
+    """Reject tasks that can never be placed (demand exceeds pool size).
+
+    A :class:`~repro.workload.model.Workload` is checked against its
+    memoized per-pool container floor; its tasks are walked only to
+    name the first offender.
+    """
+    if isinstance(workload, Workload):
+        floor = workload.capacity_floor()
+        if all(capacity.get(pool, 0) >= need for pool, need in floor.items()):
+            return
+        workload = (t for job in workload for _, t in job.tasks())
+    for task in workload:
         cap = capacity.get(task.pool)
         if cap is None:
             raise ValueError(

@@ -152,9 +152,7 @@ class SimulationSession:
         self.workload = workload
         self.config = config
         self.rng = rng
-        validate_workload_fits(
-            (t for job in workload for _, t in job.tasks()), cluster.as_dict()
-        )
+        validate_workload_fits(workload, cluster.as_dict())
         self.max_time = (
             max_time
             if max_time is not None
@@ -167,7 +165,7 @@ class SimulationSession:
         self.capacity_penalty: dict[str, int] = {p: 0 for p in cluster.pool_names}
         self.penalty_until: float = -math.inf
         self.capacity_lost: dict[str, int] = {p: 0 for p in cluster.pool_names}
-        self.task_records: list[TaskRecord] = []
+        self.task_rows: list[tuple] = []  # see _emit
         self.job_records: list[JobRecord] = []
         self.killed_jobs: set[str] = set()
         self.now = 0.0
@@ -189,7 +187,7 @@ class SimulationSession:
             self.now += self.dt
         horizon = max(self.now, self.workload.horizon)
         return TaskSchedule(
-            self.task_records,
+            self.task_rows,
             self.job_records,
             cluster=self.cluster,
             config=self.config,
@@ -284,9 +282,9 @@ class SimulationSession:
         return restored
 
     def _new_records(self) -> tuple[list[TaskRecord], list[JobRecord]]:
-        tasks = self.task_records[self._task_cursor :]
+        tasks = [TaskRecord(*row) for row in self.task_rows[self._task_cursor :]]
         jobs = self.job_records[self._job_cursor :]
-        self._task_cursor = len(self.task_records)
+        self._task_cursor = len(self.task_rows)
         self._job_cursor = len(self.job_records)
         return tasks, jobs
 
@@ -317,21 +315,7 @@ class SimulationSession:
     def _complete(self, pool_state: PoolState, run: RunningTask, finish: float) -> None:
         pool_state.remove_running(run)
         finish = max(finish, run.start_time)
-        self.task_records.append(
-            TaskRecord(
-                job_id=run.job.spec.job_id,
-                task_id=run.task.task_id,
-                tenant=run.tenant,
-                pool=run.task.pool,
-                stage=run.stage,
-                submit_time=run.ready_time,
-                start_time=run.start_time,
-                finish_time=finish,
-                containers=run.containers,
-                preempted=False,
-                attempt=run.attempt,
-            )
-        )
+        self._emit(run, run.ready_time, run.start_time, finish)
         self._outstanding -= 1
         newly_ready = run.job.complete_task(run.stage)
         self._release_stages(run.job, newly_ready, finish)
@@ -423,22 +407,7 @@ class SimulationSession:
         ready = run.ready_time
         start = self.noise.jittered(self.rng, run.start_time, ready)
         finish = self.noise.jittered(self.rng, now, start)
-        self.task_records.append(
-            TaskRecord(
-                job_id=run.job.spec.job_id,
-                task_id=run.task.task_id,
-                tenant=run.tenant,
-                pool=run.task.pool,
-                stage=run.stage,
-                submit_time=ready,
-                start_time=start,
-                finish_time=finish,
-                containers=run.containers,
-                preempted=False,
-                failed=True,
-                attempt=run.attempt,
-            )
-        )
+        self._emit(run, ready, start, finish, failed=True)
         if requeue:
             pool_state.add_pending(
                 PendingTask(run.job, run.task, run.stage, run.ready_time, run.attempt + 1),
@@ -544,13 +513,11 @@ class SimulationSession:
             total_demand = running + runnable
             min_ent = min(cfg.min_for(pool_state.pool), total_demand)
             fair_ent = targets.get(tenant, 0)
-            clock.update(now, running, total_demand, min_ent, fair_ent)
-            if not allow_kills:
-                continue
-            level = clock.triggered_level(
-                now,
+            level, _ = clock.step(
+                now, running, total_demand, min_ent, fair_ent,
                 cfg.min_share_preemption_timeout,
                 cfg.fair_share_preemption_timeout,
+                allow_kills,
             )
             if level is None:
                 continue
@@ -569,10 +536,6 @@ class SimulationSession:
                 for victim in victims:
                     self._preempt(pool_state, victim, now)
                 total_kills += len(victims)
-            if level == "min":
-                clock.below_min_since = now
-            else:
-                clock.below_fair_since = now
         return total_kills
 
     def _preempt(self, pool_state: PoolState, run: RunningTask, now: float) -> None:
@@ -580,27 +543,41 @@ class SimulationSession:
         ready = run.ready_time
         start = self.noise.jittered(self.rng, run.start_time, ready)
         finish = self.noise.jittered(self.rng, now, start)
-        self.task_records.append(
-            TaskRecord(
-                job_id=run.job.spec.job_id,
-                task_id=run.task.task_id,
-                tenant=run.tenant,
-                pool=run.task.pool,
-                stage=run.stage,
-                submit_time=ready,
-                start_time=start,
-                finish_time=finish,
-                containers=run.containers,
-                preempted=True,
-                attempt=run.attempt,
-            )
-        )
+        self._emit(run, ready, start, finish, preempted=True)
         pool_state.add_pending(
             PendingTask(run.job, run.task, run.stage, run.ready_time, run.attempt + 1),
             front=True,
         )
 
     # -- bookkeeping -----------------------------------------------------------
+
+    def _emit(
+        self,
+        run: RunningTask,
+        submit: float,
+        start: float,
+        finish: float,
+        *,
+        preempted: bool = False,
+        failed: bool = False,
+    ) -> None:
+        """Append one attempt row, in ``TaskRecord`` field order."""
+        self.task_rows.append(
+            (
+                run.job.spec.job_id,
+                run.task.task_id,
+                run.tenant,
+                run.task.pool,
+                run.stage,
+                submit,
+                start,
+                finish,
+                run.containers,
+                preempted,
+                failed,
+                run.attempt,
+            )
+        )
 
     def _release_stages(self, job: JobRun, stages, now: float) -> None:
         if job.spec.job_id in self.killed_jobs:

@@ -92,8 +92,10 @@ class QSMetric(ABC):
 
     def _jobs(self, trace: Trace, interval: Interval | None):
         if self.tenant is None:
+            # Tenants of job records only: no other tenant has a job,
+            # and task-level reads would build a schedule's records.
             jobs = []
-            for tenant in sorted(trace.tenants()):
+            for tenant in sorted({j.tenant for j in trace.job_records}):
                 jobs.extend(trace.completed_jobs(tenant, interval))
             return jobs
         return trace.completed_jobs(self.tenant, interval)

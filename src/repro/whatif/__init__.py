@@ -14,8 +14,9 @@ from repro.whatif.evalpool import (
     CandidateEvaluator,
     workload_signature,
 )
-from repro.whatif.model import WhatIfModel, capacity_floor
+from repro.whatif.model import WhatIfModel
 from repro.whatif.provisioning import ProvisioningAdvisor, ProvisioningEstimate
+from repro.workload.model import capacity_floor
 
 __all__ = [
     "BatchResult",

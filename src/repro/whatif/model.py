@@ -10,7 +10,7 @@ gradient estimation.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,7 +32,8 @@ class WhatIfModel:
             (:meth:`~repro.rm.cluster.ClusterSpec.shrunk`) after
             observed node loss, so predictions reflect the capacity
             that actually remains; callers shrinking capacity should
-            keep every pool at or above :func:`capacity_floor` of the
+            keep every pool at or above
+            :func:`~repro.workload.model.capacity_floor` of the
             workloads, or prediction will reject unplaceable tasks.
         slos: The SLO vector to evaluate.
         workloads: Workload replicas (historical replay and/or samples
@@ -104,24 +105,6 @@ class WhatIfModel:
             return self.evaluate(space.decode(x))
 
         return evaluate_vector
-
-
-def capacity_floor(tasks: Iterable) -> dict[str, int]:
-    """Per-pool minimum capacity for every task to remain placeable.
-
-    ``tasks`` is any iterable of task-shaped objects exposing ``pool``
-    and ``containers`` (:class:`~repro.workload.trace.TaskRecord` or
-    :class:`~repro.workload.model.TaskSpec`).  The serving daemon clamps
-    node-loss capacity shrinkage to this floor before building the
-    what-if cluster: shrinking a pool below its largest single-task
-    demand would make the window trace unreplayable.
-    """
-    floor: dict[str, int] = {}
-    for task in tasks:
-        need = int(task.containers)
-        if need > floor.get(task.pool, 0):
-            floor[task.pool] = need
-    return floor
 
 
 def _config_key(config: RMConfig) -> str:

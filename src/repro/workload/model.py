@@ -242,6 +242,7 @@ class Workload:
         if horizon is None:
             horizon = max((j.submit_time for j in self._jobs), default=0.0)
         self.horizon = float(horizon)
+        self._floor: dict[str, int] | None = None
 
     # -- container protocol -------------------------------------------------
 
@@ -281,6 +282,15 @@ class Workload:
     def num_tasks(self) -> int:
         return sum(j.num_tasks for j in self._jobs)
 
+    def capacity_floor(self) -> dict[str, int]:
+        """:func:`capacity_floor` of every task, computed once per workload.
+
+        The returned dict is shared between calls: do not mutate it.
+        """
+        if self._floor is None:
+            self._floor = capacity_floor(t for j in self._jobs for _, t in j.tasks())
+        return self._floor
+
     @property
     def total_work(self) -> float:
         return sum(j.total_work for j in self._jobs)
@@ -313,6 +323,25 @@ class Workload:
         """Union of two workloads (job ids must not collide)."""
         horizon = max(self.horizon, other.horizon)
         return Workload(list(self._jobs) + list(other.jobs), horizon=horizon)
+
+
+def capacity_floor(tasks: Iterable) -> dict[str, int]:
+    """Per-pool minimum capacity for every task to remain placeable.
+
+    ``tasks`` is any iterable of task-shaped objects exposing ``pool``
+    and ``containers`` (:class:`~repro.workload.trace.TaskRecord` or
+    :class:`TaskSpec`).  The serving daemon clamps node-loss capacity
+    shrinkage to this floor before building the what-if cluster:
+    shrinking a pool below its largest single-task demand would make
+    the window trace unreplayable.  The simulators check a workload
+    against it before they run.
+    """
+    floor: dict[str, int] = {}
+    for task in tasks:
+        need = int(task.containers)
+        if need > floor.get(task.pool, 0):
+            floor[task.pool] = need
+    return floor
 
 
 # -- convenience constructors ----------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field, replace
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.workload.model import (
@@ -163,6 +164,10 @@ def job_record_from_dict(row: Mapping) -> JobRecord:
     return JobRecord(**row)
 
 
+#: Trace order of task records.
+_TASK_ORDER = attrgetter("start_time", "task_id", "attempt")
+
+
 class Trace:
     """An observed task schedule: task attempts plus job completions.
 
@@ -180,9 +185,7 @@ class Trace:
         capacity: Mapping[str, int] | None = None,
         horizon: float | None = None,
     ):
-        self._tasks: list[TaskRecord] = sorted(
-            task_records, key=lambda r: (r.start_time, r.task_id, r.attempt)
-        )
+        self._tasks: list[TaskRecord] = sorted(task_records, key=_TASK_ORDER)
         self._jobs: list[JobRecord] = sorted(
             job_records, key=lambda r: (r.submit_time, r.job_id)
         )

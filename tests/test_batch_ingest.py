@@ -3,10 +3,12 @@ heap-driven eviction, journal compaction, and node recovery."""
 
 import os
 import threading
-import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.rm.cluster import ClusterSpec
 from repro.service.daemon import ServiceConfig, TempoService
@@ -29,7 +31,7 @@ from repro.service.journal import (
 )
 from repro.service.replay import build_controller, build_service, make_scenario
 from repro.service.snapshot import ServiceState
-from repro.workload.trace import JobRecord, TaskRecord
+from repro.workload.trace import JobRecord, TaskRecord, Trace
 
 
 def _task(job_id, task_id, tenant, finish, duration, **kwargs):
@@ -199,20 +201,61 @@ class TestAsyncWriter:
         assert len(list(journal.iter_records())) == len(events)
         journal.close()
 
-    def test_writer_failure_surfaces_on_next_append(self, tmp_path, monkeypatch):
-        journal = EventJournal(tmp_path, async_writer=True)
+    @staticmethod
+    def _break_writer(journal, monkeypatch):
         monkeypatch.setattr(
             journal,
             "_write_entries",
             lambda entries: (_ for _ in ()).throw(OSError("disk full")),
         )
+
+    @staticmethod
+    def _wait_for_writer(journal):
+        """Join the writer thread: it exits once its batch failed."""
+        thread = journal._async._thread
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    def test_writer_failure_surfaces_on_next_append(self, tmp_path, monkeypatch):
+        journal = EventJournal(tmp_path, async_writer=True)
+        self._break_writer(journal, monkeypatch)
         journal.append("event", encode_event(Heartbeat(1.0)))
+        self._wait_for_writer(journal)
         with pytest.raises(JournalError, match="async journal writer failed"):
-            for _ in range(200):
-                journal.append("event", encode_event(Heartbeat(2.0)))
-                time.sleep(0.005)
+            journal.append("event", encode_event(Heartbeat(2.0)))
         monkeypatch.undo()
-        journal.close()
+        # Fail-stop: a working disk again does not resume the journal.
+        with pytest.raises(JournalError):
+            journal.append("event", encode_event(Heartbeat(3.0)))
+        with pytest.raises(JournalError):
+            journal.flush()
+        with pytest.raises(JournalError):
+            journal.close()
+        assert journal._fh is None  # the handle is closed all the same
+        assert list(EventJournal(tmp_path).iter_records()) == []
+
+    def test_writer_failure_leaves_no_seq_gap(self, tmp_path, monkeypatch):
+        """Nothing acknowledged after the hole may land: a reopened
+        journal must never show seqs 1, 4, 5, 6 with 2-3 silently gone."""
+        journal = EventJournal(tmp_path, async_writer=True)
+        journal.append("event", encode_event(Heartbeat(1.0)))
+        journal.flush()
+        self._break_writer(journal, monkeypatch)
+        journal.append("event", encode_event(Heartbeat(2.0)))
+        self._wait_for_writer(journal)
+        with pytest.raises(JournalError):
+            journal.append("event", encode_event(Heartbeat(3.0)))
+        monkeypatch.undo()
+        for when in (4.0, 5.0, 6.0):
+            with pytest.raises(JournalError):
+                journal.append("event", encode_event(Heartbeat(when)))
+        with pytest.raises(JournalError):
+            journal.append_events([Heartbeat(7.0)])
+        with pytest.raises(JournalError):
+            journal.close()
+        reopened = EventJournal(tmp_path)
+        assert [r.seq for r in reopened.iter_records()] == [1]
+        reopened.close()
 
     def test_oversized_batch_does_not_deadlock(self, tmp_path):
         """A single batch larger than the queue bound must be split,
@@ -313,6 +356,108 @@ class TestHeapEviction:
         window = RollingWindow(60.0)
         with pytest.raises(TypeError):
             window.ingest_many([Heartbeat(1.0)])
+
+
+def _window_trace_by_replace(window, capacity=None):
+    """``RollingWindow.trace()`` as it was written with ``dataclasses.replace``."""
+    start = max(0.0, window._now - window.window)
+    horizon = max(window._now - start, 1e-9)
+    tasks, jobs = [], []
+    for acc in window._tenants.values():
+        for _, record, _ in acc.tasks:
+            finish = max(record.finish_time - start, 0.0)
+            begin = min(max(record.start_time - start, 0.0), finish)
+            submit = min(max(record.submit_time - start, 0.0), begin)
+            tasks.append(
+                replace(record, submit_time=submit, start_time=begin, finish_time=finish)
+            )
+        for _, record in acc.jobs:
+            if record.submit_time < start:
+                continue
+            deadline = None if record.deadline is None else record.deadline - start
+            jobs.append(
+                replace(
+                    record,
+                    submit_time=record.submit_time - start,
+                    finish_time=max(record.finish_time - start, 0.0),
+                    deadline=deadline,
+                )
+            )
+    return Trace(tasks, jobs, capacity=capacity, horizon=horizon)
+
+
+_TIME = st.floats(0.0, 2000.0, allow_nan=False)
+_NAME = st.sampled_from(["a", "b", "c"])
+
+
+@st.composite
+def _task_event(draw):
+    times = sorted(draw(st.lists(_TIME, min_size=3, max_size=3)))
+    record = TaskRecord(
+        draw(_NAME),
+        draw(st.sampled_from(["t0", "t1", "t2"])),
+        draw(_NAME),
+        draw(st.sampled_from(["map", "reduce"])),
+        draw(st.sampled_from(["s0", "s1"])),
+        *times,
+        draw(st.integers(1, 4)),
+        draw(st.booleans()),
+        draw(st.booleans()),
+        draw(st.integers(0, 3)),
+    )
+    return TaskCompleted(record.finish_time, record)
+
+
+@st.composite
+def _job_event(draw):
+    submit, finish = sorted(draw(st.lists(_TIME, min_size=2, max_size=2)))
+    record = JobRecord(
+        draw(_NAME),
+        draw(_NAME),
+        submit,
+        finish,
+        draw(st.one_of(st.none(), _TIME)),
+        draw(st.integers(0, 9)),
+        draw(st.lists(_NAME, max_size=2).map(tuple)),
+        draw(st.sampled_from([(), (("s0", ()), ("s1", ("s0",)))])),
+    )
+    return JobCompleted(finish, record)
+
+
+class TestWindowTrace:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        window=st.floats(1.0, 1500.0),
+        events=st.lists(st.one_of(_task_event(), _job_event()), max_size=40),
+        advance=st.one_of(st.none(), _TIME),
+    )
+    @example(  # window opens at 70: one job submitted before, one task clamped
+        window=100.0,
+        events=[
+            JobCompleted(150.0, JobRecord("early", "a", 10.0, 150.0, None, 3)),
+            TaskCompleted(
+                160.0,
+                TaskRecord(
+                    "early", "t0", "a", "map", "s0", 5.0, 20.0, 160.0, 2, True, False, 2
+                ),
+            ),
+            JobCompleted(170.0, JobRecord("late", "b", 120.0, 170.0, 300.0, 1, ("x",))),
+        ],
+        advance=None,
+    )
+    def test_constructor_build_equals_replace(self, window, events, advance):
+        """Record for record, including positional field order: jobs
+        submitted before the window opens are dropped, tasks started
+        before it are clamped to its start, flags keep their places."""
+        rolling = RollingWindow(window)
+        rolling.ingest_many(events)
+        if advance is not None:
+            rolling.advance(advance)
+        got = rolling.trace(capacity={"map": 8, "reduce": 4})
+        want = _window_trace_by_replace(rolling, capacity={"map": 8, "reduce": 4})
+        assert got.task_records == want.task_records
+        assert got.job_records == want.job_records
+        assert (got.horizon, got.capacity) == (want.horizon, want.capacity)
 
 
 class TestIngestBatchParity:

@@ -8,7 +8,13 @@ from predictor_golden import GOLDEN, corpus, digest
 from repro.rm.cluster import ClusterSpec
 from repro.rm.config import RMConfig, TenantConfig
 from repro.rm.policies import FairSharePolicy, FifoPolicy
-from repro.sim.predictor import SchedulePredictor, _PredictorRun
+from repro.service.replay import make_scenario
+from repro.sim.predictor import SchedulePredictor, _PredictorRun, _Task
+from repro.sim.runtime import JobRun
+from repro.sim.schedule import TaskSchedule
+from repro.slo.objectives import SLOSet
+from repro.slo.templates import fairness_slo, throughput_slo, utilization_slo
+from repro.whatif.model import WhatIfModel
 from repro.workload.model import (
     JobSpec,
     StageSpec,
@@ -17,6 +23,7 @@ from repro.workload.model import (
     mapreduce_job,
     single_stage_job,
 )
+from repro.workload.trace import TaskRecord, Trace
 
 
 def predict(cluster, workload, config=None, policy=None):
@@ -266,6 +273,147 @@ class TestGoldenCorpus:
             seen[name] = digest(SchedulePredictor(cluster, policy).predict(workload, config))
         assert seen.keys() == golden.keys()
         assert [name for name in seen if seen[name] != golden[name]] == []
+
+
+class TestRowBackedSchedule:
+    """The predictor emits attempt rows; its schedule builds records lazily."""
+
+    @staticmethod
+    def _fresh(schedule):
+        """An unread schedule over the same rows (each query reads first)."""
+        return TaskSchedule(
+            schedule._rows,
+            schedule.job_records,
+            cluster=schedule.cluster,
+            config=schedule.config,
+            horizon=schedule.horizon,
+        )
+
+    def test_every_query_equals_an_eager_trace(self):
+        def queries(cluster, tenant, pool, cut):
+            def replay(trace):
+                workload = trace.to_workload()
+                return workload.jobs, workload.horizon
+
+            def window(trace):
+                part = trace.window(cut, 2 * cut)
+                return part.task_records, part.job_records, part.horizon
+
+            def plain_repr(trace):
+                text = repr(trace).replace("TaskSchedule(", "Trace(")
+                return text.replace(f", cluster={cluster.name}", "")
+
+            return [
+                ("task_records", lambda t: t.task_records),
+                ("len", len),
+                ("tenants", lambda t: t.tenants()),
+                ("pools", lambda t: t.pools()),
+                ("tasks_of", lambda t: t.tasks_of(tenant)),
+                ("tasks_of pool", lambda t: t.tasks_of(tenant, pool)),
+                ("container_seconds", lambda t: t.container_seconds()),
+                (
+                    "container_seconds effective",
+                    lambda t: t.container_seconds(tenant, pool, include_preempted=False),
+                ),
+                ("to_workload", replay),
+                ("window", window),
+                ("repr", plain_repr),
+            ]
+
+        for case, (name, cluster, policy, workload, config) in enumerate(corpus()):
+            schedule = SchedulePredictor(cluster, policy).predict(workload, config)
+            lazy = self._fresh(schedule)
+            eager = Trace(
+                schedule.task_records,
+                schedule.job_records,
+                capacity=schedule.capacity,
+                horizon=schedule.horizon,
+            )
+            asked = queries(
+                cluster,
+                sorted(eager.tenants())[0],
+                sorted(eager.pools())[-1],
+                schedule.horizon / 3,
+            )
+            # Rotate which query reads the unbuilt schedule first.
+            shift = case % len(asked)
+            for query, ask in asked[shift:] + asked[:shift]:
+                assert ask(lazy) == ask(eager), (name, query)
+
+    @staticmethod
+    def _steady():
+        scenario = make_scenario("steady", scale=3.0, horizon=1800.0)
+        return scenario, scenario.model.generate(7, scenario.horizon)
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        built = [0]
+        check = TaskRecord.__post_init__
+
+        def counting(record):
+            built[0] += 1
+            check(record)
+
+        monkeypatch.setattr(TaskRecord, "__post_init__", counting)
+        return built
+
+    def test_job_level_slos_build_no_records(self, monkeypatch):
+        scenario, workload = self._steady()
+        built = self._count_builds(monkeypatch)
+        model = WhatIfModel(scenario.cluster, scenario.slos, [workload])
+        model.evaluate(scenario.initial_config)
+        # Job-level QS with no named tenant read job records only, too.
+        anyone = SLOSet([throughput_slo(None), *scenario.slos])
+        WhatIfModel(scenario.cluster, anyone, [workload]).evaluate(
+            scenario.initial_config
+        )
+        assert built[0] == 0
+        schedule = model.predict_schedules(scenario.initial_config)[0]
+        assert len(schedule.task_records) == built[0] > 0
+
+    def test_task_level_slos_keep_their_values(self):
+        scenario, workload = self._steady()
+        slos = SLOSet(
+            [
+                *scenario.slos,
+                utilization_slo(0.5),
+                utilization_slo(0.3, tenant="besteffort", pool="map"),
+                fairness_slo("deadline", 0.4),
+                throughput_slo("besteffort"),
+            ]
+        )
+        qs = WhatIfModel(scenario.cluster, slos, [workload]).evaluate(
+            scenario.initial_config
+        )
+        # Recorded from the predictor that built every record eagerly.
+        assert [float(v) for v in qs] == [
+            0.0,
+            1705.0489625303312,
+            -0.605889664098079,
+            -0.35873312447876265,
+            0.2772912440680676,
+            -78.0,
+        ]
+
+    def test_emitting_a_disordered_attempt_raises(self, small_cluster):
+        workload = Workload([single_stage_job("A", 0.0, [10.0], job_id="j")])
+        config = RMConfig({"A": TenantConfig()})
+        run = _PredictorRun(small_cluster, FairSharePolicy(), workload, config)
+        pool = run.pool_index["slots"]
+        spec = workload[0].stages[0].tasks[0]
+        for ready, start, now in ((10.0, 5.0, 20.0), (0.0, 30.0, 20.0)):
+            task = _Task(JobRun(workload[0]), spec, "s", pool, 0, ready)
+            task.start_time = start
+            pool.running[0] = {task: None}
+            with pytest.raises(ValueError, match="submit <= start <= finish"):
+                run._stop(task, now, preempted=False)
+        assert run.task_rows == []
+
+    def test_a_disordered_row_raises_when_read(self, small_cluster):
+        row = ("j", "t", "A", "slots", "s", 10.0, 5.0, 20.0, 1, False, False, 0)
+        schedule = TaskSchedule([row], [], cluster=small_cluster, horizon=20.0)
+        with pytest.raises(ValueError, match="submit <= start <= finish"):
+            schedule.task_records
 
 
 class TestDirtyPools:

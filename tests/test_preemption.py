@@ -18,41 +18,72 @@ class FakeTask:
 class TestStarvationClock:
     def test_starts_when_below_entitlement_with_demand(self):
         clock = StarvationClock()
-        clock.update(now=10.0, allocation=1, demand=5, min_entitlement=3, fair_entitlement=4)
+        clock.step(
+            now=10.0,
+            allocation=1,
+            demand=5,
+            min_entitlement=3,
+            fair_entitlement=4,
+            min_timeout=60.0,
+            fair_timeout=120.0,
+        )
         assert clock.below_min_since == 10.0
         assert clock.below_fair_since == 10.0
 
     def test_resets_when_satisfied(self):
         clock = StarvationClock()
-        clock.update(10.0, 1, 5, 3, 4)
-        clock.update(20.0, 4, 5, 3, 4)
+        clock.step(10.0, 1, 5, 3, 4, 60.0, 120.0)
+        assert clock.step(20.0, 4, 5, 3, 4, 60.0, 120.0) == (None, math.inf)
         assert clock.below_min_since is None
         assert clock.below_fair_since is None
 
     def test_no_starvation_without_demand(self):
         clock = StarvationClock()
-        clock.update(10.0, 1, 1, 3, 4)  # demand == allocation
+        clock.step(10.0, 1, 1, 3, 4, 60.0, 120.0)  # demand == allocation
         assert clock.below_min_since is None
 
     def test_clock_start_is_sticky(self):
         clock = StarvationClock()
-        clock.update(10.0, 1, 5, 3, 4)
-        clock.update(30.0, 1, 5, 3, 4)
+        clock.step(10.0, 1, 5, 3, 4, 60.0, 120.0)
+        clock.step(30.0, 1, 5, 3, 4, 60.0, 120.0)
         assert clock.below_min_since == 10.0
 
     def test_next_deadline(self):
-        clock = StarvationClock()
-        clock.update(10.0, 0, 5, 3, 4)
-        assert clock.next_deadline(60.0, 120.0) == pytest.approx(70.0)
-        assert clock.next_deadline(math.inf, 120.0) == pytest.approx(130.0)
-        assert clock.next_deadline(math.inf, math.inf) == math.inf
+        def deadline(min_timeout, fair_timeout):
+            return StarvationClock().step(10.0, 0, 5, 3, 4, min_timeout, fair_timeout)[1]
+
+        assert deadline(60.0, 120.0) == pytest.approx(70.0)
+        assert deadline(math.inf, 120.0) == pytest.approx(130.0)
+        assert deadline(math.inf, math.inf) == math.inf
+        # Only a running clock has a deadline: fair-only starvation.
+        assert StarvationClock().step(10.0, 3, 5, 3, 4, 60.0, 120.0)[1] == 130.0
 
     def test_triggered_level_prefers_min(self):
+        def fired(now, min_timeout, fair_timeout):
+            clock = StarvationClock()
+            clock.step(0.0, 0, 5, 3, 4, min_timeout, fair_timeout)
+            return clock.step(now, 0, 5, 3, 4, min_timeout, fair_timeout)[0]
+
+        assert fired(59.0, 60.0, 60.0) is None
+        assert fired(60.0, 60.0, 60.0) == "min"
+        assert fired(60.0, math.inf, 60.0) == "fair"
+
+    def test_fired_level_restarts_and_sets_next_deadline(self):
         clock = StarvationClock()
-        clock.update(0.0, 0, 5, 3, 4)
-        assert clock.triggered_level(59.0, 60.0, 60.0) is None
-        assert clock.triggered_level(60.0, 60.0, 60.0) == "min"
-        assert clock.triggered_level(60.0, math.inf, 60.0) == "fair"
+        clock.step(0.0, 0, 5, 3, 4, 60.0, 90.0)
+        # min fires at 60 and restarts; fair (due at 90) is untouched.
+        assert clock.step(60.0, 0, 5, 3, 4, 60.0, 90.0) == ("min", 90.0)
+        assert clock.below_min_since == 60.0
+        assert clock.below_fair_since == 0.0
+        # fair fires at 90; min (restarted at 60) is next due at 120.
+        assert clock.step(90.0, 0, 5, 3, 4, 60.0, 90.0) == ("fair", 120.0)
+        assert clock.below_fair_since == 90.0
+
+    def test_fire_false_only_advances(self):
+        clock = StarvationClock()
+        clock.step(0.0, 0, 5, 3, 4, 60.0, 60.0)
+        assert clock.step(100.0, 0, 5, 3, 4, 60.0, 60.0, fire=False) == (None, 60.0)
+        assert clock.below_min_since == 0.0
 
 
 class TestVictimSelection:
