@@ -106,7 +106,7 @@ import numpy as np
 from repro.core.controller import TempoController, windows_from_model
 from repro.rm.cluster import ClusterSpec
 from repro.rm.config import ConfigSpace, RMConfig
-from repro.service.daemon import ServiceConfig, TempoService
+from repro.service.daemon import ServiceConfig, TempoService, check_worker_plane
 from repro.service.failover import FailoverConfig, parse_fault, run_chaos
 from repro.service.journal import JournalError
 from repro.service.replay import (
@@ -365,6 +365,16 @@ def _json_decision_logger(out):
     return _log
 
 
+def _check_worker_plane(shards: int, shard_workers, tcp_workers) -> None:
+    """:func:`check_worker_plane` with its refusal as a CLI exit."""
+    try:
+        check_worker_plane(
+            shards, shard_workers=bool(shard_workers), tcp_workers=bool(tcp_workers)
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+
 def _failover_from_args(heartbeat_interval, failover_after) -> FailoverConfig | None:
     """Supervision config from CLI/meta values (``None``: supervision off)."""
     if failover_after is None:
@@ -397,6 +407,7 @@ def _run_scenario(args: argparse.Namespace, out, transport: str) -> int:
         raise SystemExit(
             "--shard-workers and --tcp-workers are mutually exclusive"
         )
+    _check_worker_plane(args.shards, args.shard_workers, args.tcp_workers)
     if args.freeze_after is not None and args.freeze_after < 1:
         raise SystemExit(
             f"--freeze-after must be >= 1, got {args.freeze_after}"
@@ -520,6 +531,7 @@ def _run_trace(args: argparse.Namespace, out) -> int:
         raise SystemExit(
             "--shard-workers and --tcp-workers are mutually exclusive"
         )
+    _check_worker_plane(args.shards, args.shard_workers, args.tcp_workers)
     if not Path(args.trace).exists():
         raise SystemExit(f"trace file {args.trace} does not exist")
     events = load_trace_events(args.trace)
@@ -637,6 +649,9 @@ def cmd_resume(args: argparse.Namespace, out) -> int:
             f"--shards {reshard_to} was requested; pass --reshard to "
             "redistribute the data plane"
         )
+    _check_worker_plane(
+        reshard_to or shards, meta.get("shard_workers"), meta.get("tcp_workers")
+    )
     try:
         state = ServiceState(
             args.state_dir,
@@ -705,9 +720,9 @@ def cmd_resume(args: argparse.Namespace, out) -> int:
 
         service.process(Heartbeat(start))
         print(f"resharded data plane: {shards} -> {reshard_to} shard(s)", file=out)
-    if meta.get("shard_workers") and service.num_shards > 1:
+    if meta.get("shard_workers"):
         service.promote_to_workers()
-    elif meta.get("tcp_workers") and service.num_shards > 1:
+    elif meta.get("tcp_workers"):
         service.promote_to_remote()
     horizon = scenario.horizon
     if start >= horizon:
@@ -757,6 +772,7 @@ def cmd_chaos(args: argparse.Namespace, out) -> int:
         raise SystemExit(
             "--shard-workers and --tcp-workers are mutually exclusive"
         )
+    _check_worker_plane(args.shards, args.shard_workers, args.tcp_workers)
     if args.horizon is not None and args.horizon <= 0:
         raise SystemExit(f"--horizon must be positive, got {args.horizon}")
     if args.window <= 0:

@@ -47,9 +47,10 @@ it owns the cadence, the guards, the controller, the rollback history,
 and the decision/config journal, and at every cadence tick it drains
 the shards' window states and merges them
 (:meth:`~repro.service.ingest.RollingWindow.merge_states`) before
-deciding exactly as an unsharded daemon would.  With ``shards=1`` (the
-default) the shard shares the service's journal and every code path —
-and every journal byte — is identical to the pre-sharding pipeline.
+deciding exactly as a single window would.  Every shard count runs the
+same route → shard ingest → account → drain/merge → snapshot path;
+``shards=1`` (the default) is that path with one shard, whose journal
+is the state dir's top-level (control) journal.
 
 The daemon's clock is *simulated time carried by the events*, never the
 wall clock — a serving run is exactly reproducible from its event
@@ -64,6 +65,7 @@ import threading
 import time as _time
 from collections import deque
 from dataclasses import dataclass
+from operator import methodcaller
 
 from repro.core.controller import ControlIteration, TempoController
 from repro.core.decisions import DecisionEngine, DecisionRecord, TickSignals
@@ -81,7 +83,6 @@ from repro.service.codec import split_window_state
 from repro.service.events import (
     DecisionMade,
     EventBus,
-    Heartbeat,
     NodeLost,
     NodeRecovered,
     ServiceEvent,
@@ -101,8 +102,8 @@ from repro.service.ingest import (
 )
 from repro.service.journal import JournalError, JournalRecord, encode_event
 from repro.service.sharding import (
-    _TELEMETRY_EVENTS,
     IngestShard,
+    RoutedBatch,
     ShardFailedError,
     ShardPartitionedError,
     ShardRouter,
@@ -126,20 +127,6 @@ from repro.service.snapshot import (
     stats_to_dict,
 )
 from repro.workload.model import capacity_floor
-
-#: Control events handled by the daemon itself (never folded into the
-#: rolling window).
-_CONTROL_EVENTS = (
-    Heartbeat,
-    TenantJoined,
-    TenantLeft,
-    NodeLost,
-    NodeRecovered,
-    ShardFailed,
-    ShardRecovered,
-    ShardPartitioned,
-    ShardReconnected,
-)
 
 #: Maximum events pulled off the bus per drain-loop iteration; one
 #: :meth:`TempoService.ingest_batch` call journals and folds the whole
@@ -286,31 +273,31 @@ class TempoService:
             every event is journaled *before* it is processed and the
             service can later be rebuilt with :meth:`resume`.  Its shard
             layout must match ``shards``.
-        shards: Data-plane shard count.  ``1`` (the default) keeps the
-            exact pre-sharding pipeline: one window, one journal,
-            byte-identical output.  ``N > 1`` routes telemetry per
-            tenant onto N :class:`~repro.service.sharding.IngestShard`
+        shards: Data-plane shard count.  Telemetry routes per tenant
+            onto N :class:`~repro.service.sharding.IngestShard`
             instances whose statistics the control plane merges at each
-            cadence tick.
+            cadence tick; ``1`` (the default) is the same pipeline with
+            one shard, whose journal is the state dir's top-level
+            journal.
         shard_workers: Run the shards as ``multiprocessing`` worker
             processes (each owning its journal and window) instead of
             in-process objects.  Batches are acknowledged when queued to
             a worker, so durability lags acknowledgement by the queue
             depth — the same contract as ``--async-journal``, recovered
-            by the same chunk-boundary rewind.  Ignored when
-            ``shards == 1``.
+            by the same chunk-boundary rewind.  Requires ``shards >= 2``
+            (see :func:`check_worker_plane`).
         tcp_workers: Run the shards as loopback **TCP** worker
             processes behind :class:`~repro.service.transport.
             RemoteShardHandle` proxies — same acknowledgement and
             journal-ownership contract as ``shard_workers``, plus the
             transport plane's partition tolerance (bounded buffering,
             backoff reconnect, degraded-mode serving).  Exclusive with
-            ``shard_workers``; ignored when ``shards == 1``.
+            ``shard_workers``; requires ``shards >= 2``.
         shard_endpoints: Addresses of operator-managed ``repro worker``
             processes, one ``(host, port)`` per shard — the service
             connects instead of spawning.  Exclusive with both worker
             modes and with durable ``state`` (external workers own
-            their journals end to end).
+            their journals end to end); requires ``shards >= 2``.
         transport: Optional :class:`~repro.service.transport.
             TransportConfig` tuning the TCP planes' timeouts, backoff,
             and send-queue bound.
@@ -357,12 +344,18 @@ class TempoService:
                 f"service was built with {shards}; resume with --reshard to "
                 "change the layout"
             )
+        check_worker_plane(
+            shards,
+            shard_workers=shard_workers,
+            tcp_workers=tcp_workers,
+            shard_endpoints=shard_endpoints,
+        )
         self.bus = bus or EventBus(self.config.queue_capacity)
         self.state = state
         self.router = ShardRouter(shards)
-        self.shard_workers = bool(shard_workers) and shards > 1
+        self.shard_workers = bool(shard_workers)
         #: TCP loopback worker fleet (see :mod:`repro.service.transport`).
-        self.tcp_workers = bool(tcp_workers) and shards > 1
+        self.tcp_workers = bool(tcp_workers)
         if self.shard_workers and self.tcp_workers:
             raise ValueError("choose one of shard_workers / tcp_workers")
         #: Operator-managed worker addresses (``repro worker`` peers).
@@ -375,11 +368,6 @@ class TempoService:
             if len(shard_endpoints) != shards:
                 raise ValueError(
                     f"{len(shard_endpoints)} endpoint(s) for {shards} shard(s)"
-                )
-            if shards < 2:
-                raise ValueError(
-                    "external shard endpoints require shards >= 2 (the "
-                    "single-shard path runs the pre-sharding pipeline)"
                 )
             if state is not None:
                 raise ValueError(
@@ -397,9 +385,9 @@ class TempoService:
         self.failovers: list[FailoverReport] = []
         self.shard_failures = 0
         self.shard_recoveries = 0
-        # Control-plane registry: the single-shard ingest path, the
-        # decision plane, and the retune loop all count here.  Shards
-        # keep their own registries (merged at drain barriers).
+        # Control-plane registry: ingest, the decision plane, the retune
+        # loop, and every journal the parent writes count here.  Worker
+        # shards keep their own registries (merged at drain barriers).
         self.metrics = MetricsRegistry() if self.config.observe else NullRegistry()
         if state is not None and self.config.observe:
             state.journal.metrics = self.metrics
@@ -433,13 +421,7 @@ class TempoService:
                 paths, opts = None, None
             self.shards = start_shard_workers(
                 shards, self.config.window, paths, opts,
-                observe=self.config.observe,
-                heartbeat_interval=(
-                    failover.heartbeat_interval if failover is not None else 1.0
-                ),
-                failover_after=(
-                    failover.failover_after if failover is not None else None
-                ),
+                observe=self.config.observe, **self._supervision(),
             )
         elif self.tcp_workers:
             if state is not None:
@@ -451,51 +433,22 @@ class TempoService:
                 paths, opts = None, None
             self.shards, self._launcher = start_remote_shards(
                 shards, self.config.window, paths, opts,
-                observe=self.config.observe,
-                heartbeat_interval=(
-                    failover.heartbeat_interval if failover is not None else 1.0
-                ),
-                failover_after=(
-                    failover.failover_after if failover is not None else None
-                ),
-                config=self.transport,
+                observe=self.config.observe, config=self.transport,
+                **self._supervision(),
             )
         elif self.shard_endpoints is not None:
             self.shards = [
                 RemoteShardHandle(
-                    i,
-                    self.shard_endpoints[i],
-                    heartbeat_interval=(
-                        failover.heartbeat_interval if failover is not None else 1.0
-                    ),
-                    failover_after=(
-                        failover.failover_after if failover is not None else None
-                    ),
-                    config=self.transport,
+                    i, self.shard_endpoints[i], config=self.transport,
+                    **self._supervision(),
                 )
                 for i in range(shards)
             ]
         else:
-            self.shards = [
-                IngestShard(
-                    i,
-                    self.config.window,
-                    journal=(
-                        state.shard_journal(i)
-                        if state is not None and shards > 1
-                        else None
-                    ),
-                    queue_capacity=self.config.queue_capacity,
-                    metrics=(
-                        MetricsRegistry()
-                        if self.config.observe and shards > 1
-                        else None
-                    ),
-                )
-                for i in range(shards)
-            ]
+            self.shards = [self._new_shard(i) for i in range(shards)]
         self._m_ingest_events = self.metrics.counter(
-            "tempo_ingest_events_total", "Events folded into the window."
+            "tempo_ingest_events_total",
+            "Events ingested or replayed (telemetry and control).",
         )
         self._m_ingest_batches = self.metrics.counter(
             "tempo_ingest_batches_total", "Ingest batches processed."
@@ -541,6 +494,26 @@ class TempoService:
             f"retunes={self.retunes}, skips={self.skips}, now={self.now:.0f}s)"
         )
 
+    def _new_shard(self, shard_id: int) -> IngestShard:
+        """Build one in-process serving shard — the plane's one factory.
+
+        Its journal is the state dir's journal for ``shard_id`` (at one
+        shard, the top-level journal itself), counted in the control
+        registry: an in-process shard runs on the control plane's
+        thread, so one registry needs no merge.
+        """
+        journal = None
+        if self.state is not None:
+            journal = self.state.shard_journal(shard_id)
+            if self.config.observe:
+                journal.metrics = self.metrics
+        return IngestShard(
+            shard_id,
+            self.config.window,
+            journal=journal,
+            queue_capacity=self.config.queue_capacity,
+        )
+
     # -- data-plane views ---------------------------------------------------
 
     @property
@@ -551,35 +524,28 @@ class TempoService:
     @property
     def now(self) -> float:
         """Latest simulated event time the service has seen."""
-        if self.router.shards == 1:
-            return self.shards[0].window.now
         return self._now
 
     @property
     def window(self) -> RollingWindow:
-        """The service's rolling window.
+        """The service's rolling window, advanced to :attr:`now`.
 
-        Single-shard: the live window object (mutating it is the same
-        as pre-sharding behavior).  Sharded: a *merged copy* built from
-        every shard's current state — a consistent read-only view;
-        mutations do not feed back into the shards.  Supervised planes
-        sweep for dead shards first, so introspection after a crash
-        triggers the same failover an ingest call would.
+        Every shard is drained and the parts merged.  One in-process
+        shard hands over its live window, so that is what comes back
+        (mutating it mutates the shard); any other plane yields a
+        *merged copy* — a consistent read-only view whose mutations do
+        not feed back into the shards.  Supervised planes sweep for dead
+        shards first, so introspection after a crash triggers the same
+        failover an ingest call would.
         """
         if self.failover is not None:
             self.check_shards()
-        if self.router.shards == 1:
-            return self.shards[0].window
         with self._lock:
-            return RollingWindow.merge_states(
-                [s["window"] for s in self._drain_shards(self._now)]
-            )
+            return self._control_window(self._now)
 
     @property
     def telemetry_ingested(self) -> int:
-        """Telemetry events folded into the data plane (control excluded)."""
-        if self.router.shards == 1:
-            return self.shards[0].window.events_ingested
+        """Telemetry events routed to the data plane (control excluded)."""
         return self._telemetry
 
     def _drain_shards(self, now: float) -> list[dict]:
@@ -657,31 +623,25 @@ class TempoService:
     def _control_window(self, now: float) -> RollingWindow:
         """The window the control plane decides on at a cadence tick.
 
-        Single-shard: the live window, advanced to ``now`` (eviction
-        current at the attempt time — the pre-sharding behavior,
-        unchanged).  Sharded: every shard advanced to the global clock
-        and merged into one window, so the merged statistics equal what
-        a single window ingesting the whole stream would report.
+        Every shard advanced to the global clock and merged into one
+        window, so the merged statistics equal what a single window
+        ingesting the whole stream would report.  In-process shards hand
+        over their live windows (no bytes round trip), and merging one
+        part returns it.
         """
-        if self.router.shards == 1:
-            window = self.shards[0].window
-            window.advance(now)
-            return window
         states = self._drain_shards(max(now, self._now))
         return RollingWindow.merge_states([s["window"] for s in states])
 
     def stats_gap_now(self) -> float:
         """Worst incremental-vs-batch stats deviation across the data plane.
 
-        Single-shard and in-process shards check the live accumulators
-        directly; worker shards are checked through their drained state
-        (the refold-vs-``fsum`` comparison on the merged window).
+        In-process shards check the live accumulators directly; worker
+        shards are checked through their drained state (the
+        refold-vs-``fsum`` comparison on the merged window).
         """
         with self._lock:
             if self.failover is not None:
                 self.check_shards()
-            if self.router.shards == 1:
-                return stats_gap(self.shards[0].window)
             if any(not hasattr(shard, "window") for shard in self.shards):
                 # Worker shards (mp or TCP) hold their windows behind a
                 # process boundary: check the merged drained state.
@@ -831,8 +791,8 @@ class TempoService:
            died with the process — rewinds to its newest broadcast-
            heartbeat boundary (the chunk edge crash recovery already
            uses) and snapshots past the boundary are pruned.  In-process
-           and single-shard journals are parent-owned and consistent, so
-           nothing is truncated and nothing is lost;
+           shard journals are parent-owned and consistent, so nothing is
+           truncated and nothing is lost;
         3. the replacement window is rebuilt from the newest surviving
            snapshot plus a replay of the shard's journal tail;
         4. a replacement shard (worker or in-process, matching the
@@ -849,7 +809,6 @@ class TempoService:
             raise RuntimeError("failover_shard() requires a FailoverConfig")
         with self._lock:
             started = _time.perf_counter()
-            shards = self.router.shards
             old = self.shards[shard_id]
             fence = getattr(old, "kill", None)
             if callable(fence):
@@ -876,12 +835,9 @@ class TempoService:
             boundary_time = 0.0
             records_dropped = telemetry_dropped = replayed = 0
             if state is not None:
-                if self.shard_workers or self.tcp_workers or shards == 1:
+                if self.shard_workers or self.tcp_workers:
                     # Worker journals lose their unsynced tail with the
-                    # process: rewind to the heartbeat boundary.  The
-                    # single-shard call never truncates (the control
-                    # journal is parent-owned); it only reports the
-                    # boundary.
+                    # process: rewind to the heartbeat boundary.
                     boundary_time, _cut, records_dropped, telemetry_dropped = (
                         state.failover_shard(shard_id)
                     )
@@ -892,17 +848,14 @@ class TempoService:
                     boundary = state.shard_journal(shard_id).last_heartbeat()
                     if boundary is not None:
                         boundary_time = boundary[1]
-                journal = (
-                    state.journal if shards == 1 else state.shard_journal(shard_id)
-                )
+                journal = state.shard_journal(shard_id)
                 window_state = None
                 base_seq = 0
                 loaded = state.load_latest_snapshot()
                 if loaded is not None:
-                    base_seq, snapshot = loaded
+                    _, snapshot = loaded
                     window_state = snapshot["windows"][shard_id]
-                    if shards > 1:
-                        base_seq = int(snapshot["sharding"]["shard_seqs"][shard_id])
+                    base_seq = int(snapshot["sharding"]["shard_seqs"][shard_id])
                 else:
                     segments = journal.segments()
                     if segments and journal._first_seq_of(segments[0]) > 1:
@@ -970,21 +923,7 @@ class TempoService:
                     config=self.transport,
                 )
             else:
-                replacement = IngestShard(
-                    shard_id,
-                    self.config.window,
-                    journal=(
-                        state.shard_journal(shard_id)
-                        if state is not None and shards > 1
-                        else None
-                    ),
-                    queue_capacity=self.config.queue_capacity,
-                    metrics=(
-                        MetricsRegistry()
-                        if self.config.observe and shards > 1
-                        else None
-                    ),
-                )
+                replacement = self._new_shard(shard_id)
                 replacement.window = replacement_window
                 self.shards[shard_id] = replacement
             # The dead shard's registry died with it; fold its last
@@ -1046,10 +985,9 @@ class TempoService:
         if isinstance(event, TenantJoined):
             self.active_tenants.add(event.tenant)
         elif isinstance(event, TenantLeft):
+            # The window half — dropping the tenant's entries — is the
+            # owning shard's, which receives the event in stream order.
             self.active_tenants.discard(event.tenant)
-            # Single-shard path only: sharded daemons route churn to the
-            # owning shard (see _apply_membership / IngestShard.fold).
-            self.shards[0].window.drop_tenant(event.tenant)
             if self._last_snapshot is not None:
                 self._last_snapshot.pop(event.tenant, None)
             self._force = True
@@ -1113,22 +1051,6 @@ class TempoService:
                     buckets=BACKOFF_BUCKETS,
                 ).observe(event.outage)
 
-    def _apply_membership(self, event: ServiceEvent) -> None:
-        """Control-plane half of a tenant-churn event (sharded mode).
-
-        The window half — dropping the departed tenant's entries — is
-        applied by the owning shard, which received the event in stream
-        order; here only the membership set, the stability baseline,
-        and the forced-retune flag move.
-        """
-        if isinstance(event, TenantJoined):
-            self.active_tenants.add(event.tenant)
-        else:
-            self.active_tenants.discard(event.tenant)
-            if self._last_snapshot is not None:
-                self._last_snapshot.pop(event.tenant, None)
-            self._force = True
-
     def _cadence_chunks(
         self, events: list[ServiceEvent]
     ) -> list[tuple[list[ServiceEvent], float | None]]:
@@ -1187,83 +1109,48 @@ class TempoService:
             return decisions
 
     def _apply_events(self, chunk: list[ServiceEvent]) -> None:
-        """Journal and fold one run of events: live ingest and replay.
+        """Route, journal and fold one run of events: live ingest and replay.
 
-        Live, the run is journaled write-ahead first.  Replaying, the
-        journal stays quiet — and so do the cadence, the snapshots and
-        the batch counter, which belong to :meth:`ingest_batch` — so a
-        resumed daemon counts the events it restored and nothing else.
-        Control events flush pending telemetry first, so their state
-        changes (tenant drop, capacity loss and recovery) land at
-        exactly their stream position.
+        One routing pass splits the run.  Live, the control plane
+        journals its share first (so a tick's decision record lands
+        after it), then every shard receives its partition — telemetry,
+        tenant churn, and the broadcast heartbeats, each journaled
+        write-ahead by the shard that owns it — and finally the control
+        plane applies the run's membership/capacity effects.  Replaying,
+        the journal stays quiet — and so do the cadence, the snapshots
+        and the batch counter, which belong to :meth:`ingest_batch` — so
+        a resumed daemon counts the events it restored and nothing else.
         """
         if self._last_attempt is None:
             # Anchor the cadence at the first event's timestamp.
             self._last_attempt = chunk[0].time
-        if self.router.shards > 1:
-            self._apply_events_sharded(chunk)
-            return
-        if self.state is not None and not self._replaying:
-            self.state.record_events(chunk)
-        window = self.shards[0].window
-        pending: list[ServiceEvent] = []
-        for event in chunk:
-            if isinstance(event, _CONTROL_EVENTS):
-                if pending:
-                    window.ingest_many(pending)
-                    pending.clear()
-                self._apply_control(event)
-                window.advance(event.time)
-            else:
-                pending.append(event)
-        if pending:
-            window.ingest_many(pending)
-        self._now = window.now
-        self._events += len(chunk)
-        self._m_ingest_events.inc(len(chunk))
-
-    def _apply_events_sharded(self, chunk: list[ServiceEvent]) -> None:
-        """One live run through the sharded data plane.
-
-        Cluster-level control events group-commit to the control
-        journal first (so a tick's decision record lands after them),
-        then every shard receives its partition — telemetry, tenant
-        churn, and the broadcast heartbeats, each journaled write-ahead
-        by the shard that owns it — and finally the control plane
-        applies the run's membership/capacity effects.
-        """
-        parts, control = self.router.partition(chunk)
-        journaling = self.state is not None
-        if journaling and control:
-            self.state.record_events(control)
+        routed = self.router.partition(chunk)
+        live = self.state is not None and not self._replaying
+        if live:
+            self.state.record_control(routed.control)
+        verb = "fold" if self._replaying else "ingest"
         dispatched = 0
-        for shard_id, part in enumerate(parts):
+        for shard_id, part in enumerate(routed.parts):
             if part:
                 # On a failover the partition is re-delivered to the
                 # replacement: the failed call's records never reached
                 # the journal (or were truncated past the boundary), so
                 # the retry cannot duplicate anything.
-                self._supervised(
-                    shard_id, lambda shard, p=part: shard.ingest(p)
-                )
+                self._supervised(shard_id, methodcaller(verb, part))
                 dispatched += len(part)
-        if journaling and dispatched:
+        if live and dispatched:
             self.state.note_shard_records(dispatched)
-        self._m_ingest_events.inc(len(control))  # the shards count their own
-        self._account_sharded(chunk)
+        self._account(len(chunk), routed)
 
-    def _account_sharded(self, events: list[ServiceEvent]) -> None:
-        """Control-plane bookkeeping of events the shards have folded."""
-        self._events += len(events)
-        for event in events:
-            if event.time > self._now:
-                self._now = event.time
-            if isinstance(event, (TenantJoined, TenantLeft)):
-                self._apply_membership(event)
-            elif isinstance(event, _TELEMETRY_EVENTS):
-                self._telemetry += 1
-            elif not isinstance(event, Heartbeat):
-                self._apply_control(event)  # capacity and shard-health events
+    def _account(self, count: int, routed: RoutedBatch) -> None:
+        """Control-plane bookkeeping of ``count`` events the shards got."""
+        self._events += count
+        self._m_ingest_events.inc(count)
+        self._telemetry += routed.telemetry
+        if routed.newest > self._now:
+            self._now = routed.newest
+        for event in routed.effects:
+            self._apply_control(event)
 
     def retune(self, now: float, force: bool = False) -> RetuneDecision:
         """One guarded retune attempt at simulated time ``now``.
@@ -1278,18 +1165,10 @@ class TempoService:
             self._last_attempt = now
             span = Span()
             with span.phase("drain"):
-                if self.router.shards == 1:
-                    # The live window, advanced (eviction current at the
-                    # attempt time — the pre-sharding behavior, unchanged).
-                    window = self.shards[0].window
-                    window.advance(now)
-                    snapshot = window.snapshot()
-                else:
-                    # Guards decide on O(tenants) merged statistics; the
-                    # O(retained-entries) merged window is only
-                    # materialized below if the tune actually proceeds.
-                    window = None
-                    snapshot = self._merged_shard_snapshot(now)
+                # Guards decide on O(tenants) merged statistics; the
+                # O(retained-entries) merged window is only materialized
+                # below if the tune actually proceeds.
+                snapshot = self._merged_shard_snapshot(now)
             jobs = sum(s.jobs for s in snapshot.values())
             force = force or self._force
             # Pre-tune guard phase: the decision plane's sparsity and
@@ -1323,9 +1202,7 @@ class TempoService:
                 return decision
             reason, drift = tick.reason, tick.drift
             with span.phase("merge"):
-                if window is None:
-                    window = self._control_window(now)  # full merge: tune input
-                trace = window.trace()
+                trace = self._control_window(now).trace()  # full merge: tune input
                 cluster = self.effective_cluster(
                     capacity_floor(trace.task_records)
                 )
@@ -1655,40 +1532,32 @@ class TempoService:
 
         Always returns a real :class:`~repro.obs.MetricsRegistry` (empty
         when ``observe=False``).  Worker-shard dumps are as fresh as the
-        last drain barrier; in-process shard registries are read live.
+        last drain barrier; in-process shards count in the control
+        registry itself.
         """
         merged = MetricsRegistry.from_dict(self.metrics.to_dict())
-        for i, shard in enumerate(self.shards):
-            base = self._shard_metrics_base.get(i)
-            if base:
-                merged.merge(base)
-            live = getattr(shard, "metrics", None)
-            if live is not None:
-                merged.merge(live.to_dict())
-            else:
-                cached = self._shard_metrics.get(i)
-                if cached:
-                    merged.merge(cached)
+        for i in range(len(self.shards)):
+            merged.merge(self._shard_metrics_dump(i))
         return merged
+
+    def _shard_metrics_dump(self, shard_id: int) -> dict:
+        """One shard's counts: carried base plus live or last-drained dump.
+
+        Empty for in-process shards, which count in the control registry.
+        """
+        merged = MetricsRegistry.from_dict(self._shard_metrics_base.get(shard_id, {}))
+        live = getattr(self.shards[shard_id], "metrics", None)
+        dump = live.to_dict() if live is not None else self._shard_metrics.get(shard_id)
+        if dump:
+            merged.merge(dump)
+        return merged.to_dict()
 
     def _metrics_state(self) -> dict:
         """Snapshot payload: the control dump plus one dump per shard."""
-        shard_dumps: list[dict] = []
-        if self.router.shards > 1:
-            for i, shard in enumerate(self.shards):
-                merged = MetricsRegistry()
-                base = self._shard_metrics_base.get(i)
-                if base:
-                    merged.merge(base)
-                live = getattr(shard, "metrics", None)
-                if live is not None:
-                    merged.merge(live.to_dict())
-                else:
-                    cached = self._shard_metrics.get(i)
-                    if cached:
-                        merged.merge(cached)
-                shard_dumps.append(merged.to_dict())
-        return {"control": self.metrics.to_dict(), "shards": shard_dumps}
+        return {
+            "control": self.metrics.to_dict(),
+            "shards": [self._shard_metrics_dump(i) for i in range(len(self.shards))],
+        }
 
     def _record_decision(self, decision: RetuneDecision) -> None:
         """Append a decision in memory and, when durable, to the journal.
@@ -1742,28 +1611,22 @@ class TempoService:
     def state_dict(self) -> dict:
         """Everything a resumed daemon needs, as one dict.
 
-        ``windows`` holds every shard's window state (1 or N ``bytes``
+        ``windows`` holds every shard's window state (N ``bytes``
         values, :meth:`RollingWindow.to_state` output as is); the rest
-        is JSON-ready.  Sharded services add the shard layout and each
-        journal's covered position under ``sharding`` — one snapshot
-        covers all N+1 journals.
+        is JSON-ready.  ``sharding`` records the shard layout, each shard
+        journal's covered position — one snapshot covers every journal —
+        and the telemetry count.
         """
         with self._lock:
-            if self.router.shards == 1:
-                extra = {"windows": [self.shards[0].window.to_state()]}
-            else:
-                states = self._drain_shards(self._now)
-                extra = {
-                    "windows": [s["window"] for s in states],
-                    "sharding": {
-                        "shards": self.router.shards,
-                        "router": "crc32",
-                        "shard_seqs": [int(s["seq"]) for s in states],
-                        "telemetry": self._telemetry,
-                    },
-                }
+            states = self._drain_shards(self._now)
             return {
-                **extra,
+                "windows": [_window_bytes(s["window"]) for s in states],
+                "sharding": {
+                    "shards": self.router.shards,
+                    "router": "crc32",
+                    "shard_seqs": [int(s["seq"]) for s in states],
+                    "telemetry": self._telemetry,
+                },
                 "active_tenants": sorted(self.active_tenants),
                 "nodes_lost": self.nodes_lost,
                 "nodes_recovered": self.nodes_recovered,
@@ -1799,6 +1662,12 @@ class TempoService:
             }
 
     def _restore_state(self, state: dict) -> None:
+        sharding = state.get("sharding")
+        if sharding is None:
+            raise JournalError(
+                "snapshot has no 'sharding' record (written by an earlier "
+                "build); start this build on a fresh state dir"
+            )
         windows = state["windows"]
         if len(windows) != self.router.shards:
             raise JournalError(
@@ -1810,7 +1679,7 @@ class TempoService:
             shard.restore(window_state)
         # Each state's header frame carries its clock: (window, now, ...).
         self._now = max(split_window_state(w)[1] for w in windows)
-        self._telemetry = int(state.get("sharding", {}).get("telemetry", 0))
+        self._telemetry = int(sharding["telemetry"])
         self.active_tenants = set(state["active_tenants"])
         self.nodes_lost = int(state["nodes_lost"])
         self.nodes_recovered = int(state.get("nodes_recovered", 0))
@@ -1883,11 +1752,8 @@ class TempoService:
             )
             # The window state at this journal position is what the
             # live daemon snapshotted when it applied the tune (the
-            # merged per-tenant statistics, when sharded).
-            if self.router.shards == 1:
-                self._last_snapshot = self._control_window(decision.time).snapshot()
-            else:
-                self._last_snapshot = self._merged_shard_snapshot(decision.time)
+            # merged per-tenant statistics).
+            self._last_snapshot = self._merged_shard_snapshot(decision.time)
         elif record.kind == "metrics":
             # Observability samples restore registries from snapshots,
             # not from the journal; the tail's newest sample is only
@@ -1933,7 +1799,8 @@ class TempoService:
         shards to worker processes *after* the replay, which always
         runs in-process; ``tcp_workers`` promotes to TCP loopback
         workers instead (``transport`` tunes their
-        :class:`~repro.service.transport.TransportConfig`).
+        :class:`~repro.service.transport.TransportConfig`); both are
+        refused for a single-shard dir (:func:`check_worker_plane`).
 
         ``controller`` must be a freshly built controller for the same
         cluster, SLOs, and config space the daemon was serving (the
@@ -1950,6 +1817,9 @@ class TempoService:
                 f"state dir is laid out for {state.shards} shard(s), "
                 f"asked to resume with {shards}; reshard explicitly"
             )
+        check_worker_plane(
+            state.shards, shard_workers=shard_workers, tcp_workers=tcp_workers
+        )
         service = cls(
             controller,
             config,
@@ -1964,18 +1834,13 @@ class TempoService:
         if loaded is not None:
             after, snapshot = loaded
             service._restore_state(snapshot)
-            if state.shards > 1:
-                recorded = snapshot.get("sharding", {}).get("shard_seqs")
-                if recorded is not None:
-                    shard_after = [int(s) for s in recorded]
+            shard_after = [int(s) for s in snapshot["sharding"]["shard_seqs"]]
         else:
             # A compacted journal no longer starts at seq 1; without a
             # readable snapshot covering the deleted prefix, resuming
             # would silently rebuild from partial history.  Refuse.
-            journals = [state.journal]
-            if state.shards > 1:
-                journals += [state.shard_journal(i) for i in range(state.shards)]
-            for journal in journals:
+            journals = [state.shard_journal(i) for i in range(state.shards)]
+            for journal in [state.journal, *journals]:
                 segments = journal.segments()
                 if segments and journal._first_seq_of(segments[0]) > 1:
                     raise JournalError(
@@ -2001,9 +1866,9 @@ class TempoService:
             "tempo_resume_seconds",
             "Wall seconds the last resume took (snapshot load and replay).",
         ).set(seconds)
-        if shard_workers and state.shards > 1:
+        if shard_workers:
             service.promote_to_workers()
-        elif tcp_workers and state.shards > 1:
+        elif tcp_workers:
             service.promote_to_remote(transport)
         return service
 
@@ -2071,8 +1936,7 @@ class TempoService:
                 # The cadence anchor: the earliest first event of any stream.
                 firsts = [e.time for e in control[:1] + heads if e is not None]
                 self._last_attempt = min(firsts, default=None)
-            self._m_ingest_events.inc(len(control))
-            self._account_sharded(control)
+            self._account(len(control), self.router.partition(control))
             for i, shard in enumerate(self.shards):
                 run, event = [], heads[i]
                 while event is not None and event.time <= when:
@@ -2080,10 +1944,10 @@ class TempoService:
                     event = next(tails[i], None)
                     if len(run) == bound or event is None or event.time > when:
                         shard.fold(run)
-                        # Heartbeats here are broadcast copies of control events.
-                        self._account_sharded(
-                            [e for e in run if type(e) is not Heartbeat]
-                        )
+                        # Heartbeats here are broadcast copies of control
+                        # events: routed to the control list, not counted.
+                        routed = self.router.partition(run)
+                        self._account(len(run) - len(routed.control), routed)
                         run = []
                 heads[i] = event
 
@@ -2104,57 +1968,51 @@ class TempoService:
         fold_until(run, math.inf)
         return replayed
 
-    def promote_to_workers(self) -> None:
-        """Swap in-process shards for worker processes (post-replay).
+    def _release_shards(self) -> tuple[list[bytes], list | None, dict | None]:
+        """Drain and close the in-process shards ahead of a promotion.
 
-        The in-process shards' windows move into freshly spawned
-        workers; every parent-side shard-journal handle is closed first
-        so the workers — which own the journals from here on — never
-        race the parent's open.
+        Returns every shard's window state plus the journal paths and
+        options the workers open.  Every parent-side shard-journal
+        handle is closed first, so the workers — which own the journals
+        from here on — never race the parent's open.
         """
-        states = self._drain_shards(self._now)
-        # Workers start with fresh registries: fold what the in-process
-        # shards counted (on top of any restored base) into the additive
-        # base the control plane merges under each worker's dump.
-        for i, shard in enumerate(self.shards):
-            live = getattr(shard, "metrics", None)
-            if live is not None:
-                carried = MetricsRegistry.from_dict(
-                    self._shard_metrics_base.get(i, {})
-                )
-                carried.merge(live.to_dict())
-                self._shard_metrics_base[i] = carried.to_dict()
+        check_worker_plane(self.router.shards, shard_workers=True)
+        windows = [_window_bytes(s["window"]) for s in self._drain_shards(self._now)]
         self._shard_metrics.clear()
         for shard in self.shards:
             shard.close()
         state = self.state
-        if state is not None:
-            state.shard_compaction = False
-            for journal in state._shard_journals.values():
-                journal.close()
-            state._shard_journals.clear()
-            paths = [
-                state.shard_journal_path(i) for i in range(self.router.shards)
-            ]
-            opts = state.shard_journal_opts()
-        else:
-            paths, opts = None, None
+        if state is None:
+            return windows, None, None
+        state.shard_compaction = False
+        for journal in state._shard_journals.values():
+            journal.close()
+        state._shard_journals.clear()
+        paths = [state.shard_journal_path(i) for i in range(self.router.shards)]
+        return windows, paths, state.shard_journal_opts()
+
+    def _supervision(self) -> dict:
+        """Worker liveness settings: the failover config's, else unsupervised."""
+        if self.failover is None:
+            return {"heartbeat_interval": 1.0, "failover_after": None}
+        return {
+            "heartbeat_interval": self.failover.heartbeat_interval,
+            "failover_after": self.failover.failover_after,
+        }
+
+    def promote_to_workers(self) -> None:
+        """Swap in-process shards for worker processes (post-replay).
+
+        The in-process shards' windows move into freshly spawned
+        workers, which own the shard journals from here on.
+        """
+        windows, paths, opts = self._release_shards()
         self.shards = start_shard_workers(
             self.router.shards, self.config.window, paths, opts,
-            observe=self.config.observe,
-            heartbeat_interval=(
-                self.failover.heartbeat_interval
-                if self.failover is not None
-                else 1.0
-            ),
-            failover_after=(
-                self.failover.failover_after
-                if self.failover is not None
-                else None
-            ),
+            observe=self.config.observe, **self._supervision(),
         )
-        for shard, shard_state in zip(self.shards, states):
-            shard.restore(shard_state["window"])
+        for shard, window in zip(self.shards, windows):
+            shard.restore(window)
         self.shard_workers = True
 
     def promote_to_remote(self, transport: TransportConfig | None = None) -> None:
@@ -2163,52 +2021,18 @@ class TempoService:
         The TCP twin of :meth:`promote_to_workers`: windows move into
         freshly spawned ``serve_shard`` processes behind
         :class:`~repro.service.transport.RemoteShardHandle` proxies,
-        with the same journal-ownership handoff (parent-side handles
-        closed first, workers own the journals from here on).
+        with the same journal-ownership handoff.
         """
-        states = self._drain_shards(self._now)
-        for i, shard in enumerate(self.shards):
-            live = getattr(shard, "metrics", None)
-            if live is not None:
-                carried = MetricsRegistry.from_dict(
-                    self._shard_metrics_base.get(i, {})
-                )
-                carried.merge(live.to_dict())
-                self._shard_metrics_base[i] = carried.to_dict()
-        self._shard_metrics.clear()
-        for shard in self.shards:
-            shard.close()
-        state = self.state
-        if state is not None:
-            state.shard_compaction = False
-            for journal in state._shard_journals.values():
-                journal.close()
-            state._shard_journals.clear()
-            paths = [
-                state.shard_journal_path(i) for i in range(self.router.shards)
-            ]
-            opts = state.shard_journal_opts()
-        else:
-            paths, opts = None, None
+        windows, paths, opts = self._release_shards()
         if transport is not None:
             self.transport = transport
         self.shards, self._launcher = start_remote_shards(
             self.router.shards, self.config.window, paths, opts,
-            observe=self.config.observe,
-            heartbeat_interval=(
-                self.failover.heartbeat_interval
-                if self.failover is not None
-                else 1.0
-            ),
-            failover_after=(
-                self.failover.failover_after
-                if self.failover is not None
-                else None
-            ),
-            config=self.transport,
+            observe=self.config.observe, config=self.transport,
+            **self._supervision(),
         )
-        for shard, shard_state in zip(self.shards, states):
-            shard.restore(shard_state["window"])
+        for shard, window in zip(self.shards, windows):
+            shard.restore(window)
         self.tcp_workers = True
 
     def reshard(self, shards: int) -> None:
@@ -2228,24 +2052,13 @@ class TempoService:
         if self.shard_workers or self.tcp_workers or self.shard_endpoints:
             raise RuntimeError("reshard before promoting shards to workers")
         with self._lock:
-            prior_telemetry = self.telemetry_ingested
-            states = self._drain_shards(self._now)
-            merged = RollingWindow.merge_states([s["window"] for s in states])
+            merged = self._control_window(self._now).to_state()
             # The per-shard attribution cannot survive a re-partition;
             # fold every shard's counts into the control registry so the
             # merged totals stay monotone across the reshard.
             if self.config.observe:
-                for i, shard in enumerate(self.shards):
-                    base = self._shard_metrics_base.get(i)
-                    if base:
-                        self.metrics.merge(base)
-                    live = getattr(shard, "metrics", None)
-                    if live is not None:
-                        self.metrics.merge(live.to_dict())
-                    else:
-                        cached = self._shard_metrics.get(i)
-                        if cached:
-                            self.metrics.merge(cached)
+                for i in range(len(self.shards)):
+                    self.metrics.merge(self._shard_metrics_dump(i))
             self._shard_metrics.clear()
             self._shard_metrics_base.clear()
             for shard in self.shards:
@@ -2253,37 +2066,10 @@ class TempoService:
             if self.state is not None:
                 self.state.reshard(shards)
             self.router = ShardRouter(shards)
-            self.shards = [
-                IngestShard(
-                    i,
-                    self.config.window,
-                    journal=(
-                        self.state.shard_journal(i)
-                        if self.state is not None and shards > 1
-                        else None
-                    ),
-                    queue_capacity=self.config.queue_capacity,
-                    metrics=(
-                        MetricsRegistry()
-                        if self.config.observe and shards > 1
-                        else None
-                    ),
-                )
-                for i in range(shards)
-            ]
-            merged_state = merged.to_state()
-            # One window again keeps the stream-wide ingest count; N
-            # parts each count the retained entries they received.
-            partitions = (
-                [merged_state]
-                if shards == 1
-                else RollingWindow.split_state(
-                    merged_state, shards, self.router.shard_of
-                )
-            )
-            for shard, part in zip(self.shards, partitions):
+            self.shards = [self._new_shard(i) for i in range(shards)]
+            parts = RollingWindow.split_state(merged, shards, self.router.shard_of)
+            for shard, part in zip(self.shards, parts):
                 shard.restore(part)
-            self._telemetry = prior_telemetry
             if self.state is not None and not self._replaying:
                 self.state.write_snapshot(self.state_dict())
 
@@ -2426,6 +2212,33 @@ class TempoService:
     def config_history(self) -> tuple[ConfigSnapshot, ...]:
         """Retained applied-configuration snapshots, oldest first."""
         return tuple(self._history)
+
+
+def check_worker_plane(
+    shards: int,
+    *,
+    shard_workers: bool = False,
+    tcp_workers: bool = False,
+    shard_endpoints: list | None = None,
+) -> None:
+    """Refuse a worker-process data plane of one shard (``ValueError``).
+
+    A single shard's journal is the control journal: the control plane
+    appends decisions, configs and cluster events to it, so no worker
+    process — spawned or operator-managed — may own it.
+    """
+    if shards == 1 and (shard_workers or tcp_workers or shard_endpoints is not None):
+        raise ValueError(
+            "worker shards (shard_workers / tcp_workers / shard_endpoints) "
+            "need shards >= 2: a single shard's journal is the control "
+            "journal, which only the control plane writes"
+        )
+
+
+def _window_bytes(window: RollingWindow | bytes) -> bytes:
+    """A drained window as its persisted ``bytes`` (in-process shards
+    hand over the live window)."""
+    return window if isinstance(window, bytes) else window.to_state()
 
 
 def _detect_shard_layout(root: str | os.PathLike) -> int:

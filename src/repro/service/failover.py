@@ -165,8 +165,8 @@ class FailoverReport:
             shard's journal was rewound to.
         replayed: Journal records re-folded into the replacement.
         records_dropped: Journal records truncated past the boundary
-            (the failover's bounded loss; zero for in-process and
-            single-shard failovers, whose journals stay consistent).
+            (the failover's bounded loss; zero for in-process
+            failovers, whose journals stay consistent).
         events_lost: Job/task telemetry records among the dropped.
         latency: Wall-clock seconds the failover took (rewind + replay
             + replacement spawn; detection latency excluded).
@@ -858,11 +858,12 @@ def run_chaos(
     import tempfile
     from pathlib import Path
 
-    from repro.service.daemon import ServiceConfig
+    from repro.service.daemon import ServiceConfig, check_worker_plane
     from repro.service.replay import ScenarioReplayer, build_service, make_scenario
     from repro.service.sharding import ShardRouter
     from repro.service.snapshot import ServiceState
 
+    check_worker_plane(shards, shard_workers=shard_workers, tcp_workers=tcp_workers)
     specs = [
         parse_fault(fault) if isinstance(fault, str) else fault for fault in faults
     ]
@@ -957,7 +958,7 @@ def run_chaos(
     return ChaosReport(
         scenario=scenario.name,
         shards=shards,
-        shard_workers=bool(shard_workers) and shards > 1,
+        shard_workers=bool(shard_workers),
         horizon=summary.horizon,
         faults=tuple(spec.canonical() for spec in specs),
         injected=tuple(injector.injected),
@@ -977,7 +978,7 @@ def run_chaos(
         baseline_decisions=len(baseline.decisions),
         recovery_latency=max((r.latency for r in failovers), default=0.0),
         max_stats_gap=summary.max_stats_gap,
-        transport="tcp" if tcp_workers and shards > 1 else "",
+        transport="tcp" if tcp_workers else "",
         reconnects=int(transport_totals.get("reconnects", 0)),
         transport_retries=int(transport_totals.get("retries", 0)),
         backpressure_drops=int(transport_totals.get("backpressure_dropped", 0)),

@@ -550,7 +550,9 @@ class RollingWindow:
         return cls.merge_states([state])
 
     @classmethod
-    def merge_states(cls, states: Iterable[bytes]) -> "RollingWindow":
+    def merge_states(
+        cls, states: Iterable["bytes | RollingWindow"]
+    ) -> "RollingWindow":
         """Rebuild ONE window from several shards' :meth:`to_state` dumps.
 
         The control plane's view of a sharded data plane: every shard's
@@ -564,8 +566,19 @@ class RollingWindow:
         invariant, e.g. mid-reshard) has its entries interleaved in
         time order before refolding.  All states must share the same
         window length; the merged clock is the maximum of the parts'.
+
+        A part may also be a live window (an in-process shard's
+        hand-over); merging a single live window returns it as is.
         """
-        parsed = [split_window_state(state) for state in states]
+        states = list(states)
+        if len(states) == 1 and isinstance(states[0], cls):
+            return states[0]
+        parsed = [
+            split_window_state(
+                state.to_state() if isinstance(state, cls) else state
+            )
+            for state in states
+        ]
         if not parsed:
             raise ValueError("cannot merge zero window states")
         if any(part[0] != parsed[0][0] for part in parsed):

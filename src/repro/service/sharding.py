@@ -26,11 +26,14 @@ journal and window and receives event batches over a ``multiprocessing``
 queue, so journal encoding — the measured ingest bottleneck — runs on
 every core instead of one.  Both modes write byte-identical journals
 (same routing, same order, same encoder, same sequence numbers), so
-resume never cares how the journals were produced.
+resume never cares how the journals were produced.  In-process shards
+hand the control plane their live window at a barrier; only a process
+boundary turns it into bytes.
 
-Because the single-shard daemon journals through the unchanged PR 2/3
-path, ``--shards 1`` output stays byte-identical to the pre-sharding
-pipeline and every existing durability guarantee carries over.
+Every shard count runs this one pipeline: a single-shard daemon is a
+:class:`ShardRouter` of one and one :class:`IngestShard`, whose journal
+is the state dir's top-level journal (see
+:meth:`~repro.service.snapshot.ServiceState.shard_journal`).
 
 Crash-recovery coordination: the chunk-boundary ``Heartbeat`` the replay
 driver emits is **broadcast** — journaled in the control journal *and*
@@ -52,10 +55,11 @@ that is alive and beating but wedged).  Unsupervised handles
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import zlib
 from time import monotonic as _monotonic
-from typing import Iterable, Mapping, Protocol, runtime_checkable
+from typing import Iterable, Mapping, NamedTuple, Protocol, runtime_checkable
 
 from repro.service.events import (
     EventBus,
@@ -64,7 +68,6 @@ from repro.service.events import (
     JobSubmitted,
     ServiceEvent,
     TaskCompleted,
-    TenantJoined,
     TenantLeft,
 )
 from repro.service.ingest import RollingWindow
@@ -138,7 +141,13 @@ class ShardHandle(Protocol):
         """Dispatch one event batch (may return before it is applied)."""
 
     def drain_state(self, now: float) -> dict:
-        """Barrier: apply queued batches, advance, return window state."""
+        """Barrier: apply queued batches, advance, return window state.
+
+        ``window`` is the live window in-process and its
+        :meth:`~repro.service.ingest.RollingWindow.to_state` bytes
+        across a process boundary; merge both with
+        :meth:`~repro.service.ingest.RollingWindow.merge_states`.
+        """
 
     def drain_stats(self, now: float) -> dict:
         """Barrier: apply queued batches, return per-tenant statistics."""
@@ -212,44 +221,78 @@ class ShardRouter:
             return None
         return self.shard_of(tenant)
 
-    def partition(
-        self, events: Iterable[ServiceEvent]
-    ) -> tuple[list[list[ServiceEvent]], list[ServiceEvent]]:
-        """Split a batch into per-shard lists plus the control-plane list.
+    def partition(self, events: Iterable[ServiceEvent]) -> "RoutedBatch":
+        """Route a batch in one pass, with the control plane's bookkeeping.
 
         Relative order is preserved within every output list.
         Heartbeats appear in the control list *and* every shard list
         (the broadcast that keeps chunk boundaries common across
         journals); all other cluster-level events appear only in the
-        control list.
+        control list.  The same pass collects what the control plane
+        accounts for the batch: the events with a control-plane effect
+        (tenant churn and every cluster-level event but heartbeats), the
+        telemetry count, and the newest event time.
         """
         parts: list[list[ServiceEvent]] = [[] for _ in range(self.shards)]
         control: list[ServiceEvent] = []
-        shard_of = self.shard_of
+        effects: list[ServiceEvent] = []
+        telemetry = 0
+        newest = -math.inf
+        assignment = self._assignment
         for event in events:
-            tenant = tenant_of(event)
-            if tenant is not None:
-                parts[shard_of(tenant)].append(event)
-            elif isinstance(event, Heartbeat):
-                control.append(event)
-                for part in parts:
-                    part.append(event)
+            if event.time > newest:
+                newest = event.time
+            kind = type(event)
+            if kind is JobSubmitted or kind is TaskCompleted or kind is JobCompleted:
+                telemetry += 1
+                tenant = event.tenant if kind is JobSubmitted else event.record.tenant
             else:
-                control.append(event)
-        return parts, control
+                tenant = tenant_of(event)
+                if kind is not Heartbeat:
+                    effects.append(event)
+                if tenant is None:
+                    control.append(event)
+                    if kind is Heartbeat:
+                        for part in parts:
+                            part.append(event)
+                    continue
+            shard = assignment.get(tenant)
+            if shard is None:
+                shard = self.shard_of(tenant)
+            parts[shard].append(event)
+        return RoutedBatch(parts, control, effects, telemetry, newest)
+
+
+class RoutedBatch(NamedTuple):
+    """One batch after :meth:`ShardRouter.partition`.
+
+    Attributes:
+        parts: Per-shard event lists (tenant events and heartbeats).
+        control: Cluster-level events, heartbeats included — the
+            control journal's share of the batch.
+        effects: Events the control plane applies (tenant churn and
+            cluster-level events other than heartbeats), in order.
+        telemetry: Job/task telemetry events in the batch.
+        newest: Newest event time in the batch (``-inf`` when empty).
+    """
+
+    parts: list
+    control: list
+    effects: list
+    telemetry: int
+    newest: float
 
 
 class IngestShard:
     """One data-plane worker: own bus, own rolling window, own journal.
 
-    The shard's contract mirrors the unsharded pipeline's per-chunk
-    semantics exactly: a batch is journaled **write-ahead** with one
-    group commit (:meth:`~repro.service.journal.EventJournal.
-    append_events`), telemetry folds through
+    A batch is journaled **write-ahead** with one group commit
+    (:meth:`~repro.service.journal.EventJournal.append_events`),
+    telemetry folds through
     :meth:`~repro.service.ingest.RollingWindow.ingest_many` with one
     eviction pass, and tenant-churn events flush pending telemetry
     before acting, so a departing tenant's window state is dropped at
-    exactly the stream position the per-event path would drop it.
+    exactly its stream position.
 
     The shard never retunes and never looks at other shards — the
     control plane merges window states at cadence ticks.  ``bus`` is
@@ -275,22 +318,12 @@ class IngestShard:
         self.window = RollingWindow(window)
         self.bus = EventBus(queue_capacity)
         self.journal = journal
-        #: Shard-local metrics registry (or ``None``): the shard counts
-        #: its own ingest and journal activity without cross-shard
-        #: locking; the control plane merges dumps at drain barriers.
+        #: Shard-local metrics registry (or ``None``): a worker-process
+        #: shard counts its journal activity here, and the control plane
+        #: merges the dumps riding its drain barriers.
         self.metrics = metrics
-        if metrics is not None:
-            if journal is not None:
-                journal.metrics = metrics
-            self._m_events = metrics.counter(
-                "tempo_ingest_events_total", "Events folded into the window."
-            )
-            self._m_batches = metrics.counter(
-                "tempo_ingest_batches_total", "Ingest batches processed."
-            )
-        else:
-            self._m_events = None
-            self._m_batches = None
+        if metrics is not None and journal is not None:
+            journal.metrics = metrics
 
     def __repr__(self) -> str:
         return (
@@ -309,19 +342,10 @@ class IngestShard:
             return
         if self.journal is not None:
             self.journal.append_events(events)
-        if self._m_batches is not None:
-            self._m_batches.inc()
         self.fold(events)
 
     def fold(self, events: list[ServiceEvent]) -> None:
-        """Apply a batch to the window, counting its events.
-
-        On its own this is the replay path: no journal append and no
-        batch counted, so a resumed shard's registry shows the events it
-        restored and nothing a live shard would not have.
-        """
-        if self._m_events is not None:
-            self._m_events.inc(len(events))
+        """Apply a batch to the window (the replay path: nothing journaled)."""
         window = self.window
         pending: list[ServiceEvent] = []
         for event in events:
@@ -360,20 +384,18 @@ class IngestShard:
         return 0.0
 
     def drain_state(self, now: float) -> dict:
-        """Advance to ``now`` and dump the shard's mergeable state.
+        """Advance to ``now`` and hand over the shard's mergeable state.
 
         The control plane calls this when it needs the *full* window —
-        an applied tune's trace, a durability snapshot — the returned
-        dict's ``window`` is the ``bytes`` value
-        :meth:`RollingWindow.merge_states` consumes, beside the shard's
-        journal position (for snapshot coverage).
+        an applied tune's trace, a durability snapshot.  The returned
+        dict's ``window`` is the live :class:`RollingWindow` (no bytes
+        round trip in-process; a worker encodes it with
+        :meth:`RollingWindow.to_state` before it crosses the process
+        boundary), beside the shard's journal position (for snapshot
+        coverage).
         """
         self.window.advance(now)
-        state = {
-            "shard": self.shard_id,
-            "window": self.window.to_state(),
-            "seq": self.last_seq,
-        }
+        state = {"shard": self.shard_id, "window": self.window, "seq": self.last_seq}
         if self.metrics is not None:
             state["metrics"] = self.metrics.to_dict()
         return state
@@ -476,7 +498,9 @@ def _worker_main(
                 else:
                     shard.ingest(command[1])
             elif op == "state":
-                replies.put(("state", shard.drain_state(command[1])))
+                state = shard.drain_state(command[1])
+                state["window"] = state["window"].to_state()
+                replies.put(("state", state))
             elif op == "stats":
                 replies.put(("stats", shard.drain_stats(command[1])))
             elif op == "restore":

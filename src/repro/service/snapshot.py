@@ -43,6 +43,7 @@ import numpy as np
 from repro.core.decisions import _floats_in, _floats_out
 from repro.rm.config import RMConfig, TenantConfig
 from repro.service.codec import split_window_state
+from repro.service.events import Heartbeat
 from repro.service.ingest import TenantWindowStats
 from repro.service.journal import (
     EventJournal,
@@ -304,8 +305,8 @@ class SnapshotStore:
 
         ``seq`` is the file name's; ``shard_seqs`` are the shard-journal
         positions the file's header records — ``None`` when it records
-        none (a single-shard state) or cannot be read, either of which
-        proves nothing about any shard journal.
+        none or cannot be read, either of which proves nothing about
+        any shard journal.
         """
         return list(self._retained)
 
@@ -400,7 +401,8 @@ class SnapshotStore:
 class ServiceState:
     """The daemon's durable home: journal + snapshots + meta descriptor.
 
-    Layout under ``root`` (single-shard)::
+    Layout under ``root`` (single-shard: shard 0's journal is the
+    top-level journal, see :meth:`shard_journal_path`)::
 
         meta.json                    scenario/service descriptor (resume)
         journal/segment-*.binl       CRC-framed write-ahead records
@@ -573,6 +575,20 @@ class ServiceState:
         seqs = self.journal.append_events(events)
         self._records_since_snapshot += len(seqs)
         return seqs
+
+    def record_control(self, events: list) -> None:
+        """Group-commit the control plane's share of a routed batch.
+
+        Heartbeats are broadcast: every shard journals its own copy and
+        the control journal holds one more — except in the single-shard
+        layout, where shard 0's journal *is* the control journal and its
+        copy is already there.  Everything else here only the control
+        plane journals.
+        """
+        if self.shards == 1:
+            events = [event for event in events if type(event) is not Heartbeat]
+        if events:
+            self.record_events(events)
 
     def record_decision(self, data: dict) -> int:
         """Journal one skipped cadence tick (sparse/stable outcome)."""
@@ -776,7 +792,7 @@ class ServiceState:
         of the dropped records, what the control plane subtracts from
         its ingested-telemetry counter.
 
-        Sharded layout: the dead shard's journal is reopened (running
+        The dead worker's journal is reopened (running
         torn-tail repair over whatever the worker managed to ack before
         dying) and truncated back to its newest broadcast heartbeat —
         a *common* boundary, since heartbeats land in every journal at
@@ -787,20 +803,16 @@ class ServiceState:
         exists in any journal, and restoring one would resurrect the
         failover's bounded loss.
 
-        Single-shard layout: the shard journal *is* the control journal
-        (shared with decision/config records the control plane still
-        holds in memory), so nothing is truncated — the parent-owned
-        journal is consistent with everything acked, and the rebuild
-        replays its full telemetry tail with zero loss.
+        Only worker shards are rewound, and a single-shard layout has
+        none: its shard journal *is* the control journal, holding
+        decision/config records the control plane still has in memory.
+        It is refused (``ValueError``).
         """
-        if not 0 <= shard_id < self.shards:
+        if not 0 <= shard_id < self.shards or self.shards == 1:
             raise ValueError(
-                f"shard {shard_id} out of range for {self.shards}-shard state"
+                f"no worker journal {shard_id} to rewind in a "
+                f"{self.shards}-shard state"
             )
-        if self.shards == 1:
-            boundary = self.journal.last_heartbeat()
-            seq, when = boundary if boundary is not None else (0, 0.0)
-            return when, seq, 0, 0
         cached = self._shard_journals.pop(shard_id, None)
         if cached is not None:
             cached.close()

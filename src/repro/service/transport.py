@@ -358,7 +358,8 @@ class ShardServer:
             return {"op": "ack", "seq": applied}
         if op == "state":
             state = shard.drain_state(float(request["now"]))
-            return {"op": "state", "window": state.pop("window"), "state": state}
+            window = state.pop("window").to_state()
+            return {"op": "state", "window": window, "state": state}
         if op == "stats":
             snapshot = shard.drain_stats(float(request["now"]))
             return {

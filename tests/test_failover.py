@@ -474,9 +474,9 @@ class TestCrashMatrix:
             assert report.latency >= 0.0
         else:
             assert failed == set()  # non-fatal faults never fail over
-        if kind in ("drop-batches", "drop-net") and shards > 1:
-            # Single-shard planes have no producer->shard batch boundary
-            # to drop at; sharded planes must have really dropped some.
+        if kind in ("drop-batches", "drop-net"):
+            # Every plane, one shard included, has a producer->shard
+            # batch boundary: drops must really happen there.
             assert sum(injector.dropped_by_shard().values()) > 0
 
         routed = _routed_telemetry(events, shards)

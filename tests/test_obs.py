@@ -244,20 +244,24 @@ class TestServiceMetrics:
         )
 
     def test_sharded_totals_match_single_shard(self):
-        """3-shard merged ingest totals == the single-shard count."""
+        """3-shard merged ingest totals == the single-shard count: every
+        event and every ingest batch is counted once, at the control
+        plane, whatever the shard count."""
         events = _telemetry(count=150)
         scenario = make_scenario("steady", scale=1.0, horizon=3600.0)
-        totals = []
+        totals, batches = [], []
         for shards in (1, 3):
             service = build_service(
                 scenario, self._config(), seed=0, shards=shards
             )
-            for event in events:
-                service.process(event)
+            for i in range(0, len(events), 25):
+                service.ingest_batch(events[i : i + 25])
             snap = service.metrics_snapshot()
             totals.append(snap.counter_value("tempo_ingest_events_total"))
+            batches.append(snap.counter_value("tempo_ingest_batches_total"))
             service.close()
         assert totals[0] == totals[1] == len(events)
+        assert batches[0] == batches[1] == -(-len(events) // 25)
 
     def test_observe_false_keeps_registry_null(self):
         scenario = make_scenario("steady", scale=1.0, horizon=3600.0)

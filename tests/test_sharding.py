@@ -16,6 +16,7 @@ from repro.service.events import (
     JobCompleted,
     JobSubmitted,
     NodeLost,
+    NodeRecovered,
     TaskCompleted,
     TenantJoined,
     TenantLeft,
@@ -37,7 +38,7 @@ from repro.service.sharding import (
     stable_shard,
     tenant_of,
 )
-from repro.service.snapshot import ServiceState
+from repro.service.snapshot import ServiceState, config_to_dict
 from repro.workload.trace import JobRecord, TaskRecord
 
 TENANTS = tuple(f"tenant-{i:02d}" for i in range(11))
@@ -163,7 +164,7 @@ class TestShardRouter:
     def test_partition_preserves_order_and_broadcasts_heartbeats(self):
         router = ShardRouter(3)
         events = _events(seed=1, count=60)
-        parts, control = router.partition(events)
+        parts, control, effects, telemetry, newest = router.partition(events)
         # Every tenant event lands in exactly its owner's list, in order.
         for i, part in enumerate(parts):
             times = [e.time for e in part]
@@ -183,6 +184,16 @@ class TestShardRouter:
         assert not any(
             isinstance(e, NodeLost) for part in parts for e in part
         )
+        # The same pass does the control plane's bookkeeping.
+        assert effects == [
+            e
+            for e in events
+            if isinstance(e, (NodeLost, TenantJoined, TenantLeft))
+        ]
+        assert telemetry == sum(
+            isinstance(e, (JobSubmitted, TaskCompleted, JobCompleted)) for e in events
+        )
+        assert newest == max(e.time for e in events)
 
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ValueError):
@@ -339,6 +350,71 @@ class TestShardedService:
         b.advance(a.now)
         _stats_close(a.snapshot(), b.batch_recompute())
 
+    def test_single_shard_outcomes(self, tmp_path):
+        """N = 1 runs the sharded pipeline with the outcomes of the
+        dedicated single-shard path it replaced (values recorded from
+        that path): mid-chunk capacity and churn events, heartbeats,
+        each journal record written once."""
+        events = _events(seed=11, count=400)
+        mid = events[len(events) // 2].time
+        events += [
+            NodeLost(mid, pool="map", containers=3),
+            NodeRecovered(mid + 40.0, pool="map", containers=1),
+            TenantJoined(mid + 1.0, tenant="newbie"),
+            TenantLeft(mid + 90.0, tenant="tenant-05"),
+        ]
+        events += [Heartbeat(t) for t in range(250, int(events[-1].time), 250)]
+        events.sort(key=lambda e: e.time)
+        state = ServiceState(tmp_path, snapshot_every=200)
+        service = build_service(
+            make_scenario("steady", scale=1.0, horizon=3600.0),
+            _service_config(),
+            seed=0,
+            state=state,
+        )
+        for i in range(0, len(events), 97):
+            service.ingest_batch(events[i : i + 97])
+        kinds = {}
+        for record in state.journal.iter_records():
+            kind = record.kind
+            if kind == "event":
+                kind = record.event_type.__name__
+            kinds[kind] = kinds.get(kind, 0) + 1
+        assert [d.verdict for d in service.decisions] == ["accept"] * 10
+        assert config_to_dict(service.rm_config) == {
+            "besteffort": {
+                "fair_timeout": 600.0,
+                "max_share": {"map": 12, "reduce": 9},
+                "min_share": {"map": 0, "reduce": 0},
+                "min_timeout": 1800.0,
+                "weight": 1.0,
+            },
+            "deadline": {
+                "fair_timeout": 299.99999999999994,
+                "max_share": {"map": 16, "reduce": 12},
+                "min_share": {"map": 4, "reduce": 3},
+                "min_timeout": 59.999999999999986,
+                "weight": 1.9999999999999998,
+            },
+        }
+        assert (service.events_processed, service.telemetry_ingested) == (1213, 1200)
+        assert kinds == {
+            "Heartbeat": 7,
+            "JobCompleted": 400,
+            "JobSubmitted": 400,
+            "NodeLost": 2,
+            "NodeRecovered": 1,
+            "TaskCompleted": 400,
+            "TenantJoined": 1,
+            "TenantLeft": 2,
+            "config": 10,
+        }
+        totals = service.metrics_snapshot()
+        assert totals.counter_value("tempo_journal_records_total") == 1223
+        assert totals.counter_value("tempo_ingest_batches_total") == 23
+        service.close()
+        state.close()
+
     def test_tenant_left_drops_state_in_owning_shard_only(self):
         service = build_service(_scenario(), _service_config(), seed=0, shards=4)
         events = [
@@ -357,6 +433,47 @@ class TestShardedService:
         state = ServiceState(tmp_path, shards=2)
         with pytest.raises(ValueError, match="reshard"):
             build_service(_scenario(), _service_config(), state=state, shards=4)
+
+    @pytest.mark.parametrize(
+        "plane",
+        [
+            {"shard_workers": True},
+            {"tcp_workers": True},
+            {"shard_endpoints": [("127.0.0.1", 1)]},
+        ],
+        ids=["workers", "tcp", "endpoints"],
+    )
+    def test_worker_planes_refused_for_one_shard(self, plane):
+        with pytest.raises(ValueError, match="control journal"):
+            TempoService(build_controller(_scenario()), _service_config(), **plane)
+
+    def test_resume_refuses_snapshot_without_sharding_record(self, tmp_path):
+        state = ServiceState(tmp_path)
+        service = build_service(_scenario(), _service_config(), state=state)
+        service.ingest_batch(_events(seed=2, count=20))
+        snapshot = service.state_dict()
+        del snapshot["sharding"]  # what a single-shard earlier build wrote
+        state.write_snapshot(snapshot)
+        state.close()
+        with pytest.raises(JournalError, match="sharding"):
+            TempoService.resume(
+                build_controller(_scenario()), tmp_path, _service_config()
+            )
+
+    def test_resume_refuses_worker_promotion_of_one_shard(self, tmp_path):
+        state = ServiceState(tmp_path)
+        build_service(_scenario(), _service_config(), state=state).process(
+            Heartbeat(1.0)
+        )
+        state.close()
+        for plane in ({"shard_workers": True}, {"tcp_workers": True}):
+            with pytest.raises(ValueError, match="control journal"):
+                TempoService.resume(
+                    build_controller(_scenario()),
+                    tmp_path,
+                    _service_config(),
+                    **plane,
+                )
 
 
 class TestShardedDurability:
@@ -900,6 +1017,29 @@ class TestReshard:
         assert start == boundary  # not wiped to zero
         state.close()
 
+    def test_telemetry_count_survives_reshards(self):
+        """One telemetry counter at every shard count: a reshard (which
+        re-counts each window as its retained entries) must not move it."""
+        events = _events(seed=7, count=600)
+        third = len(events) // 3
+        thirds = [events[:third], events[third : 2 * third], events[2 * third :]]
+        service = build_service(
+            _scenario(),
+            ServiceConfig(window=60, retune_interval=300, min_window_jobs=3),
+            seed=0,
+        )
+        truth = 0
+        for part, layout in zip(thirds, (2, 1, None)):
+            service.ingest_batch(part)
+            truth += sum(
+                isinstance(e, (JobSubmitted, TaskCompleted, JobCompleted)) for e in part
+            )
+            if layout is not None:
+                service.reshard(layout)
+            assert service.telemetry_ingested == truth
+        assert truth == 1800
+        service.close()
+
     def test_reshard_to_single_pipeline(self, tmp_path):
         events = _events(seed=5, count=300)
         run = TestShardedDurability()
@@ -1106,6 +1246,23 @@ class TestTraceReplay:
 
 
 class TestShardedCli:
+    @pytest.mark.parametrize("command", ["serve", "replay", "chaos"])
+    @pytest.mark.parametrize("flag", ["--shard-workers", "--tcp-workers"])
+    def test_worker_flags_refused_for_one_shard(self, tmp_path, command, flag):
+        import io
+
+        from repro.cli import main
+
+        argv = [command, "--scenario", "steady", "--horizon", "0.1"]
+        argv += ["--shards", "1", flag]
+        if command == "chaos":
+            argv += ["--fault", "kill-shard@t=1"]
+        else:
+            argv += ["--state-dir", str(tmp_path / "state")]
+        with pytest.raises(SystemExit, match="control journal"):
+            main(argv, out=io.StringIO())
+        assert not (tmp_path / "state").exists()
+
     def test_serve_shards_then_resume(self, tmp_path):
         import io
 

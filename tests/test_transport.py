@@ -370,6 +370,9 @@ class TestRemoteHandleParity:
             # shard owns a journal here, so compare the window itself.
             state.pop("seq", None)
             local_state.pop("seq", None)
+            # The in-process shard hands over its live window; the wire
+            # carries its bytes.
+            local_state["window"] = local_state["window"].to_state()
             assert state == local_state
         finally:
             local.close()
@@ -381,7 +384,7 @@ class TestRemoteHandleParity:
         now = max(e.time for e in events) + 1.0
         donor = IngestShard(0, 600.0)
         donor.ingest(events)
-        window_state = donor.drain_state(now)["window"]
+        window_state = donor.drain_state(now)["window"].to_state()
         donor.close()
 
         served = _ServedShard(tmp_path)
