@@ -11,8 +11,8 @@ layer (`repro.service`).  Measurements:
    :meth:`~repro.service.daemon.TempoService.ingest_batch` (batched)
    with the retune cadence effectively disabled.
 3. **Durable service ingest** — the same with a write-ahead journal and
-   periodic snapshots attached, across three durability paths:
-   per-record appends, group-committed batches, and the async writer.
+   periodic snapshots attached, across two durability paths:
+   per-record appends and group-committed batches.
    Plus the **journal layer** alone: durable batched events/s of
    `append_events` group commit with no window fold — full runs apply
    the absolute >= 1M events/s target on hosts with enough cores
@@ -170,7 +170,6 @@ def bench_service_ingest(
     events,
     durable: bool = False,
     batch: int = 0,
-    async_journal: bool = False,
 ) -> float:
     """Events/sec through the service with retuning disabled.
 
@@ -178,14 +177,11 @@ def bench_service_ingest(
     write-ahead journal and the periodic snapshot cadence.  ``batch``
     routes events through :meth:`TempoService.ingest_batch` in chunks of
     that size (group-committed journal appends); ``0`` uses the
-    per-event :meth:`TempoService.process` path.  ``async_journal``
-    moves journal writes to the background group-commit thread.
+    per-event :meth:`TempoService.process` path.
     """
     scenario = make_scenario("steady")
     with tempfile.TemporaryDirectory() as tmp:
-        state = (
-            ServiceState(tmp, async_journal=async_journal) if durable else None
-        )
+        state = ServiceState(tmp) if durable else None
         service = build_service(
             scenario,
             ServiceConfig(window=1800.0, retune_interval=1e12),
@@ -200,7 +196,7 @@ def bench_service_ingest(
             for event in events:
                 service.process(event)
         if state is not None:
-            state.journal.flush()  # async path: include the write time
+            state.journal.flush()
         elapsed = time.perf_counter() - start
         if state is not None:
             state.close()
@@ -469,11 +465,6 @@ def main() -> int:
     durable_batched_eps = best(
         lambda: bench_service_ingest(events, durable=True, batch=BATCH)
     )
-    durable_async_eps = best(
-        lambda: bench_service_ingest(
-            events, durable=True, batch=BATCH, async_journal=True
-        )
-    )
     journal_eps = best(lambda: bench_journal_append(events))
     tenant_eps = bench_many_tenants()
     sharded_events = synthetic_events(500, 40_000)
@@ -500,7 +491,6 @@ def main() -> int:
         ["service ingest batched (events/s)", f"{service_batched_eps:,.0f}"],
         ["durable ingest per-record (events/s)", f"{durable_eps:,.0f}"],
         ["durable ingest batched (events/s)", f"{durable_batched_eps:,.0f}"],
-        ["durable ingest async (events/s)", f"{durable_async_eps:,.0f}"],
         ["journal append_events (events/s)", f"{journal_eps:,.0f}"],
         [
             "durable batched vs per-record",
@@ -575,7 +565,6 @@ def main() -> int:
         "service_ingest_batched_eps": service_batched_eps,
         "durable_ingest_eps": durable_eps,
         "durable_ingest_batched_eps": durable_batched_eps,
-        "durable_ingest_async_eps": durable_async_eps,
         "durable_batched_speedup_vs_per_record": durable_batched_eps / durable_eps,
         "durability_overhead_batched": service_batched_eps / durable_batched_eps,
         "journal_codec": {

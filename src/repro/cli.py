@@ -412,14 +412,6 @@ def _run_scenario(args: argparse.Namespace, out, transport: str) -> int:
         raise SystemExit(
             f"--freeze-after must be >= 1, got {args.freeze_after}"
         )
-    if args.whatif_workers < 0:
-        raise SystemExit(
-            f"--whatif-workers must be >= 0, got {args.whatif_workers}"
-        )
-    if args.whatif_cache_size < 0:
-        raise SystemExit(
-            f"--whatif-cache-size must be >= 0, got {args.whatif_cache_size}"
-        )
     failover = _failover_from_args(args.heartbeat_interval, args.failover_after)
     scenario = make_scenario(
         args.scenario,
@@ -434,7 +426,6 @@ def _run_scenario(args: argparse.Namespace, out, transport: str) -> int:
     if args.state_dir:
         state = ServiceState(
             args.state_dir,
-            async_journal=args.async_journal,
             keep_segments=args.keep_segments,
             shards=args.shards,
         )
@@ -456,7 +447,6 @@ def _run_scenario(args: argparse.Namespace, out, transport: str) -> int:
                 "transport": transport,
                 "revert_windows": args.revert_windows,
                 "continuous": not args.chunked,
-                "async_journal": args.async_journal,
                 "keep_segments": args.keep_segments,
                 "shards": args.shards,
                 "shard_workers": args.shard_workers,
@@ -465,8 +455,6 @@ def _run_scenario(args: argparse.Namespace, out, transport: str) -> int:
                 "failover_after": args.failover_after,
                 "guards": args.guards,
                 "freeze_after": args.freeze_after,
-                "whatif_workers": args.whatif_workers,
-                "whatif_cache_size": args.whatif_cache_size,
                 "log_json": args.log_json,
             }
         )
@@ -487,8 +475,6 @@ def _run_scenario(args: argparse.Namespace, out, transport: str) -> int:
         revert_windows=args.revert_windows,
         guards=args.guards,
         freeze_after=args.freeze_after,
-        whatif_workers=args.whatif_workers,
-        whatif_cache_size=args.whatif_cache_size,
     )
     if args.log_json:
         service.on_decision(_json_decision_logger(out))
@@ -565,8 +551,6 @@ def _run_trace(args: argparse.Namespace, out) -> int:
                 "tcp_workers": args.tcp_workers,
                 "guards": args.guards,
                 "freeze_after": args.freeze_after,
-                "whatif_workers": args.whatif_workers,
-                "whatif_cache_size": args.whatif_cache_size,
                 "log_json": args.log_json,
             }
         )
@@ -587,8 +571,6 @@ def _run_trace(args: argparse.Namespace, out) -> int:
         revert_windows=args.revert_windows,
         guards=args.guards,
         freeze_after=args.freeze_after,
-        whatif_workers=args.whatif_workers,
-        whatif_cache_size=args.whatif_cache_size,
     )
     if args.log_json:
         service.on_decision(_json_decision_logger(out))
@@ -655,7 +637,6 @@ def cmd_resume(args: argparse.Namespace, out) -> int:
     try:
         state = ServiceState(
             args.state_dir,
-            async_journal=meta.get("async_journal", False),
             keep_segments=meta.get("keep_segments", 2),
             shards=shards,
         )
@@ -682,8 +663,6 @@ def cmd_resume(args: argparse.Namespace, out) -> int:
         revert_windows=meta.get("revert_windows", 1),
         guards=meta.get("guards"),
         freeze_after=meta.get("freeze_after"),
-        whatif_workers=int(meta.get("whatif_workers", 0)),
-        whatif_cache_size=int(meta.get("whatif_cache_size", 256)),
     )
     service = TempoService.resume(
         controller,
@@ -842,12 +821,10 @@ def cmd_worker(args: argparse.Namespace, out) -> int:
                 out.flush()
 
     try:
-        journal_opts = {"async_writer": True} if args.async_journal else {}
         serve_shard(
             args.shard,
             args.window * 60.0,
             journal_path=args.journal,
-            journal_opts=journal_opts,
             host=host,
             port=port,
             observe=args.observe,
@@ -1267,12 +1244,6 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
         help="legacy per-interval simulation (no cross-interval backlog)",
     )
     parser.add_argument(
-        "--async-journal",
-        action="store_true",
-        help="journal through a background group-commit thread "
-        "(faster; records still queued at a crash are lost)",
-    )
-    parser.add_argument(
         "--keep-segments",
         type=int,
         default=2,
@@ -1308,21 +1279,6 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
         help="declare a shard dead after this many seconds without a "
         "heartbeat (or past a barrier reply) and fail it over to a "
         "replacement; default: supervision off, a dead shard raises",
-    )
-    parser.add_argument(
-        "--whatif-workers",
-        type=int,
-        default=0,
-        help="process-pool workers for batched what-if candidate "
-        "evaluation during the retune whatif phase (0, the default: "
-        "serial in-process evaluation, byte-identical to prior releases)",
-    )
-    parser.add_argument(
-        "--whatif-cache-size",
-        type=int,
-        default=256,
-        help="entries kept in the cross-retune what-if memo (LRU over "
-        "(workload signature, config) pairs; 0 disables memoization)",
     )
     parser.add_argument(
         "--log-json",
@@ -1505,11 +1461,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "--journal",
         help="journal this shard's events here (worker-owned directory)",
-    )
-    worker.add_argument(
-        "--async-journal",
-        action="store_true",
-        help="journal through a background group-commit thread",
     )
     worker.add_argument(
         "--observe",

@@ -155,12 +155,6 @@ class TempoController:
         seed: Base RNG seed shared by production runs and PALD.
         store_traces: Keep each iteration's full trace on the record
             (memory-heavy; useful for analysis).
-        whatif_workers: Process-pool size for batched candidate
-            evaluation (see :class:`~repro.whatif.evalpool.
-            CandidateEvaluator`).  ``0`` — the default — evaluates
-            serially in-process, byte-identical to the pre-plane loop.
-        whatif_cache_size: Entries kept in the cross-retune what-if
-            memo (LRU over (workload signature, config) pairs).
     """
 
     def __init__(
@@ -187,8 +181,6 @@ class TempoController:
         heartbeat: float = 5.0,
         seed: int = 0,
         store_traces: bool = False,
-        whatif_workers: int = 0,
-        whatif_cache_size: int = 256,
     ):
         if whatif_mode not in ("replay", "fit"):
             raise ValueError(f"unknown whatif_mode {whatif_mode!r}")
@@ -226,14 +218,9 @@ class TempoController:
         # configuration (retained only for prediction-hungry pipelines).
         self._predicted: np.ndarray | None = None
         self.last_decision: DecisionRecord | None = None
-        # The what-if evaluation plane: batching seam + cross-retune
-        # memo + optional process pool.  It outlives every per-window
-        # WhatIfModel, so candidate evaluations memoize across retunes
-        # (and across resume/reshard/failover, which rebuild models but
-        # not the controller).
-        self.evalplane = CandidateEvaluator(
-            workers=whatif_workers, cache_size=whatif_cache_size
-        )
+        # The what-if evaluation plane: the batch seam every candidate
+        # evaluation goes through, and its cumulative counters.
+        self.evalplane = CandidateEvaluator()
 
         # One persistent PALD: its sample buffer accumulates QS
         # observations across control iterations (the workload is
@@ -310,8 +297,8 @@ class TempoController:
         whatif = self._build_whatif(trace, window, index, cluster)
         # Bind the model into the evaluation plane once per iteration:
         # the bound evaluator serves the decision plane, the incumbent
-        # evaluation, and PALD's candidate batches from one shared
-        # memo (cross-retune hits) and one shared pool.
+        # evaluation, and PALD's candidate batches from the model's
+        # one cache.
         bound = self.evalplane.bind(whatif, self.space)
         decision = self.engine.judge(
             RevertSignals(

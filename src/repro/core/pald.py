@@ -186,8 +186,7 @@ class PALD:
         """Evaluate a candidate batch through the evaluator seam.
 
         Batch-capable evaluators (:class:`~repro.whatif.evalpool.
-        BoundWhatIf`) receive the whole pool at once — one pooled
-        submission instead of N sequential sim runs — and report how
+        BoundWhatIf`) receive the whole pool at once and report how
         many simulations actually ran.  Plain callables fall back to
         per-vector calls with in-batch dedupe: identical vectors (the
         incumbent often reappears in the perturbation pool) are

@@ -283,8 +283,8 @@ class TempoService:
             processes (each owning its journal and window) instead of
             in-process objects.  Batches are acknowledged when queued to
             a worker, so durability lags acknowledgement by the queue
-            depth — the same contract as ``--async-journal``, recovered
-            by the same chunk-boundary rewind.  Requires ``shards >= 2``
+            depth; batches lost with a worker are recovered by the
+            chunk-boundary rewind.  Requires ``shards >= 2``
             (see :func:`check_worker_plane`).
         tcp_workers: Run the shards as loopback **TCP** worker
             processes behind :class:`~repro.service.transport.
@@ -478,13 +478,6 @@ class TempoService:
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         self._drain_error: BaseException | None = None
-        # Whatif-phase staging: while a pooled tune holds the control
-        # lock (the drain thread is blocked inside retune), a short-
-        # lived pump thread moves bus events into this list so the
-        # bounded bus never fills and sheds during a long whatif phase.
-        # The drain loop consumes staged events first, preserving order.
-        self._staged: list = []
-        self._staged_lock = threading.Lock()
         # Last-scraped cumulative evalplane counters (metrics deltas).
         self._whatif_seen = {"sim_runs": 0, "hits": 0}
 
@@ -1209,14 +1202,10 @@ class TempoService:
                 trace.capacity = cluster.as_dict()
             started = _time.perf_counter()
             with span.phase("whatif"):
-                pump = self._start_whatif_pump()
-                try:
-                    self.engine.begin_tune(now, tick.votes)
-                    iteration = self.controller.tune_from_trace(
-                        self._index, trace, cluster=cluster
-                    )
-                finally:
-                    self._stop_whatif_pump(pump)
+                self.engine.begin_tune(now, tick.votes)
+                iteration = self.controller.tune_from_trace(
+                    self._index, trace, cluster=cluster
+                )
             latency = _time.perf_counter() - started
             self._history.append(
                 ConfigSnapshot(self._index, now, self.controller.config)
@@ -1363,14 +1352,11 @@ class TempoService:
                 "tempo_whatif_evaluations_total",
                 "Candidate simulations actually executed (cache misses).",
             ).inc(sims)
-            m.counter(
-                "tempo_whatif_cache_misses_total",
-                "What-if candidates that required a simulation run.",
-            ).inc(sims)
         if hits > 0:
             m.counter(
                 "tempo_whatif_cache_hits_total",
-                "What-if candidates served from memo/cache/dedupe.",
+                "What-if candidates served by the retune's model cache "
+                "(in-batch duplicates, guard re-evaluations).",
             ).inc(hits)
         batches, eval_seconds = evalplane.drain_observations()
         for size in batches:
@@ -1384,65 +1370,6 @@ class TempoService:
                 "tempo_whatif_eval_seconds",
                 "Wall time per executed candidate simulation.",
             ).observe(seconds)
-        m.gauge(
-            "tempo_whatif_pool_size",
-            "Worker processes used by the most recent pooled batch.",
-        ).set(evalplane.last_pool_size)
-
-    # -- whatif-phase staging pump ------------------------------------------
-
-    def _start_whatif_pump(self):
-        """Keep the bus from shedding while a pooled tune holds the lock.
-
-        Returns ``None`` — no pump — unless the controller's evaluation
-        plane actually uses workers *and* a drain thread exists to
-        consume staged events afterwards (in synchronous use the caller
-        processes events itself; staging would strand them).  Otherwise
-        starts a thread that moves queued bus events into the staging
-        list for the duration of the whatif phase, so shards and
-        producers keep ingesting at full speed while candidates
-        evaluate on the pool.
-        """
-        evalplane = getattr(self.controller, "evalplane", None)
-        if (
-            evalplane is None
-            or evalplane.workers <= 0
-            or self._thread is None
-            or not self._thread.is_alive()
-        ):
-            return None
-        stop = threading.Event()
-
-        def pump() -> None:
-            while not stop.is_set():
-                batch = self.bus.drain(limit=_DRAIN_BATCH)
-                if batch:
-                    with self._staged_lock:
-                        self._staged.extend(batch)
-                else:
-                    stop.wait(0.005)
-
-        thread = threading.Thread(
-            target=pump, name="tempo-whatif-pump", daemon=True
-        )
-        thread.start()
-        return stop, thread
-
-    def _stop_whatif_pump(self, pump) -> None:
-        """Stop and join the staging pump started for a whatif phase."""
-        if pump is None:
-            return
-        stop, thread = pump
-        stop.set()
-        thread.join()
-
-    def _take_staged(self) -> list:
-        """Pop every event staged during a pooled whatif phase."""
-        if not self._staged:
-            return []
-        with self._staged_lock:
-            staged, self._staged = self._staged, []
-        return staged
 
     #: Transport counters scraped per shard: handle attribute -> series.
     _TRANSPORT_COUNTERS = (
@@ -2154,16 +2081,6 @@ class TempoService:
     def _drain_loop(self) -> None:
         try:
             while True:
-                # Events staged by a whatif-phase pump come first: they
-                # left the bus before anything queued now, so consuming
-                # them first preserves arrival order.
-                staged = self._take_staged()
-                if staged:
-                    for start in range(0, len(staged), _DRAIN_BATCH):
-                        batch = staged[start : start + _DRAIN_BATCH]
-                        self.ingest_batch(batch)
-                        self._bus_consumed += len(batch)
-                    continue
                 event = self.bus.poll(timeout=0.05)
                 if event is not None:
                     # Group commit: everything already queued behind the
@@ -2174,7 +2091,7 @@ class TempoService:
                     batch.extend(self.bus.drain(limit=_DRAIN_BATCH - 1))
                     self.ingest_batch(batch)
                     self._bus_consumed += len(batch)
-                elif self._stop.is_set() and not len(self.bus) and not self._staged:
+                elif self._stop.is_set() and not len(self.bus):
                     return
         except BaseException as exc:
             # Stored, not re-raised: quiesce()/stop() surface it (with

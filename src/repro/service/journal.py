@@ -25,7 +25,7 @@ silently dropped; corruption anywhere else raises
 :class:`JournalError`, because data already acknowledged must never
 silently disappear.
 
-The write side offers three durability/throughput trade-offs:
+The write side offers two durability/throughput trade-offs:
 
 * :meth:`EventJournal.append` — one record, one ``write()`` + flush
   (+ ``fsync`` when enabled): the strongest ordering, the slowest path.
@@ -34,12 +34,11 @@ The write side offers three durability/throughput trade-offs:
   and at most one ``fsync`` per segment touched.  A crash mid-batch
   leaves a clean prefix plus at most one torn frame, which the
   tail repair drops — exactly the per-record crash contract, amortized.
-* ``async_writer=True`` — appends enqueue onto a bounded in-memory
-  queue drained by a background group-commit thread.  Acknowledged
-  records may be lost on a crash (the unflushed tail *is* the torn
-  batch); reads and :meth:`close` drain the queue first, and a writer
-  failure is fail-stop: every later append/flush/close raises, and
-  nothing queued behind the failed batch is written.
+
+A failed write is fail-stop: the append that hit it raises, and every
+later append/flush/close raises :class:`JournalError`, so nothing is
+acknowledged behind the hole (seq numbers and string-table defines are
+assigned at encode time, before the write).
 
 Every record carries a monotonically increasing sequence number, which
 is what snapshots reference: resume loads the newest snapshot and
@@ -51,10 +50,8 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 import zlib
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -384,126 +381,6 @@ def heartbeat_at_or_before(
     return None
 
 
-class _AsyncJournalWriter:
-    """Bounded background group-commit thread for :class:`EventJournal`.
-
-    Producers enqueue already-encoded write entries (``(last_seq,
-    nrecords, parts, rotate_seq)``, see :meth:`EventJournal._write_entries`);
-    the writer thread coalesces everything queued since its last wake-up
-    into one buffered write (group commit at whatever batch size the
-    producer outpaces the disk by).  ``submit`` blocks when the queue
-    holds ``capacity`` records — durability back-pressure instead of
-    unbounded memory growth.  A writer failure is fail-stop: the writer
-    thread exits, nothing queued after the failed batch is written, and
-    every later ``submit``/``drain`` raises :class:`JournalError`, so a
-    dead disk never looks like an acknowledged write and the journal
-    never has a silent gap.
-    """
-
-    def __init__(self, journal: "EventJournal", capacity: int):
-        if capacity < 1:
-            raise ValueError(f"queue capacity must be >= 1, got {capacity}")
-        self.journal = journal
-        self.capacity = int(capacity)
-        self._cond = threading.Condition()
-        self._pending: deque[list[tuple]] = deque()
-        self._queued = 0
-        self._inflight = False
-        self._error: BaseException | None = None
-        self._stop = False
-        self._thread: threading.Thread | None = None
-
-    def submit(self, entries: list[tuple]) -> None:
-        """Enqueue one encoded batch; blocks while the queue is full.
-
-        Back-pressure counts *records*, not entries (a run entry
-        carries a whole batch).  A batch larger than the queue capacity
-        is split into capacity-sized pieces; a single entry bigger than
-        the capacity is admitted alone once the queue is empty —
-        waiting for room that can never exist would deadlock the
-        producer (which typically holds the daemon's ingest lock).
-        """
-        i = 0
-        n = len(entries)
-        while i < n:
-            count = entries[i][1]
-            j = i + 1
-            while j < n and count + entries[j][1] <= self.capacity:
-                count += entries[j][1]
-                j += 1
-            piece = entries[i:j]
-            i = j
-            with self._cond:
-                self._raise_pending_error()
-                self._ensure_thread()
-                while self._queued and self._queued + count > self.capacity:
-                    self._cond.wait(0.05)
-                    self._raise_pending_error()
-                self._pending.append(piece)
-                self._queued += count
-                self._cond.notify_all()
-
-    def drain(self) -> None:
-        """Block until every queued record reached the segment file."""
-        with self._cond:
-            while self._pending or self._inflight:
-                self._raise_pending_error()
-                self._ensure_thread()
-                self._cond.wait(0.05)
-            self._raise_pending_error()
-
-    def stop(self) -> None:
-        """Stop the writer thread (it restarts on the next submit)."""
-        with self._cond:
-            self._stop = True
-            self._cond.notify_all()
-            thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-        with self._cond:
-            if self._thread is thread:
-                self._thread = None
-
-    def _ensure_thread(self) -> None:
-        if self._thread is None or not self._thread.is_alive():
-            self._stop = False
-            self._thread = threading.Thread(
-                target=self._run, name="tempo-journal-writer", daemon=True
-            )
-            self._thread.start()
-
-    def _raise_pending_error(self) -> None:
-        # Fail-stop: the error is never cleared.  The failed batch left
-        # a hole, so no later record may land after it.
-        if self._error is not None:
-            raise JournalError("async journal writer failed") from self._error
-
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                while not self._pending and not self._stop:
-                    self._cond.wait(0.1)
-                if not self._pending:
-                    return  # stopped with an empty queue
-                batch: list[tuple] = []
-                while self._pending:
-                    batch.extend(self._pending.popleft())
-                self._queued = 0
-                self._inflight = True
-                self._cond.notify_all()
-            try:
-                self.journal._write_entries(batch)
-            except BaseException as exc:  # raised by every later submit/drain
-                with self._cond:
-                    self._error = exc
-                    self._inflight = False
-                    self._cond.notify_all()
-                return
-            with self._cond:
-                self._inflight = False
-                self._cond.notify_all()
-
-
 class EventJournal:
     """Append-only, CRC-checked, segment-rotated binary journal.
 
@@ -515,12 +392,6 @@ class EventJournal:
             against power loss, much slower).  Off by default: the
             write-ahead contract against *process* death only needs the
             OS page cache, and a torn tail is recovered either way.
-        async_writer: Appends enqueue onto a bounded queue drained by a
-            background group-commit thread instead of blocking on the
-            write.  Trades the write-ahead guarantee for throughput:
-            records still queued when the process dies are lost (they
-            form the torn batch the tail repair recovers past).
-        queue_records: Queue bound of the async writer, in records.
 
     Opening an existing directory scans the last segment once to find
     the next sequence number *and* caches its record count, so later
@@ -528,8 +399,7 @@ class EventJournal:
     appends) are O(1), not O(segment).
 
     Appends must be externally serialized (the daemon holds its own
-    lock); the async writer only synchronizes producer and writer
-    thread internally.
+    lock).
     """
 
     def __init__(
@@ -538,8 +408,6 @@ class EventJournal:
         *,
         segment_records: int = 4096,
         fsync: bool = False,
-        async_writer: bool = False,
-        queue_records: int = 65536,
     ):
         if segment_records < 1:
             raise ValueError(f"segment_records must be >= 1, got {segment_records}")
@@ -576,9 +444,8 @@ class EventJournal:
         #: a non-empty one is scanned once, on first demand
         #: (:meth:`last_heartbeat`).
         self._heartbeat = None if self._next_seq == 1 else _UNSCANNED
-        self._async = (
-            _AsyncJournalWriter(self, queue_records) if async_writer else None
-        )
+        #: The write error that stopped this journal (fail-stop), if any.
+        self._failed: BaseException | None = None
         self._metrics = None
         self._m_append = None
         self._m_fsync = None
@@ -713,14 +580,13 @@ class EventJournal:
         buffered ``write()``, one flush, and at most one ``fsync`` per
         segment file it lands in — the per-record syscall tax is paid
         once per batch.  Returns the assigned sequence numbers (dense,
-        in order).  With ``async_writer`` the encoded batch is queued
-        and the call returns once the queue has room; durability then
-        lags acknowledgement by the queue depth.
+        in order).
 
         Generic records take the passthrough frame — they are
         decisions, configs, and metrics samples, orders of magnitude
         rarer than the telemetry :meth:`append_events` packs.
         """
+        self._check_writable()
         first = seq = self._next_seq
         entries = []
         heartbeat = None
@@ -754,6 +620,7 @@ class EventJournal:
         instead of paying a generic sorted-key ``json.dumps`` per
         record.
         """
+        self._check_writable()
         if not isinstance(events, (list, tuple)):
             events = list(events)
         first = self._next_seq
@@ -776,41 +643,42 @@ class EventJournal:
                 break
         return list(range(first, seq))
 
+    def _check_writable(self) -> None:
+        # Fail-stop: the error is never cleared.  The failed write left
+        # a hole (and possibly an unwritten string-table define the
+        # encoder counts as written), so no later record may land.
+        if self._failed is not None:
+            raise JournalError("journal writer failed") from self._failed
+
     def _commit(self, entries: list[tuple]) -> None:
-        """Hand encoded entries to the sync or async write path."""
+        """Write encoded entries; a write error stops the journal."""
         if not entries:
             return
-        self._next_seq = entries[-1][0] + 1
-        if self._async is not None:
-            self._async.submit(entries)
-        else:
+        try:
             self._write_entries(entries)
+        except BaseException as exc:
+            self._failed = exc
+            raise
+        self._next_seq = entries[-1][0] + 1
 
     def flush(self) -> None:
-        """Force queued/buffered appends down to the segment file."""
-        if self._async is not None:
-            self._async.drain()
+        """Force buffered appends down to the segment file."""
+        self._check_writable()
         if self._fh is not None:
             self._fh.flush()
 
     def close(self) -> None:
-        """Drain pending writes and close the open segment file handle.
+        """Close the open segment file handle.
 
         Appends may follow: the cached tail record count makes the
-        reopen O(1) (no segment re-scan), and a stopped async writer
-        thread restarts on the next submit.  After an async writer
-        failure the file handle is still closed, then the failure is
-        raised as :class:`JournalError`.
+        reopen O(1) (no segment re-scan).  After a write failure the
+        file handle is still closed, then the failure is raised as
+        :class:`JournalError`.
         """
-        try:
-            if self._async is not None:
-                self._async.drain()
-        finally:
-            if self._async is not None:
-                self._async.stop()
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+        self._check_writable()
 
     def __enter__(self) -> "EventJournal":
         return self

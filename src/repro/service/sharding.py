@@ -533,8 +533,8 @@ class ShardWorkerHandle:
     barrier: the reply necessarily follows every batch queued before
     it, so the returned window state covers them all), :meth:`restore`,
     and :meth:`close`.  Durability therefore lags acknowledgement by
-    the queue depth, exactly like ``--async-journal``: batches still
-    queued at a crash are the torn tail recovery already rewinds past.
+    the queue depth: batches still queued at a crash are the torn tail
+    recovery already rewinds past.
     """
 
     #: Seconds to wait on a synchronous reply before declaring the

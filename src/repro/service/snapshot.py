@@ -431,13 +431,6 @@ class ServiceState:
         fsync: Force journal appends to stable storage — and each
             snapshot (file, then directory) before the compaction that
             follows it deletes the journal prefix the snapshot covers.
-        async_journal: Journal appends through a bounded background
-            group-commit thread instead of blocking on the write (see
-            :class:`~repro.service.journal.EventJournal`); records still
-            queued at a crash are lost — they form the torn batch tail
-            repair recovers past.  Applies to the control journal only;
-            shard workers are already asynchronous relative to the
-            control plane.
         keep_segments: Journal segments always retained by
             :meth:`compact` regardless of snapshot coverage (safety
             margin).
@@ -455,7 +448,6 @@ class ServiceState:
         snapshot_every: int = 5000,
         keep_snapshots: int = 3,
         fsync: bool = False,
-        async_journal: bool = False,
         keep_segments: int = 2,
         auto_compact: bool = True,
         shards: int = 1,
@@ -472,7 +464,6 @@ class ServiceState:
             self.root / "journal",
             segment_records=segment_records,
             fsync=fsync,
-            async_writer=async_journal,
         )
         self.snapshots = SnapshotStore(self.root / "snapshots", keep=keep_snapshots)
         self.snapshot_every = int(snapshot_every)

@@ -8,12 +8,7 @@ provisioning module applies the same machinery across cluster sizes
 (Section 8.2.4).
 """
 
-from repro.whatif.evalpool import (
-    BatchResult,
-    BoundWhatIf,
-    CandidateEvaluator,
-    workload_signature,
-)
+from repro.whatif.evalpool import BatchResult, BoundWhatIf, CandidateEvaluator
 from repro.whatif.model import WhatIfModel
 from repro.whatif.provisioning import ProvisioningAdvisor, ProvisioningEstimate
 from repro.workload.model import capacity_floor
@@ -24,7 +19,6 @@ __all__ = [
     "CandidateEvaluator",
     "WhatIfModel",
     "capacity_floor",
-    "workload_signature",
     "ProvisioningAdvisor",
     "ProvisioningEstimate",
 ]

@@ -1,97 +1,40 @@
-"""The what-if evaluation plane: batched, pooled, memoized candidate runs.
+"""The what-if evaluation plane: the batch seam candidate runs go through.
 
 Tempo's control loop is simulation-bound: every retune evaluates a pool
 of candidate RM configurations through the discrete-event Schedule
-Predictor, and until this module existed PALD ran them one at a time
-while the serving daemon stalled its cadence tick on the whole batch.
-The evaluation plane splits that hot loop into three layers:
+Predictor.  :class:`CandidateEvaluator` binds one retune's
+:class:`~repro.whatif.model.WhatIfModel` + config space into a
+:class:`BoundWhatIf` that optimizers call either vector-at-a-time (the
+plain ``Evaluator`` protocol) or with a whole candidate batch
+(:meth:`BoundWhatIf.evaluate_batch`).  PALD submits each step's pool
+(incumbent, perturbations, SGD probe) through this seam, and the
+decision plane's guard re-evaluations go through
+:meth:`BoundWhatIf.evaluate`.
 
-1. **A batching seam.**  :class:`CandidateEvaluator` binds a
-   :class:`~repro.whatif.model.WhatIfModel` + config space into a
-   :class:`BoundWhatIf` that optimizers call either vector-at-a-time
-   (the plain ``Evaluator`` protocol) or with a whole candidate batch
-   (:meth:`BoundWhatIf.evaluate_batch`).  PALD submits each step's pool
-   (incumbent, perturbations, SGD probe) through this seam.
-
-2. **A cross-retune memo.**  A bounded LRU keyed by *(workload
-   signature, quantized config key)* that generalizes the model's own
-   per-instance cache: while the observed workload window is unchanged
-   between cadence ticks, candidate evaluations from previous retunes
-   are served without re-simulation.  The quantized config key is the
-   model's canonical ``_config_key`` of the *decoded* vector, so the
-   memo, the model cache, and in-batch dedupe all agree on identity.
-
-3. **A process-pool backend.**  With ``workers > 0`` on a fork-capable
-   platform, cache-missing candidates of a batch are simulated
-   concurrently by forked workers that inherit the bound model
-   (workload replicas + cluster) once via copy-on-write; only config
-   objects and QS vectors cross the pipe.  The predictor is fully
-   deterministic (no RNG), so pooled results are bit-identical to
-   serial evaluation in serial order, and ``workers=0`` short-circuits
-   to the exact historical serial path.
-
-Accounting stays honest throughout: ``sim_runs`` counts discrete-event
-simulations actually executed — memo hits, model-cache hits, and
-in-batch duplicates are counted as hits, never as evaluations.
+Candidates are simulated serially, in submission order.  The bound
+model's own per-retune cache serves in-batch duplicates and guard
+re-evaluations, so each distinct configuration is simulated at most
+once per retune.  Accounting stays honest: ``sim_runs`` counts
+discrete-event simulations actually executed (the model's
+``evaluations`` delta); cache-served candidates are counted as hits.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from multiprocessing import get_all_start_methods, get_context
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.rm.config import ConfigSpace, RMConfig
-from repro.whatif.model import WhatIfModel, _config_key
+from repro.whatif.model import WhatIfModel
 
 __all__ = [
     "BatchResult",
     "BoundWhatIf",
     "CandidateEvaluator",
-    "workload_signature",
 ]
-
-
-def workload_signature(model: WhatIfModel) -> str:
-    """Stable hash identifying what a model's evaluations depend on.
-
-    Two :class:`~repro.whatif.model.WhatIfModel` instances with equal
-    signatures produce identical QS vectors for identical configs: the
-    signature digests every input of a prediction — the workload
-    replicas (jobs, stages, tasks, deadlines, horizons), the cluster
-    capacity, the SLO set (labels and thresholds), and the scheduling
-    policy.  It is the first half of the cross-retune memo key, so a
-    cache entry can never leak across a changed observation window.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-
-    def feed(text: str) -> None:
-        digest.update(text.encode())
-        digest.update(b"\x00")
-
-    for workload in model.workloads:
-        feed(f"horizon={workload.horizon!r}")
-        for job in workload.jobs:
-            feed(
-                f"job={job.job_id}|{job.tenant}|{job.submit_time!r}|"
-                f"{job.deadline!r}|{sorted(job.tags)}"
-            )
-            for stage in job.stages:
-                feed(f"stage={stage.name}|{sorted(stage.deps)}|{stage.ready_fraction!r}")
-                for task in stage.tasks:
-                    feed(
-                        f"task={task.task_id}|{task.duration!r}|"
-                        f"{task.pool}|{task.containers}"
-                    )
-    feed(f"cluster={sorted(model.cluster.as_dict().items())}")
-    feed(f"slos={list(model.slos.labels)}|{list(model.slos.thresholds())}")
-    feed(f"policy={type(model.predictor.policy).__name__}")
-    return digest.hexdigest()
 
 
 @dataclass
@@ -99,102 +42,33 @@ class BatchResult:
     """Outcome of one batched candidate evaluation.
 
     ``vectors`` holds one QS vector per submitted candidate, in
-    submission order — bit-identical to evaluating the batch serially.
-    ``sim_runs`` is the number of discrete-event simulations actually
-    executed; ``hits`` counts candidates served from the cross-retune
-    memo, the model cache, or an in-batch duplicate; ``pool_size`` is
-    the number of worker processes used (``0`` for the serial path).
+    submission order.  ``sim_runs`` is the number of discrete-event
+    simulations actually executed; ``hits`` counts candidates served
+    from the bound model's cache (including in-batch duplicates).
     """
 
-    vectors: list[np.ndarray] = field(default_factory=list)
-    sim_runs: int = 0
-    hits: int = 0
-    pool_size: int = 0
-
-    @property
-    def batch_size(self) -> int:
-        """Number of candidates submitted in this batch."""
-        return len(self.vectors)
-
-
-# Fork-inherited state: the bound model is published here immediately
-# before the pool forks, so children receive the workload replicas and
-# cluster via copy-on-write instead of pickling them per task.
-_FORK_MODEL: WhatIfModel | None = None
-
-
-def _fork_evaluate(item: tuple[int, RMConfig]) -> tuple[int, np.ndarray]:
-    """Worker-side evaluation of one candidate config (pure function).
-
-    Runs in a forked child holding :data:`_FORK_MODEL`.  Mirrors
-    :meth:`~repro.whatif.model.WhatIfModel.evaluate`'s miss path
-    exactly — same replicas, same mean — so the returned vector is
-    bit-identical to what the parent would have computed serially.
-    """
-    position, config = item
-    model = _FORK_MODEL
-    assert model is not None, "fork pool used without a published model"
-    vectors = [
-        model.slos.evaluate(model.predictor.predict(workload, config))
-        for workload in model.workloads
-    ]
-    return position, np.mean(np.vstack(vectors), axis=0)
+    vectors: list[np.ndarray]
+    sim_runs: int
+    hits: int
 
 
 class CandidateEvaluator:
-    """Factory and memo for bound what-if evaluators.
+    """Factory and counters for bound what-if evaluators.
 
     One instance lives on the controller for the lifetime of the
     process (surviving resume, reshard, and failover, which rebuild
-    models but not the controller's evaluation plane).  It owns:
-
-    * the configuration (``workers``, ``cache_size``),
-    * the cross-retune LRU memo shared by every bound evaluator, and
-    * cumulative counters plus drainable per-batch observations that
-      the serving daemon turns into metrics deltas each cadence tick.
-
-    ``workers=0`` (the default) keeps every evaluation serial and
-    in-process — byte-identical behavior to the pre-plane code path.
+    models but not the controller).  It holds cumulative counters plus
+    drainable per-batch observations that the serving daemon turns into
+    metrics deltas each cadence tick.
     """
 
-    def __init__(self, workers: int = 0, cache_size: int = 256):
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if cache_size < 0:
-            raise ValueError(f"cache_size must be >= 0, got {cache_size}")
-        self.workers = int(workers)
-        self.cache_size = int(cache_size)
-        self._memo: OrderedDict[tuple[str, str], np.ndarray] = OrderedDict()
+    def __init__(self):
         #: Cumulative simulations actually executed.
         self.sim_runs = 0
         #: Cumulative candidates served without a simulation.
         self.hits = 0
-        #: Worker processes used by the most recent pooled batch
-        #: (0 while everything has run serially).
-        self.last_pool_size = 0
         self._pending_batches: list[int] = []
         self._pending_eval_seconds: list[float] = []
-
-    # -- memo ---------------------------------------------------------------
-
-    def memo_get(self, signature: str, key: str) -> np.ndarray | None:
-        """LRU lookup; refreshes recency on hit."""
-        entry = self._memo.get((signature, key))
-        if entry is not None:
-            self._memo.move_to_end((signature, key))
-        return entry
-
-    def memo_put(self, signature: str, key: str, vector: np.ndarray) -> None:
-        """Insert/refresh one memo entry, evicting the LRU overflow."""
-        if self.cache_size == 0:
-            return
-        self._memo[(signature, key)] = vector
-        self._memo.move_to_end((signature, key))
-        while len(self._memo) > self.cache_size:
-            self._memo.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._memo)
 
     # -- instrumentation ----------------------------------------------------
 
@@ -228,10 +102,10 @@ class BoundWhatIf:
     Satisfies PALD's plain ``Evaluator`` protocol (``__call__`` maps a
     unit-cube vector to a QS vector) and additionally exposes the
     batch seam (:meth:`evaluate_batch`) and the config-level entry
-    point (:meth:`evaluate`) the decision plane uses.  All paths share
-    the owning :class:`CandidateEvaluator`'s cross-retune memo and keep
-    the bound model's own cache and counters exactly as serial
-    evaluation would have left them.
+    point (:meth:`evaluate`) the decision plane uses.  Every path
+    resolves through the bound model's cache, so it and the model's
+    counters end exactly as plain serial ``model.evaluate`` calls would
+    leave them.
     """
 
     def __init__(
@@ -240,8 +114,6 @@ class BoundWhatIf:
         self.owner = owner
         self.model = model
         self.space = space
-        self.signature = workload_signature(model)
-        self._tasks_per_run = sum(w.num_tasks for w in model.workloads)
 
     # -- single-candidate paths ---------------------------------------------
 
@@ -250,7 +122,7 @@ class BoundWhatIf:
         return self.evaluate(self.space.decode(np.asarray(x, dtype=float)))
 
     def evaluate(self, config: RMConfig) -> np.ndarray:
-        """QS vector for ``config`` through memo -> model cache -> sim."""
+        """QS vector for ``config`` through model cache -> sim."""
         result = self.evaluate_batch([config], decoded=True)
         return result.vectors[0]
 
@@ -263,13 +135,10 @@ class BoundWhatIf:
 
         ``candidates`` are unit-cube vectors (default) or already
         decoded :class:`~repro.rm.config.RMConfig` objects
-        (``decoded=True``).  Each candidate resolves through, in order:
-        the cross-retune memo, the bound model's cache, an in-batch
-        duplicate, or a simulation run.  Misses run serially — or on a
-        forked process pool when the owner has ``workers > 0``, the
-        platform supports ``fork``, and more than one miss remains —
-        and the model's cache/counters are updated in submission order
-        either way, so the outcome is bit-identical to serial code.
+        (``decoded=True``).  Each candidate is served from the bound
+        model's cache when an earlier candidate of this retune (in this
+        batch or a previous one) had the same configuration, and
+        simulated otherwise.
         """
         owner, model = self.owner, self.model
         configs = (
@@ -279,86 +148,16 @@ class BoundWhatIf:
                 self.space.decode(np.asarray(x, dtype=float)) for x in candidates
             ]
         )
-        keys = [_config_key(config) for config in configs]
-        vectors: list[np.ndarray | None] = [None] * len(configs)
-        result = BatchResult()
-        misses: list[int] = []
-        first_miss: dict[str, int] = {}
-        for i, key in enumerate(keys):
-            memoized = owner.memo_get(self.signature, key)
-            if memoized is not None:
-                model._cache.setdefault(key, memoized)
-                vectors[i] = memoized.copy()
-                owner.hits += 1
-                result.hits += 1
-                continue
-            cached = model._cache.get(key)
-            if cached is not None:
-                owner.memo_put(self.signature, key, cached)
-                vectors[i] = cached.copy()
-                owner.hits += 1
-                result.hits += 1
-                continue
-            if key in first_miss:  # in-batch duplicate: simulate once
-                owner.hits += 1
-                result.hits += 1
-                continue
-            first_miss[key] = i
-            misses.append(i)
-
+        before = model.evaluations
         started = time.perf_counter()
-        if misses:
-            self._run_misses(misses, configs, keys, vectors, result)
+        vectors = []
+        for config in configs:
+            cached = model.evaluate_cached(config)
+            vectors.append(cached if cached is not None else model.evaluate(config))
         sim_seconds = time.perf_counter() - started
-
-        for i, key in enumerate(keys):  # backfill in-batch duplicates
-            if vectors[i] is None:
-                vectors[i] = model._cache[key].copy()
-        result.vectors = vectors  # type: ignore[assignment]
-        result.sim_runs = len(misses)
-        owner.sim_runs += len(misses)
-        owner.record_batch(len(configs), sim_seconds, len(misses))
-        return result
-
-    def _run_misses(
-        self,
-        misses: list[int],
-        configs: list[RMConfig],
-        keys: list[str],
-        vectors: list[np.ndarray | None],
-        result: BatchResult,
-    ) -> None:
-        """Simulate the cache-missing candidates, pooled when possible."""
-        owner, model = self.owner, self.model
-        pooled = (
-            owner.workers > 0
-            and len(misses) > 1
-            and "fork" in get_all_start_methods()
-        )
-        if not pooled:
-            for i in misses:
-                vectors[i] = model.evaluate(configs[i])
-                owner.memo_put(self.signature, keys[i], model._cache[keys[i]])
-            return
-
-        global _FORK_MODEL
-        pool_size = min(owner.workers, len(misses))
-        result.pool_size = pool_size
-        owner.last_pool_size = pool_size
-        _FORK_MODEL = model
-        try:
-            with get_context("fork").Pool(pool_size) as pool:
-                computed = dict(
-                    pool.map(_fork_evaluate, [(i, configs[i]) for i in misses])
-                )
-        finally:
-            _FORK_MODEL = None
-        # Commit in submission order, replicating the serial miss path's
-        # cache writes and counter increments on the parent-side model.
-        for i in misses:
-            mean = computed[i]
-            model._cache[keys[i]] = mean
-            model.evaluations += 1
-            model.predicted_tasks += self._tasks_per_run
-            owner.memo_put(self.signature, keys[i], mean)
-            vectors[i] = mean.copy()
+        sim_runs = model.evaluations - before
+        hits = len(configs) - sim_runs
+        owner.sim_runs += sim_runs
+        owner.hits += hits
+        owner.record_batch(len(configs), sim_seconds, sim_runs)
+        return BatchResult(vectors, sim_runs, hits)

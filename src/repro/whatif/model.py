@@ -88,12 +88,8 @@ class WhatIfModel:
         evaluation.  The control loop uses it to retain the prediction
         of the configuration it just applied — PALD already evaluated
         every candidate it considered, so the retained vector is free.
-
-        This per-model cache only lives for one retune; the
-        cross-retune generalization (an LRU keyed by workload signature
-        *and* config) is :class:`~repro.whatif.evalpool.CandidateEvaluator`,
-        which also pre-seeds this cache on memo hits so the read here
-        stays consistent either way.
+        :class:`~repro.whatif.evalpool.BoundWhatIf` reads it the same
+        way to serve in-batch duplicates and guard re-evaluations.
         """
         cached = self._cache.get(_config_key(config))
         return None if cached is None else cached.copy()

@@ -2,7 +2,6 @@
 heap-driven eviction, journal compaction, and node recovery."""
 
 import os
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -178,28 +177,8 @@ class TestGroupCommit:
         assert [r.seq for r in journal.iter_records()] == list(range(1, 10))
 
 
-class TestAsyncWriter:
-    def test_records_identical_to_sync_path(self, tmp_path):
-        events = _events(seed=9, count=60)
-        sync = EventJournal(tmp_path / "sync", segment_records=32)
-        sync.append_events(events)
-        sync.close()
-        async_journal = EventJournal(
-            tmp_path / "async", segment_records=32, async_writer=True
-        )
-        async_journal.append_events(events)
-        async_journal.close()
-        assert [p.read_bytes() for p in sync.segments()] == [
-            p.read_bytes() for p in async_journal.segments()
-        ]
-
-    def test_read_drains_queue_first(self, tmp_path):
-        journal = EventJournal(tmp_path, async_writer=True)
-        events = _events(seed=10, count=30)
-        journal.append_events(events)
-        # iter_records must see every acknowledged record.
-        assert len(list(journal.iter_records())) == len(events)
-        journal.close()
+class TestWriterFailure:
+    """A failed write is fail-stop: nothing is acknowledged past the hole."""
 
     @staticmethod
     def _break_writer(journal, monkeypatch):
@@ -209,24 +188,15 @@ class TestAsyncWriter:
             lambda entries: (_ for _ in ()).throw(OSError("disk full")),
         )
 
-    @staticmethod
-    def _wait_for_writer(journal):
-        """Join the writer thread: it exits once its batch failed."""
-        thread = journal._async._thread
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
-
     def test_writer_failure_surfaces_on_next_append(self, tmp_path, monkeypatch):
-        journal = EventJournal(tmp_path, async_writer=True)
+        journal = EventJournal(tmp_path)
         self._break_writer(journal, monkeypatch)
-        journal.append("event", encode_event(Heartbeat(1.0)))
-        self._wait_for_writer(journal)
-        with pytest.raises(JournalError, match="async journal writer failed"):
-            journal.append("event", encode_event(Heartbeat(2.0)))
+        with pytest.raises(OSError, match="disk full"):
+            journal.append("event", encode_event(Heartbeat(1.0)))
         monkeypatch.undo()
         # Fail-stop: a working disk again does not resume the journal.
-        with pytest.raises(JournalError):
-            journal.append("event", encode_event(Heartbeat(3.0)))
+        with pytest.raises(JournalError, match="journal writer failed"):
+            journal.append("event", encode_event(Heartbeat(2.0)))
         with pytest.raises(JournalError):
             journal.flush()
         with pytest.raises(JournalError):
@@ -236,53 +206,44 @@ class TestAsyncWriter:
 
     def test_writer_failure_leaves_no_seq_gap(self, tmp_path, monkeypatch):
         """Nothing acknowledged after the hole may land: a reopened
-        journal must never show seqs 1, 4, 5, 6 with 2-3 silently gone."""
-        journal = EventJournal(tmp_path, async_writer=True)
+        journal must never show seqs 1, 3, 4 with 2 silently gone."""
+        journal = EventJournal(tmp_path)
         journal.append("event", encode_event(Heartbeat(1.0)))
         journal.flush()
         self._break_writer(journal, monkeypatch)
-        journal.append("event", encode_event(Heartbeat(2.0)))
-        self._wait_for_writer(journal)
-        with pytest.raises(JournalError):
-            journal.append("event", encode_event(Heartbeat(3.0)))
+        with pytest.raises(OSError):
+            journal.append("event", encode_event(Heartbeat(2.0)))
         monkeypatch.undo()
-        for when in (4.0, 5.0, 6.0):
+        for when in (3.0, 4.0, 5.0):
             with pytest.raises(JournalError):
                 journal.append("event", encode_event(Heartbeat(when)))
         with pytest.raises(JournalError):
-            journal.append_events([Heartbeat(7.0)])
+            journal.append_events([Heartbeat(6.0)])
         with pytest.raises(JournalError):
             journal.close()
         reopened = EventJournal(tmp_path)
         assert [r.seq for r in reopened.iter_records()] == [1]
         reopened.close()
 
-    def test_oversized_batch_does_not_deadlock(self, tmp_path):
-        """A single batch larger than the queue bound must be split,
-        not wait forever for room that can never exist."""
-        journal = EventJournal(tmp_path, async_writer=True, queue_records=2)
-        journal.append_many(
-            ("event", encode_event(Heartbeat(float(i)))) for i in range(9)
-        )
-        journal.close()
-        assert len(list(journal.iter_records())) == 9
-
-    def test_backpressure_blocks_instead_of_dropping(self, tmp_path):
-        journal = EventJournal(tmp_path, async_writer=True, queue_records=8)
-        blocker = threading.Event()
-        real_write = journal._write_entries
-
-        def slow_write(entries):
-            blocker.wait(2.0)
-            real_write(entries)
-
-        journal._write_entries = slow_write
-        for i in range(30):  # far beyond the queue bound
-            journal.append("event", encode_event(Heartbeat(float(i))))
-            if i == 3:
-                blocker.set()
-        journal.close()
-        assert len(list(journal.iter_records())) == 30
+    def test_writer_failure_keeps_string_table_readable(
+        self, tmp_path, monkeypatch
+    ):
+        """A failed batch that defined a new tenant string must not let a
+        later batch reference the define that never reached the disk."""
+        journal = EventJournal(tmp_path)
+        journal.append_events(_events(seed=20, count=5, tenants=("old",)))
+        journal.flush()
+        self._break_writer(journal, monkeypatch)
+        with pytest.raises(OSError):
+            journal.append_events(_events(seed=21, count=5, tenants=("new",)))
+        monkeypatch.undo()
+        with pytest.raises(JournalError):
+            journal.append_events(_events(seed=22, count=5, tenants=("new",)))
+        with pytest.raises(JournalError):
+            journal.close()
+        reopened = EventJournal(tmp_path)
+        assert [r.seq for r in reopened.iter_records()] == list(range(1, 16))
+        reopened.close()
 
 
 class TestHeapEviction:
@@ -526,21 +487,6 @@ class TestIngestBatchParity:
             (d.time, d.retuned, d.reason) for d in resumed.decisions
         ]
         assert live.rm_config.describe() == resumed.rm_config.describe()
-
-    def test_resume_from_async_written_journal(self, tmp_path):
-        state = ServiceState(tmp_path, snapshot_every=10**9, async_journal=True)
-        live = _build(state=state)
-        events = _events(seed=16, count=300)
-        for i in range(0, len(events), 64):
-            live.ingest_batch(events[i : i + 64])
-        state.close()
-        resumed = TempoService.resume(
-            build_controller(make_scenario("steady", scale=1.0, horizon=3600.0)),
-            tmp_path,
-            _service_config(),
-        )
-        assert resumed.events_processed == live.events_processed
-        assert stats_gap(resumed.window) < 1e-9
 
     def test_empty_batch_is_a_noop(self):
         service = _build()

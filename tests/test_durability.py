@@ -1121,8 +1121,12 @@ class TestCliResume:
                 "transport": "direct",
                 "revert_windows": 1,
                 "continuous": True,
-                # Written by the build that still had codecs: ignored.
+                # Written by builds that still had codecs, the what-if
+                # pool/memo and the async journal writer: ignored.
                 "journal_codec": "binary",
+                "whatif_workers": 2,
+                "whatif_cache_size": 256,
+                "async_journal": True,
             }
         )
         service = build_service(scenario, config, seed=1, state=state)

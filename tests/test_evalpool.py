@@ -1,12 +1,13 @@
 """Tests for the what-if evaluation plane (:mod:`repro.whatif.evalpool`).
 
-The load-bearing property: the evaluation *backend* must be invisible.
-Serial, fork-pooled, and memo-warmed evaluation of the same candidate
-pool must return identical objective vectors (to 1e-12 — in practice
-bit-identical, since the predictor is deterministic and the memo stores
-the arrays it computed), and nothing the plane does — deduplication,
-cross-retune cache hits, pooling — may inflate the simulation counters
-PALD and the journal report.
+The load-bearing property: the batch seam must be invisible.
+Evaluating a candidate pool through :meth:`BoundWhatIf.evaluate_batch`
+must return the vectors per-candidate ``WhatIfModel.evaluate`` returns
+(bit-identical: the predictor is deterministic and the model cache
+stores the arrays it computed), PALD must follow the same trajectory
+through the seam as through a plain callable, and nothing the seam
+does — in-batch dedupe, model-cache hits — may inflate the simulation
+counters PALD and the journal report.
 """
 
 import json
@@ -28,8 +29,7 @@ from repro.rm.cluster import ClusterSpec
 from repro.rm.config import ConfigSpace
 from repro.slo.objectives import SLOSet
 from repro.slo.templates import deadline_slo, response_time_slo
-from repro.whatif import CandidateEvaluator, WhatIfModel, workload_signature
-from repro.whatif.model import _config_key
+from repro.whatif import CandidateEvaluator, WhatIfModel
 from repro.workload.model import Workload, single_stage_job
 
 
@@ -81,38 +81,14 @@ def _fresh_model_like(model):
     return WhatIfModel(model.cluster, model.slos, model.workloads)
 
 
+def _pad(pool, dim):
+    """Hypothesis float lists as ``dim``-long unit-cube vectors."""
+    batch = [np.asarray(x, dtype=float)[:dim] for x in pool]
+    return [np.pad(x, (0, dim - len(x))) for x in batch]
+
+
 class TestParity:
-    """Serial == pooled == memo-warm, over random pools and replicas."""
-
-    def test_pooled_matches_serial_bitwise(self):
-        model, space = _problem()
-        rng = np.random.default_rng(3)
-        batch = [rng.uniform(size=space.dim) for _ in range(6)]
-        batch.append(batch[2].copy())  # in-batch duplicate
-
-        serial = CandidateEvaluator(workers=0).bind(model, space)
-        expected = serial.evaluate_batch(batch)
-
-        pooled = CandidateEvaluator(workers=2).bind(
-            _fresh_model_like(model), space
-        )
-        got = pooled.evaluate_batch(batch)
-        assert got.sim_runs == expected.sim_runs == 6
-        for want, have in zip(expected.vectors, got.vectors):
-            assert np.array_equal(want, have)
-
-    def test_memo_warm_matches_serial_bitwise(self):
-        model, space = _problem()
-        rng = np.random.default_rng(4)
-        batch = [rng.uniform(size=space.dim) for _ in range(5)]
-        evaluator = CandidateEvaluator(workers=0)
-        expected = evaluator.bind(model, space).evaluate_batch(batch)
-
-        warm = evaluator.bind(_fresh_model_like(model), space)
-        got = warm.evaluate_batch(batch)
-        assert got.sim_runs == 0  # everything served from the memo
-        for want, have in zip(expected.vectors, got.vectors):
-            assert np.array_equal(want, have)
+    """Batch seam == serial per-candidate evaluation, bit for bit."""
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -123,55 +99,59 @@ class TestParity:
             min_size=1,
             max_size=5,
         ),
+        duplicates=st.lists(st.integers(min_value=0, max_value=4), max_size=3),
         replicas=st.integers(min_value=1, max_value=3),
-        workers=st.sampled_from([0, 2]),
     )
-    def test_backend_invariance_property(self, pool, replicas, workers):
-        """Random pools: every backend within 1e-12 of fresh serial."""
+    def test_backend_invariance_property(self, pool, duplicates, replicas):
+        """Random pools with duplicates: the seam equals plain serial calls."""
         model, space = _problem(replicas=replicas)
-        batch = [np.asarray(x, dtype=float)[: space.dim] for x in pool]
-        batch = [
-            np.pad(x, (0, space.dim - len(x))) if len(x) < space.dim else x
-            for x in batch
-        ]
-        reference = (
-            CandidateEvaluator(workers=0).bind(model, space).evaluate_batch(batch)
-        )
+        batch = _pad(pool, space.dim)
+        batch += [batch[i % len(batch)].copy() for i in duplicates]
+        reference = _fresh_model_like(model)
+        expected = [reference.evaluate(space.decode(x)) for x in batch]
 
-        evaluator = CandidateEvaluator(workers=workers)
-        cold = evaluator.bind(_fresh_model_like(model), space).evaluate_batch(batch)
-        warm = evaluator.bind(_fresh_model_like(model), space).evaluate_batch(batch)
-        assert warm.sim_runs == 0
-        for want, have_cold, have_warm in zip(
-            reference.vectors, cold.vectors, warm.vectors
-        ):
-            np.testing.assert_allclose(have_cold, want, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(have_warm, want, atol=1e-12, rtol=0)
+        got = CandidateEvaluator().bind(model, space).evaluate_batch(batch)
+        assert got.sim_runs == model.evaluations == reference.evaluations
+        assert got.hits == len(batch) - got.sim_runs
+        for want, have in zip(expected, got.vectors):
+            assert np.array_equal(want, have)
+
+    def test_memo_warm_matches_serial_bitwise(self):
+        """A batch re-submitted in the same retune is served by the
+        model's memo: same vectors, no simulation."""
+        model, space = _problem()
+        rng = np.random.default_rng(4)
+        batch = [rng.uniform(size=space.dim) for _ in range(5)]
+        bound = CandidateEvaluator().bind(model, space)
+        expected = bound.evaluate_batch(batch)
+        got = bound.evaluate_batch(batch)
+        assert expected.sim_runs == 5
+        assert got.sim_runs == 0 and got.hits == 5
+        for want, have in zip(expected.vectors, got.vectors):
+            assert np.array_equal(want, have)
 
     def test_pald_trajectory_identical_across_backends(self):
-        """Full PALD runs agree step-for-step on every backend."""
+        """PALD agrees step for step through the batch seam and through
+        a plain ``model.evaluator(space)`` callable (its fallback)."""
 
-        def run(workers, warm_owner=None):
+        def run(seam):
             model, space = _problem()
-            owner = warm_owner or CandidateEvaluator(workers=workers)
-            bound = owner.bind(model, space)
-            opt = PALD(
-                space, bound, model.slos.thresholds(), seed=11, candidates=4
+            evaluator = (
+                CandidateEvaluator().bind(model, space)
+                if seam
+                else model.evaluator(space)
             )
-            result = opt.optimize(np.full(space.dim, 0.5), iterations=3)
-            return result, owner
+            opt = PALD(
+                space, evaluator, model.slos.thresholds(), seed=11, candidates=4
+            )
+            return opt.optimize(np.full(space.dim, 0.5), iterations=3)
 
-        serial, owner = run(0)
-        pooled, _ = run(2)
-        warmed, _ = run(0, warm_owner=owner)  # memo filled by the serial run
-        np.testing.assert_array_equal(serial.trajectory(), pooled.trajectory())
-        np.testing.assert_array_equal(serial.trajectory(), warmed.trajectory())
-        np.testing.assert_array_equal(serial.x, pooled.x)
-        np.testing.assert_array_equal(serial.x, warmed.x)
-        # The memo-warmed rerun resimulated nothing, yet reported the
-        # same trajectory — and its evaluation count says so honestly.
-        assert warmed.total_evaluations == 0
-        assert serial.total_evaluations == pooled.total_evaluations > 0
+        batched, plain = run(True), run(False)
+        np.testing.assert_allclose(
+            batched.trajectory(), plain.trajectory(), atol=1e-12, rtol=0
+        )
+        np.testing.assert_allclose(batched.x, plain.x, atol=1e-12, rtol=0)
+        assert batched.total_evaluations == plain.total_evaluations > 0
 
 
 class TestCounting:
@@ -181,7 +161,7 @@ class TestCounting:
         model, space = _problem()
         x = np.full(space.dim, 0.25)
         batch = [x, x.copy(), np.full(space.dim, 0.75), x.copy()]
-        result = CandidateEvaluator(workers=0).bind(model, space).evaluate_batch(batch)
+        result = CandidateEvaluator().bind(model, space).evaluate_batch(batch)
         assert result.sim_runs == 2
         assert result.hits == 2
         assert model.evaluations == 2  # the sim-run counter agrees
@@ -190,7 +170,7 @@ class TestCounting:
 
     def test_pald_total_evaluations_counts_sim_runs(self):
         model, space = _problem()
-        evaluator = CandidateEvaluator(workers=0)
+        evaluator = CandidateEvaluator()
         bound = evaluator.bind(model, space)
         opt = PALD(space, bound, model.slos.thresholds(), seed=2, candidates=4)
         result = opt.optimize(np.full(space.dim, 0.5), iterations=4)
@@ -201,7 +181,7 @@ class TestCounting:
 
     def test_evaluate_singletons_share_model_cache(self):
         model, space = _problem()
-        bound = CandidateEvaluator(workers=0).bind(model, space)
+        bound = CandidateEvaluator().bind(model, space)
         x = np.full(space.dim, 0.4)
         first = bound(x)
         again = bound(x)
@@ -210,56 +190,27 @@ class TestCounting:
 
 
 class TestMemo:
-    """Cross-retune LRU: bounded, scoped by workload signature."""
-
-    def test_lru_evicts_oldest(self):
-        model, space = _problem()
-        evaluator = CandidateEvaluator(workers=0, cache_size=2)
-        bound = evaluator.bind(model, space)
-        configs = [np.full(space.dim, v) for v in (0.1, 0.5, 0.9)]
-        for x in configs:
-            bound.evaluate_batch([x])
-        assert len(evaluator) == 2
-        oldest = _config_key(space.decode(configs[0]))
-        assert evaluator.memo_get(bound.signature, oldest) is None
-        newest = _config_key(space.decode(configs[2]))
-        assert evaluator.memo_get(bound.signature, newest) is not None
-
-    def test_cache_size_zero_disables_memo_not_correctness(self):
-        model, space = _problem()
-        evaluator = CandidateEvaluator(workers=0, cache_size=0)
-        x = np.full(space.dim, 0.3)
-        first = evaluator.bind(model, space).evaluate_batch([x])
-        second = evaluator.bind(_fresh_model_like(model), space).evaluate_batch([x])
-        assert len(evaluator) == 0
-        assert second.sim_runs == 1  # no memo to hit — re-simulated
-        assert np.array_equal(first.vectors[0], second.vectors[0])
-
-    def test_signature_scopes_memo_to_workload_window(self):
-        model_a, space = _problem(seed=0)
-        model_b, _ = _problem(seed=99)  # different window, same shape
-        assert workload_signature(model_a) != workload_signature(model_b)
-        evaluator = CandidateEvaluator(workers=0)
-        x = np.full(space.dim, 0.5)
-        evaluator.bind(model_a, space).evaluate_batch([x])
-        crossed = evaluator.bind(model_b, space).evaluate_batch([x])
-        assert crossed.sim_runs == 1  # no leakage across windows
+    """The model's per-retune memo serves guard re-evaluations."""
 
     def test_memo_hits_do_not_inflate_model_evaluations(self):
         model, space = _problem()
-        evaluator = CandidateEvaluator(workers=0)
+        evaluator = CandidateEvaluator()
         x = np.full(space.dim, 0.6)
         evaluator.bind(model, space).evaluate_batch([x])
+        guard = evaluator.bind(model, space)  # same retune, same model
+        guard.evaluate(space.decode(x.copy()))
+        guard.evaluate_batch([x, x.copy()])
+        assert model.evaluations == evaluator.sim_runs == 1
+        assert evaluator.hits == 3
+        # The next retune binds a new model: nothing carries over.
         fresh = _fresh_model_like(model)
-        evaluator.bind(fresh, space).evaluate_batch([x, x.copy()])
-        assert fresh.evaluations == 0
-        assert evaluator.hits >= 2
+        assert evaluator.bind(fresh, space).evaluate_batch([x]).sim_runs == 1
 
 
 class TestServiceIntegration:
-    """End-to-end: the pooled plane through the CLI/service surface."""
+    """End-to-end: the evaluation plane through the CLI/service surface."""
 
-    def _replay(self, state_dir, workers):
+    def _replay(self, state_dir):
         import io
 
         from repro.cli import main
@@ -270,62 +221,18 @@ class TestServiceIntegration:
                 "--scenario", "flash-crowd",
                 "--horizon", "0.5",
                 "--seed", "7",
-                "--whatif-workers", str(workers),
                 "--state-dir", str(state_dir),
             ],
             out=io.StringIO(),
         )
         assert code == 0
 
-    def _journal_records(self, state_dir):
-        import io
-
-        from repro.cli import main
-
-        out = io.StringIO()
-        assert main(["dump-journal", "--state-dir", str(state_dir)], out=out) == 0
-        return [json.loads(line) for line in out.getvalue().splitlines()]
-
-    def test_workers_flag_does_not_change_journal(self, tmp_path):
-        """``--whatif-workers`` is a performance knob, not a behavior one.
-
-        Every journaled record except wall-clock artifacts — the
-        ``latency`` field (phase timing) and ``metrics`` records
-        (histograms of those timings) — must be equal, record for
-        record, between a serial and a pooled run of the same scenario
-        and seed.
-        """
-
-        def comparable(record):
-            if record.get("kind") == "metrics":
-                return None
-            data = dict(record.get("data", {}))
-            data.pop("latency", None)
-            if isinstance(data.get("decision"), dict):
-                data = {**data, "decision": dict(data["decision"])}
-                data["decision"].pop("latency", None)
-            return {**record, "data": data}
-
-        serial_dir, pooled_dir = tmp_path / "serial", tmp_path / "pooled"
-        self._replay(serial_dir, workers=0)
-        self._replay(pooled_dir, workers=2)
-        serial = [r for r in map(comparable, self._journal_records(serial_dir)) if r]
-        pooled = [r for r in map(comparable, self._journal_records(pooled_dir)) if r]
-        assert serial == pooled
-        assert len(serial) > 50  # the run actually journaled a stream
-
-    def test_meta_persists_whatif_settings(self, tmp_path):
-        self._replay(tmp_path / "s", workers=2)
-        meta = json.loads((tmp_path / "s" / "meta.json").read_text())
-        assert meta["whatif_workers"] == 2
-        assert meta["whatif_cache_size"] == 256
-
     def test_status_renders_retune_phase_table(self, tmp_path):
         import io
 
         from repro.cli import main
 
-        self._replay(tmp_path / "s", workers=2)
+        self._replay(tmp_path / "s")
         out = io.StringIO()
         assert main(["status", "--state-dir", str(tmp_path / "s")], out=out) == 0
         text = out.getvalue()
@@ -345,6 +252,17 @@ class TestServiceIntegration:
             and 'phase="whatif"' in line
             for line in prom.getvalue().splitlines()
         )
+        series = {
+            line.split("{")[0].split()[0]
+            for line in prom.getvalue().splitlines()
+            if line and not line.startswith("#")
+        }
+        assert "tempo_whatif_evaluations_total" in series
+        # One series per fact: no pool, and misses are the evaluations.
+        assert not any(
+            name.startswith(("tempo_whatif_pool_size", "tempo_whatif_cache_misses"))
+            for name in series
+        )
 
 
 _KILL_CHILD = textwrap.dedent(
@@ -358,7 +276,6 @@ _KILL_CHILD = textwrap.dedent(
             "--scenario", "flash-crowd",
             "--horizon", "48",
             "--seed", "5",
-            "--whatif-workers", "2",
             "--state-dir", sys.argv[1],
         ],
         out=io.StringIO(),
@@ -368,13 +285,18 @@ _KILL_CHILD = textwrap.dedent(
 
 
 class TestKillDuringPooledWhatif:
-    def test_kill9_mid_run_leaves_resumable_state(self, tmp_path):
-        """SIGKILL with the fork pool in flight: ticks stay atomic.
+    """Kill -9 at any point of a replay, whatif phases included.
 
-        The pooled whatif phase commits nothing durable until the tick's
+    (The class name is kept from when whatif phases could run pooled.)
+    """
+
+    def test_kill9_mid_run_leaves_resumable_state(self, tmp_path):
+        """SIGKILL at an arbitrary point of a replay: ticks stay atomic.
+
+        The whatif phase commits nothing durable until the tick's
         decision record is journaled, so a kill -9 at an arbitrary point
-        of a pooled run must leave a journal that parses cleanly and a
-        state directory ``TempoService.resume`` accepts.
+        of a run must leave a journal that parses cleanly and a state
+        directory ``TempoService.resume`` accepts.
         """
         state_dir = tmp_path / "state"
         env = {
@@ -415,17 +337,11 @@ class TestKillDuringPooledWhatif:
         from repro.service.replay import build_controller, make_scenario
 
         meta = json.loads((state_dir / "meta.json").read_text())
-        assert meta["whatif_workers"] == 2
         scenario = make_scenario(
             meta["scenario"], scale=meta["scale"], horizon=meta["horizon"]
         )
         resumed = TempoService.resume(
-            build_controller(
-                scenario,
-                seed=meta["seed"],
-                whatif_workers=meta["whatif_workers"],
-                whatif_cache_size=meta["whatif_cache_size"],
-            ),
+            build_controller(scenario, seed=meta["seed"]),
             state_dir,
             ServiceConfig(),
         )
@@ -434,4 +350,3 @@ class TestKillDuringPooledWhatif:
         retuned = [d for d in resumed.decisions if d.retuned]
         assert resumed.events_processed > 0
         assert len(resumed.config_history) >= len(retuned) - 1
-        assert resumed.controller.evalplane.workers == 2
