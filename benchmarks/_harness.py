@@ -152,8 +152,16 @@ def gate_parallel_speedup(
     }
 
 
-def report(name: str, title: str, headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """Format, print, and archive one experiment's table."""
+def report(
+    name: str,
+    title: str,
+    headers: Sequence[str],
+    rows: Sequence[Sequence],
+    *,
+    archive: bool = True,
+) -> str:
+    """Format, print, and (unless ``archive`` is false) archive one
+    experiment's table under ``results/<name>.txt``."""
     widths = [
         max(len(str(h)), *(len(_fmt(r[i])) for r in rows)) if rows else len(str(h))
         for i, h in enumerate(headers)
@@ -166,8 +174,9 @@ def report(name: str, title: str, headers: Sequence[str], rows: Sequence[Sequenc
         )
     text = "\n".join(lines)
     print("\n" + text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    if archive:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     return text
 
 

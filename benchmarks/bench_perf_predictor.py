@@ -9,9 +9,10 @@ fraction of a second), not parity with the paper's native-code number.
 
 Every size is timed three times, the rounds interleaved over the sizes
 so a slow stretch of the host hits all of them alike, and scored by its
-best round.  Alongside the printed table one timestamped record per
-invocation — full runs *and* ``--smoke`` — is appended to
-``benchmarks/results/perf_predictor.json``.
+best round.  Alongside the printed table every full run appends one
+timestamped record to ``benchmarks/results/perf_predictor.json`` (and
+rewrites ``perf_predictor.txt``); ``--smoke`` gates and prints only, so
+it leaves the tree clean.
 
 Run:  PYTHONPATH=src python benchmarks/bench_perf_predictor.py
 CI smoke (two small sizes + the floor):
@@ -92,6 +93,7 @@ def run(hours: tuple[float, ...], mode: str) -> int:
         f"Schedule predictor throughput ({mode}, best of {ROUNDS} interleaved rounds)",
         ["workload", "jobs", "tasks", "time", "tasks/s", "vs paper"],
         rows,
+        archive=mode != "smoke",
     )
 
     slowest = min(size["tasks_per_s"] for size in sizes)
@@ -102,6 +104,8 @@ def run(hours: tuple[float, ...], mode: str) -> int:
         )
     for failure in failures:
         print(f"BENCH FAILURE: {failure}")
+    if mode == "smoke":
+        return 1 if failures else 0
     append_trajectory_run(
         RESULTS_JSON,
         {
@@ -123,8 +127,8 @@ def main() -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="two small workload sizes + the floor (CI); appends a "
-        "'smoke' record to the same trajectory",
+        help="two small workload sizes + the floor (CI); prints only, "
+        "archives nothing",
     )
     args = parser.parse_args()
     if args.smoke:

@@ -37,9 +37,10 @@ layer (`repro.service`).  Measurements:
 
 Alongside the human-readable table the benchmark archives a
 machine-readable ``benchmarks/results/perf_service_ingest.json``.  The
-file holds a ``runs`` list and every invocation — full runs *and*
-``--smoke`` — **appends** a timestamped record, so the perf trajectory
-across PRs (and across CI runs) is preserved instead of overwritten.
+file holds a ``runs`` list and every full run **appends** a timestamped
+record, so the perf trajectory across PRs is preserved instead of
+overwritten.  ``--smoke`` gates and prints only: it writes no file, so
+a CI or local smoke leaves the tree clean.
 
 Run:  PYTHONPATH=src python benchmarks/bench_perf_service_ingest.py
 CI smoke (small event count + regression ceilings):
@@ -329,8 +330,8 @@ def smoke() -> int:
     ceiling of the non-durable path, per-event ingest cost stays near
     flat from few to many tenants, and the sharded data plane neither
     taxes the in-process path nor (given >= 4 cores) loses the
-    worker-shard parallel speedup.  Appends a timestamped ``smoke``
-    record to the results trajectory.  Returns a process exit code.
+    worker-shard parallel speedup.  Prints and gates only — nothing is
+    archived.  Returns a process exit code.
     """
     events = telemetry_events(horizon=2400.0)
     # Best-of-3: shared CI runners jitter by 2x+; the gates protect
@@ -409,28 +410,6 @@ def smoke() -> int:
         failures.append(worker_gate["failure"])
     for failure in failures:
         print(f"SMOKE FAILURE: {failure}")
-    append_run(
-        {
-            "mode": "smoke",
-            "events": len(events),
-            "service_ingest_batched_eps": service_eps,
-            "durable_ingest_batched_eps": durable_eps,
-            "durability_overhead_batched": overhead,
-            "tenant_scaling_slowdown": flatness,
-            "journal_codec": {"binary_eps": journal_eps},
-            "sharded_500_tenants": {
-                "events": len(sharded_events),
-                "shards1_eps": shard1_eps,
-                "inproc4_eps": inproc4_eps,
-                "workers4_eps": workers4_eps,
-                "workers4_speedup": worker_speedup,
-                "parallel_gate": worker_gate,
-            },
-            "retunes": whatif_retunes,
-            "whatif_phase_p50_s": whatif_p50,
-            "failures": failures,
-        }
-    )
     return 1 if failures else 0
 
 
@@ -441,7 +420,7 @@ def main() -> int:
         "--smoke",
         action="store_true",
         help="small event count + regression ceilings (CI gate); "
-        "does not overwrite the archived results",
+        "prints only, archives nothing",
     )
     args = parser.parse_args()
     if args.smoke:

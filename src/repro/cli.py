@@ -66,9 +66,9 @@ small operational CLI:
 
 ``python -m repro dump-snapshot``
     Render one snapshot file (the newest, or ``--seq N``) as JSON
-    lines: its header, its control state, then one line per retained
-    rolling-window entry decoded from the binary window frames.
-    Read-only like ``status``.
+    lines: its header, its control state, then one line per shard
+    journal's mark (covered seq, window clock, ingest count, low-water
+    mark).  Read-only like ``status``.
 
 ``python -m repro status``
     Read-only introspection of a serving state dir: pretty-print the
@@ -675,12 +675,12 @@ def cmd_resume(args: argparse.Namespace, out) -> int:
     if meta.get("log_json"):
         service.on_decision(_json_decision_logger(out))
     restored_verdicts = _verdict_line(service.decisions)
-    _, replayed, replay_seconds = service.last_resume
+    cost = service.last_resume
     print(
         f"resumed from {args.state_dir}: events={service.events_processed} "
         f"retunes={service.retunes} configs={len(service.config_history)} "
         f"shards={service.num_shards} t={start:.0f}s "
-        f"replayed={replayed} in {replay_seconds:.3f} s"
+        f"refolded={cost.refolded} replayed={cost.replayed} in {cost.seconds:.3f} s"
         + (f" {restored_verdicts}" if restored_verdicts else "")
         + (f" (dropped {dropped} partial-interval records)" if dropped else ""),
         file=out,
@@ -1001,8 +1001,10 @@ def cmd_status(args: argparse.Namespace, out) -> int:
     replayed = dump["gauges"].get("tempo_resume_replayed_records")
     if replayed is not None:
         seconds = dump["gauges"]["tempo_resume_seconds"]["value"]
+        refolded = dump["gauges"].get("tempo_resume_refolded_records", {"value": 0})
         print(
-            f"last resume: replayed={replayed['value']:.0f} in {seconds:.3f} s",
+            f"last resume: refolded={refolded['value']:.0f} "
+            f"replayed={replayed['value']:.0f} in {seconds:.3f} s",
             file=out,
         )
     if dump["counters"]:
@@ -1060,6 +1062,7 @@ def cmd_dump_journal(args: argparse.Namespace, out) -> int:
     state dir.  ``--shard N`` selects a shard journal of a sharded
     state dir instead of the control journal.
     """
+    from repro.service.codec import split_window_state
     from repro.service.journal import canonical_json, read_segment, segment_paths
     from repro.service.sharding import shard_dir_name
 
@@ -1101,9 +1104,14 @@ def cmd_dump_journal(args: argparse.Namespace, out) -> int:
         for path in segments:
             # Only the newest segment may legally carry a torn tail.
             for record in read_segment(path, final=path is tail):
+                data = record.data
+                if record.kind == "window":  # a reshard's moved window
+                    window, clock, events, tenants = split_window_state(data)
+                    data = {"window": window, "clock": clock, "events": events,
+                            "tenants": len(tenants), "bytes": len(data)}
                 print(
                     canonical_json(
-                        {"data": record.data, "kind": record.kind, "seq": record.seq}
+                        {"data": data, "kind": record.kind, "seq": record.seq}
                     ),
                     file=out,
                 )
@@ -1125,21 +1133,17 @@ def _silence_stdout() -> None:
 def cmd_dump_snapshot(args: argparse.Namespace, out) -> int:
     """``repro dump-snapshot``: render one snapshot file as JSON lines.
 
-    Line 1 is the header (format tag, ``seq``, ``shard_seqs``), line 2
-    the control state (``windows`` there is each window's byte size),
-    and every further line one retained window entry —
-    ``{"window":i,"tenant":...,"kind":"task"|"job"|"submit","time":...,
-    "record":{...}|null}`` — decoded from the binary window frames.
+    Line 1 is the header (format tag, ``seq``, ``marks``), line 2 the
+    control state, and every further line one shard journal's
+    :class:`~repro.service.sharding.ShardMark` —
+    ``{"shard":i,"seq":...,"clock":...,"events":...,"mark":...}``: where
+    resume starts refolding that shard's window and what it settles.
     Dumps the newest snapshot, or the one covering journal seq
     ``--seq``.  Purely read-only, like ``repro status``: it never
     constructs a :class:`~repro.service.snapshot.ServiceState`.
     """
-    from itertools import chain, repeat
-
-    from repro.service.codec import decode_window_tenant, split_window_state
     from repro.service.journal import canonical_json
     from repro.service.snapshot import SNAPSHOT_FORMAT, read_snapshot
-    from repro.workload.trace import job_record_to_dict, task_record_to_dict
 
     paths = sorted((Path(args.state_dir) / "snapshots").glob("snapshot-*.json"))
     if args.seq is not None:
@@ -1153,30 +1157,21 @@ def cmd_dump_snapshot(args: argparse.Namespace, out) -> int:
         header, state = read_snapshot(paths[-1])
     except ValueError as exc:
         raise SystemExit(f"{paths[-1]} is unreadable to this build: {exc}")
-    windows = state.get("windows", [])
+    marks = header["marks"] or []
     try:
-        print(canonical_json({"format": SNAPSHOT_FORMAT, **header}), file=out)
         print(
-            canonical_json({**state, "windows": [len(w) for w in windows]}), file=out
+            canonical_json(
+                {"format": SNAPSHOT_FORMAT, "seq": header["seq"],
+                 "marks": None if header["marks"] is None else [list(m) for m in marks]}
+            ),
+            file=out,
         )
-        for index, window in enumerate(windows):
-            for frame in split_window_state(window)[3]:
-                tenant, task_times, tasks, job_times, jobs, submits = (
-                    decode_window_tenant(frame)
-                )
-                entries = chain(
-                    zip(repeat("task"), task_times, map(task_record_to_dict, tasks)),
-                    zip(repeat("job"), job_times, map(job_record_to_dict, jobs)),
-                    zip(repeat("submit"), submits, repeat(None)),
-                )
-                for kind, time, record in entries:
-                    entry = {"window": index, "tenant": tenant, "kind": kind,
-                             "time": time, "record": record}
-                    print(canonical_json(entry), file=out)
+        print(canonical_json(state), file=out)
+        for shard, mark in enumerate(marks):
+            print(canonical_json({"shard": shard, **mark._asdict()}), file=out)
     except BrokenPipeError:
         _silence_stdout()
     return 0
-
 
 def _fmt_metric(value: float) -> str:
     """Render a metric value; integral floats print as integers."""
@@ -1526,7 +1521,7 @@ def build_parser() -> argparse.ArgumentParser:
     dump_snapshot = sub.add_parser(
         "dump-snapshot",
         help="render a state dir's newest snapshot (header, control state, "
-        "window entries) as JSON lines",
+        "shard marks) as JSON lines",
     )
     dump_snapshot.add_argument(
         "--state-dir", required=True, help="state dir to dump (read-only)"

@@ -26,16 +26,15 @@ _INGEST_TOTAL = "tempo_ingest_events_total"
 def load_latest_snapshot(root: str | Path) -> tuple[int, dict] | None:
     """Newest readable snapshot under ``root/snapshots`` as ``(seq, state)``.
 
-    Only the header and control frames are read — counters and
-    registries, never the window entries (``state["windows"]`` is their
-    byte sizes).  Files whose header or control frame is torn or
-    corrupt fall back to older ones, the policy resume uses; ``None``
-    when no snapshot is readable.
+    A snapshot is its header and control frames — counters, registries
+    and each shard's mark, never a window entry.  Files whose header or
+    control frame is torn or corrupt fall back to older ones, the
+    policy resume uses; ``None`` when no snapshot is readable.
     """
     snapshots = sorted(Path(root).glob("snapshots/snapshot-*.json"))
     for path in reversed(snapshots):
         try:
-            header, state = read_snapshot(path, stop_after="control")
+            header, state = read_snapshot(path)
             return header["seq"], state
         except ValueError:
             continue

@@ -3,8 +3,9 @@
 The one representation of a journaled record, on disk
 (:mod:`repro.service.journal` segments) and in TCP ingest frames
 (:mod:`repro.service.transport`) — and of a rolling window's retained
-entries, in snapshot files, shard drain replies and ``restore`` calls
-(the ``0x10``-``0x12`` *window state* frames below).  Rendering
+entries, in shard drain replies, ``restore`` calls and the one journal
+record a reshard writes (the ``0x10``-``0x12`` *window state* frames
+below).  Rendering
 sorted-key JSON text per record is what bounds a durable ingest path,
 so a record is a length-prefixed, crc32-checked binary frame, with
 per-record-type
@@ -44,6 +45,9 @@ and the payload's first byte is the record type:
            table).
 ``0x12``   The same tenant as canonical-JSON rows: the passthrough
            for values the typed columns cannot hold exactly.
+``0x13``   Journal record of kind ``"window"``: seq, then one whole
+           window state (its own frames, nested).  A reshard writes
+           one at the head of each new shard's journal.
 ``0x7f``   Segment header: magic + format version + codec id.  The
            first frame of every segment.
 =========  ====================================================
@@ -92,6 +96,7 @@ __all__ = [
     "encode_window_header",
     "encode_window_tenant",
     "frame_payload",
+    "newest_event_time",
     "peek_window_tenant",
     "split_frames",
     "split_window_state",
@@ -114,6 +119,10 @@ _JOBC = Struct("<BQdddqBII")
 _JOBS = Struct("<BQdBII")
 #: Heartbeat: rtype, seq, time.
 _HB = Struct("<BQd")
+#: Prefix of a ``"window"`` journal record: rtype, seq.
+_WIN_RECORD = Struct("<BQ")
+#: Event time of every typed event frame sits right after rtype and seq.
+_EVENT_TIME = Struct("<9xd")
 _DEADLINE = Struct("<d")
 _U16 = Struct("<H")
 _U32 = Struct("<I")
@@ -126,6 +135,7 @@ _RT_TASK = 0x02
 _RT_JOBC = 0x03
 _RT_JOBS = 0x04
 _RT_HB = 0x05
+_RT_WIN_RECORD = 0x13
 _RT_HEADER = 0x7F
 
 #: Segment header payload: rtype, magic, format version, codec id
@@ -297,6 +307,9 @@ def decode_payload(
     if rtype == _RT_PASSTHROUGH:
         row = json.loads(str(payload[1:], "utf-8"))
         return int(row["seq"]), str(row["kind"]), row["data"]
+    if rtype == _RT_WIN_RECORD:
+        _, seq = _WIN_RECORD.unpack_from(payload)
+        return seq, "window", bytes(payload[_WIN_RECORD.size :])
     if rtype == _RT_DEFINE:
         table.append(str(payload[1:], "utf-8"))
         return None
@@ -305,6 +318,33 @@ def decode_payload(
             raise ValueError("unrecognized binary segment header")
         return None
     raise ValueError(f"unknown binary record type 0x{rtype:02x}")
+
+
+def newest_event_time(payloads: list[memoryview]) -> float:
+    """Newest event time among a segment's frame payloads (``-inf`` if none).
+
+    What a journal needs to place its low-water mark, read without
+    decoding a record: a typed event frame's time is a fixed-offset
+    double, a ``"window"`` record counts as its window's clock, and only
+    a passthrough frame is parsed — for its kind and ``time``.
+    """
+    newest = -math.inf
+    for payload in payloads:
+        rtype = payload[0]
+        if _RT_TASK <= rtype <= _RT_HB:
+            (when,) = _EVENT_TIME.unpack_from(payload)
+        elif rtype == _RT_WIN_RECORD:
+            when = split_window_state(payload[_WIN_RECORD.size :])[1]
+        elif rtype == _RT_PASSTHROUGH:
+            row = json.loads(str(payload[1:], "utf-8"))
+            if row["kind"] != "event":
+                continue
+            when = float(row["data"]["time"])
+        else:
+            continue
+        if when > newest:
+            newest = when
+    return newest
 
 
 # -- encode --------------------------------------------------------------------
@@ -361,8 +401,14 @@ class BinaryEncoder:
                 last = payload
         return records, 0 if last is None else decode_payload(last, table)[0]
 
-    def passthrough(self, seq: int, kind: str, data: dict) -> bytes:
-        """Encode any record as a CRC-framed canonical-JSON payload."""
+    def passthrough(self, seq: int, kind: str, data) -> bytes:
+        """Encode any record as one CRC-framed payload.
+
+        A ``"window"`` record's data is a window state (``bytes``),
+        nested as is; every other record is canonical JSON.
+        """
+        if kind == "window":
+            return frame_payload(_WIN_RECORD.pack(_RT_WIN_RECORD, seq) + data)
         raw = b"\x00" + _canonical({"seq": seq, "kind": kind, "data": data}).encode(
             "utf-8"
         )

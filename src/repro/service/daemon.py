@@ -66,6 +66,7 @@ import time as _time
 from collections import deque
 from dataclasses import dataclass
 from operator import methodcaller
+from typing import NamedTuple
 
 from repro.core.controller import ControlIteration, TempoController
 from repro.core.decisions import DecisionEngine, DecisionRecord, TickSignals
@@ -79,7 +80,6 @@ from repro.obs import (
 )
 from repro.rm.cluster import ClusterSpec
 from repro.rm.config import RMConfig
-from repro.service.codec import split_window_state
 from repro.service.events import (
     DecisionMade,
     EventBus,
@@ -105,6 +105,7 @@ from repro.service.sharding import (
     IngestShard,
     RoutedBatch,
     ShardFailedError,
+    ShardMark,
     ShardPartitionedError,
     ShardRouter,
     ShardWorkerHandle,
@@ -237,6 +238,25 @@ class RetuneDecision:
         if self.iteration is not None:
             return self.iteration.verdict
         return "accept"
+
+
+class ResumeCost(NamedTuple):
+    """What the :meth:`TempoService.resume` that built a service cost.
+
+    Attributes:
+        after: Control-journal seq of the snapshot resumed from (0:
+            none was readable).
+        replayed: Journal records replayed past the snapshot, across
+            every journal.
+        refolded: Journal records refolded window-only, from each
+            shard's low-water mark up to the snapshot's seq.
+        seconds: Wall seconds of the whole resume.
+    """
+
+    after: int
+    replayed: int
+    refolded: int
+    seconds: float
 
 
 @dataclass(frozen=True)
@@ -402,6 +422,7 @@ class TempoService:
         #: copies degraded-mode serving hands out through a partition).
         self._stats_cache: dict[int, dict] = {}
         self._state_cache: dict[int, dict] = {}
+        self._mark_cache: dict[int, dict] = {}
         #: Barrier calls answered from a stale cache (degraded serves).
         self.stale_serves = 0
         self.shard_partitions = 0
@@ -453,6 +474,17 @@ class TempoService:
         self._m_ingest_batches = self.metrics.counter(
             "tempo_ingest_batches_total", "Ingest batches processed."
         )
+        # Exposed from the start, so a scrape reads 0 — not "absent" —
+        # before the first what-if evaluation.
+        self._m_whatif_evals = self.metrics.counter(
+            "tempo_whatif_evaluations_total",
+            "Candidate simulations actually executed (cache misses).",
+        )
+        self._m_whatif_hits = self.metrics.counter(
+            "tempo_whatif_cache_hits_total",
+            "What-if candidates served by the retune's model cache "
+            "(in-batch duplicates, guard re-evaluations).",
+        )
         self._now = 0.0
         self._telemetry = 0
         self.decisions: deque[RetuneDecision] = deque(
@@ -471,9 +503,9 @@ class TempoService:
         self._events = 0
         self._bus_consumed = 0  # bus-delivered events fully processed
         self._replaying = False
-        #: ``(snapshot seq or 0, records replayed, wall seconds)`` of the
-        #: :meth:`resume` that built this service; ``None`` for a fresh one.
-        self.last_resume: tuple[int, int, float] | None = None
+        #: The :class:`ResumeCost` of the :meth:`resume` that built this
+        #: service; ``None`` for a fresh one.
+        self.last_resume: ResumeCost | None = None
         self._lock = threading.RLock()
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
@@ -541,23 +573,27 @@ class TempoService:
         """Telemetry events routed to the data plane (control excluded)."""
         return self._telemetry
 
-    def _drain_shards(self, now: float) -> list[dict]:
+    def _drain_shards(self, now: float, verb: str = "drain_state") -> list[dict]:
         """Advance every shard to ``now`` and collect their states.
 
-        For worker shards this is the synchronization barrier: the
-        reply necessarily follows every batch queued before it.  Shard
-        metrics dumps ride the same barrier — the control plane caches
-        the latest one per shard for merging, exactly like window stats.
+        ``verb`` is the barrier: ``drain_state`` hands over each window,
+        ``checkpoint`` only each shard's :class:`ShardMark` (a
+        snapshot's view).  For worker shards this is the
+        synchronization barrier: the reply necessarily follows every
+        batch queued before it.  Shard metrics dumps ride the same
+        barrier — the control plane caches the latest one per shard for
+        merging, exactly like window stats.
         """
+        cache = self._state_cache if verb == "drain_state" else self._mark_cache
         states = []
         for i in range(len(self.shards)):
             try:
-                drained = self._supervised(i, lambda shard: shard.drain_state(now))
+                drained = self._supervised(i, methodcaller(verb, now))
             except ShardPartitionedError:
-                drained = self._stale_state(i)
+                drained = self._stale_state(i, verb)
             else:
                 self._note_reconnected(i)
-                self._state_cache[i] = drained
+                cache[i] = drained
             states.append(drained)
         for state in states:
             dump = state.get("metrics")
@@ -565,7 +601,7 @@ class TempoService:
                 self._shard_metrics[int(state["shard"])] = dump
         return states
 
-    def _stale_state(self, shard_id: int) -> dict:
+    def _stale_state(self, shard_id: int, verb: str) -> dict:
         """Degraded mode: the last drained state of a partitioned shard.
 
         Before the first successful drain there is nothing cached; an
@@ -574,14 +610,16 @@ class TempoService:
         replays its journal from the start on resume.
         """
         self._note_partitioned(shard_id)
-        cached = self._state_cache.get(shard_id)
-        if cached is None:
-            cached = {
+        if verb == "checkpoint":
+            return self._mark_cache.get(shard_id) or {
                 "shard": shard_id,
-                "window": RollingWindow(self.config.window).to_state(),
-                "seq": 0,
+                "mark": ShardMark(0, 0.0, 0, 1),
             }
-        return cached
+        return self._state_cache.get(shard_id) or {
+            "shard": shard_id,
+            "window": RollingWindow(self.config.window).to_state(),
+            "seq": 0,
+        }
 
     def _merged_shard_snapshot(self, now: float) -> dict[str, TenantWindowStats]:
         """Per-tenant statistics merged across every shard — O(tenants).
@@ -786,8 +824,10 @@ class TempoService:
            uses) and snapshots past the boundary are pruned.  In-process
            shard journals are parent-owned and consistent, so nothing is
            truncated and nothing is lost;
-        3. the replacement window is rebuilt from the newest surviving
-           snapshot plus a replay of the shard's journal tail;
+        3. the replacement window is refolded from the shard journal,
+           the way :meth:`resume` does it: from the newest surviving
+           snapshot's low-water mark up to its seq window-only, then the
+           journal tail past it;
         4. a replacement shard (worker or in-process, matching the
            plane's mode) takes the slot, and
            :class:`~repro.service.events.ShardFailed` /
@@ -809,6 +849,11 @@ class TempoService:
                     fence()
                 except Exception:
                     pass  # already gone; the join reaped what it could
+            else:
+                # An in-process shard is parent-owned: closing it hands
+                # what it still holds (a healed partition buffer) to its
+                # journal before the replacement is rebuilt from there.
+                old.close()
             old_transport = getattr(old, "transport_stats", None)
             if callable(old_transport):
                 # Carry the fenced handle's transport counters so the
@@ -842,13 +887,11 @@ class TempoService:
                     if boundary is not None:
                         boundary_time = boundary[1]
                 journal = state.shard_journal(shard_id)
-                window_state = None
-                base_seq = 0
+                mark = ShardMark(0, 0.0, 0, 1)  # no snapshot: the whole journal
                 loaded = state.load_latest_snapshot()
                 if loaded is not None:
                     _, snapshot = loaded
-                    window_state = snapshot["windows"][shard_id]
-                    base_seq = int(snapshot["sharding"]["shard_seqs"][shard_id])
+                    mark = ShardMark(*snapshot["sharding"]["marks"][shard_id])
                 else:
                     segments = journal.segments()
                     if segments and journal._first_seq_of(segments[0]) > 1:
@@ -858,12 +901,12 @@ class TempoService:
                             "but no readable snapshot covers the deleted "
                             "prefix; cannot fail over"
                         )
+                # The window from the snapshot's mark, then the tail past it.
                 replayer = IngestShard(shard_id, self.config.window)
-                if window_state is not None:
-                    replayer.restore(window_state)
+                replayer.rebuild(journal, mark)
                 tail = [
                     record.event
-                    for record in journal.iter_records(after=base_seq)
+                    for record in journal.iter_records(after=mark.seq)
                     if record.kind == "event"
                 ]
                 if tail:
@@ -1348,16 +1391,9 @@ class TempoService:
             "sim_runs": evalplane.sim_runs, "hits": evalplane.hits,
         }
         if sims > 0:
-            m.counter(
-                "tempo_whatif_evaluations_total",
-                "Candidate simulations actually executed (cache misses).",
-            ).inc(sims)
+            self._m_whatif_evals.inc(sims)
         if hits > 0:
-            m.counter(
-                "tempo_whatif_cache_hits_total",
-                "What-if candidates served by the retune's model cache "
-                "(in-batch duplicates, guard re-evaluations).",
-            ).inc(hits)
+            self._m_whatif_hits.inc(hits)
         batches, eval_seconds = evalplane.drain_observations()
         for size in batches:
             m.histogram(
@@ -1536,22 +1572,21 @@ class TempoService:
     # -- durability ---------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Everything a resumed daemon needs, as one dict.
+        """Everything a resumed daemon needs, as one JSON-ready dict.
 
-        ``windows`` holds every shard's window state (N ``bytes``
-        values, :meth:`RollingWindow.to_state` output as is); the rest
-        is JSON-ready.  ``sharding`` records the shard layout, each shard
-        journal's covered position — one snapshot covers every journal —
-        and the telemetry count.
+        No window entry is in it: ``sharding`` records the shard layout,
+        one :class:`~repro.service.sharding.ShardMark` per shard journal
+        — covered seq, window clock, ingest count and low-water mark,
+        from which :meth:`resume` refolds the window — and the
+        telemetry count.  One snapshot covers every journal.
         """
         with self._lock:
-            states = self._drain_shards(self._now)
+            states = self._drain_shards(self._now, "checkpoint")
             return {
-                "windows": [_window_bytes(s["window"]) for s in states],
                 "sharding": {
                     "shards": self.router.shards,
                     "router": "crc32",
-                    "shard_seqs": [int(s["seq"]) for s in states],
+                    "marks": [list(s["mark"]) for s in states],
                     "telemetry": self._telemetry,
                 },
                 "active_tenants": sorted(self.active_tenants),
@@ -1588,24 +1623,27 @@ class TempoService:
                 ),
             }
 
-    def _restore_state(self, state: dict) -> None:
+    def _restore_state(self, state: dict) -> int:
+        """Restore a snapshot's control state and refold every shard
+        window from its journal; returns the records refolded."""
         sharding = state.get("sharding")
         if sharding is None:
             raise JournalError(
                 "snapshot has no 'sharding' record (written by an earlier "
                 "build); start this build on a fresh state dir"
             )
-        windows = state["windows"]
-        if len(windows) != self.router.shards:
+        marks = [ShardMark(*mark) for mark in sharding["marks"]]
+        if len(marks) != self.router.shards:
             raise JournalError(
-                f"snapshot records {len(windows)} shard(s) but the service "
+                f"snapshot records {len(marks)} shard(s) but the service "
                 f"was built with {self.router.shards}; resume with "
                 "--reshard to change the layout"
             )
-        for shard, window_state in zip(self.shards, windows):
-            shard.restore(window_state)
-        # Each state's header frame carries its clock: (window, now, ...).
-        self._now = max(split_window_state(w)[1] for w in windows)
+        refolded = sum(
+            shard.rebuild(self.state.shard_journal(i), mark)
+            for i, (shard, mark) in enumerate(zip(self.shards, marks))
+        )
+        self._now = max(mark.clock for mark in marks)
         self._telemetry = int(sharding["telemetry"])
         self.active_tenants = set(state["active_tenants"])
         self.nodes_lost = int(state["nodes_lost"])
@@ -1655,6 +1693,7 @@ class TempoService:
                     # Worker shards restart with fresh registries; keep
                     # the persisted dump as an additive base.
                     self._shard_metrics_base[i] = dump
+        return refolded
 
     def _apply_journal_record(self, record: JournalRecord) -> None:
         """Restore one decision/config/metrics/rollback record on resume."""
@@ -1707,12 +1746,17 @@ class TempoService:
     ) -> "TempoService":
         """Rebuild a daemon from its state directory.
 
-        Loads the newest readable snapshot, then replays the journal
-        tail past it: telemetry events re-fold into the rolling window
-        (with the retune cadence quiet), while decision / config /
-        rollback records restore the outcomes the live daemon actually
-        produced — a tune is never recomputed on resume, so the restored
-        config history is exactly what was applied.
+        Loads the newest readable snapshot's control state and rebuilds
+        every shard window from its journal: the records from the
+        shard's low-water mark up to the snapshot's seq are refolded
+        window-only (no counters, no control effects), then the clock
+        and ingest count the snapshot recorded are settled.  Then the
+        journal tail past the snapshot replays: telemetry events re-fold
+        into the rolling window (with the retune cadence quiet), while
+        decision / config / rollback records restore the outcomes the
+        live daemon actually produced — a tune is never recomputed on
+        resume, so the restored config history is exactly what was
+        applied.  :attr:`last_resume` says what it cost.
 
         Sharded state dirs replay **all N+1 journal tails**: each
         shard's telemetry re-folds into its own window, the control
@@ -1756,12 +1800,12 @@ class TempoService:
             failover=failover,
         )
         loaded = state.load_latest_snapshot()
-        after = 0
+        after = refolded = 0
         shard_after = [0] * state.shards
         if loaded is not None:
             after, snapshot = loaded
-            service._restore_state(snapshot)
-            shard_after = [int(s) for s in snapshot["sharding"]["shard_seqs"]]
+            refolded = service._restore_state(snapshot)
+            shard_after = [int(mark[0]) for mark in snapshot["sharding"]["marks"]]
         else:
             # A compacted journal no longer starts at seq 1; without a
             # readable snapshot covering the deleted prefix, resuming
@@ -1784,11 +1828,16 @@ class TempoService:
         finally:
             service._replaying = False
         seconds = _time.perf_counter() - started
-        service.last_resume = (after, replayed, seconds)
+        service.last_resume = ResumeCost(after, replayed, refolded, seconds)
         service.metrics.gauge(
             "tempo_resume_replayed_records",
             "Journal records replayed past the snapshot by the last resume.",
         ).set(replayed)
+        service.metrics.gauge(
+            "tempo_resume_refolded_records",
+            "Journal records the last resume refolded window-only, from "
+            "each shard's low-water mark up to the snapshot.",
+        ).set(refolded)
         service.metrics.gauge(
             "tempo_resume_seconds",
             "Wall seconds the last resume took (snapshot load and replay).",
@@ -1969,10 +2018,13 @@ class TempoService:
         :class:`~repro.service.sharding.ShardRouter` for the new count;
         merged statistics are unchanged (the entries are the same, only
         their grouping moves).  With durable state attached the state
-        dir is re-targeted and a full snapshot is written immediately,
-        so the new layout always has a consistent (snapshot,
-        journal-tail) pair — pre-reshard journals are never replayed
-        past it.  Must run before any worker promotion.
+        dir is re-targeted, each new shard's moved window is journaled
+        as one ``"window"`` record at the head of its journal, and a
+        snapshot is written immediately, so the new layout always has a
+        consistent (snapshot, journal) pair: every shard journal read
+        from its mark reproduces its window, and pre-reshard records
+        are never refolded past the window record.  Must run before any
+        worker promotion.
         """
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -1980,6 +2032,7 @@ class TempoService:
             raise RuntimeError("reshard before promoting shards to workers")
         with self._lock:
             merged = self._control_window(self._now).to_state()
+            live = self.state is not None and not self._replaying
             # The per-shard attribution cannot survive a re-partition;
             # fold every shard's counts into the control registry so the
             # merged totals stay monotone across the reshard.
@@ -1996,8 +2049,12 @@ class TempoService:
             self.shards = [self._new_shard(i) for i in range(shards)]
             parts = RollingWindow.split_state(merged, shards, self.router.shard_of)
             for shard, part in zip(self.shards, parts):
+                if live:
+                    # The moved window heads the shard's journal, so the
+                    # journal read from any later mark reproduces it.
+                    shard.journal.append_many([("window", part)])
                 shard.restore(part)
-            if self.state is not None and not self._replaying:
+            if live:
                 self.state.write_snapshot(self.state_dict())
 
     # -- daemon mode --------------------------------------------------------

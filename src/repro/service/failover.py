@@ -311,6 +311,10 @@ class DeadShard:
         """Raises :class:`ShardFailedError` (the shard is dead)."""
         self._fail()
 
+    def checkpoint(self, now: float) -> dict:
+        """Raises :class:`ShardFailedError` (the shard is dead)."""
+        self._fail()
+
     def restore(self, window_state) -> None:
         """Raises :class:`ShardFailedError` (the shard is dead)."""
         self._fail()
@@ -470,6 +474,15 @@ class FaultedShard:
             raise ShardPartitionedError(self._inner.shard_id)
         self._heal()
         return self._inner.drain_stats(now)
+
+    def checkpoint(self, now: float) -> dict:
+        """Snapshot barrier — raises under ``stall``/partition, else delegates."""
+        if self._mode == "stall":
+            raise ShardFailedError(self._inner.shard_id, "stall")
+        if self.partitioned:
+            raise ShardPartitionedError(self._inner.shard_id)
+        self._heal()
+        return self._inner.checkpoint(now)
 
     def close(self) -> None:
         """Flush a healed partition buffer, then delegate the close."""

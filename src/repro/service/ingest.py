@@ -15,12 +15,17 @@ records in O(events); it exists so tests (and the replay driver's
 ``--verify`` path) can assert that the incremental bookkeeping never
 drifts from a from-scratch recompute.
 
-A window's persisted, mergeable form is one ``bytes`` value
+A window's mergeable form is one ``bytes`` value
 (:meth:`RollingWindow.to_state`): a window-header frame then one frame
 per tenant with its retained entries as typed columns, all
-:mod:`repro.service.codec` frames.  Snapshot files, shard drains (in
-process, ``multiprocessing`` queue, TCP), ``restore`` and resharding all
-carry that value as is; nothing renders a window entry as JSON.
+:mod:`repro.service.codec` frames.  Shard drains across a process
+boundary (``multiprocessing`` queue, TCP), ``restore`` and resharding
+carry that value as is; nothing renders a window entry as JSON.  A
+snapshot carries no window at all: the journal already holds every
+retained entry, so a snapshot records the window's clock, its ingest
+count and where in the journal its entries start
+(:meth:`RollingWindow.earliest`), and recovery refolds them from there
+(:meth:`~repro.service.sharding.IngestShard.rebuild`).
 
 ``window_drift`` condenses two snapshots into a scalar change measure —
 the stability signal the daemon's retune guard uses to skip tuning when
@@ -436,6 +441,35 @@ class RollingWindow:
             else:
                 acc.scheduled = nxt
                 heapq.heappush(heap, (nxt, name))
+
+    def earliest(self) -> float | None:
+        """Time of the earliest retained entry (``None`` when empty).
+
+        A scan over every retained entry, not just each deque's head:
+        an out-of-order entry can sit behind a newer one until the head
+        expires.  Checkpoints call it once per snapshot — it is what
+        places the journal's low-water mark.
+        """
+        first = math.inf
+        for acc in self._tenants.values():
+            if acc.tasks:
+                first = min(first, min(map(itemgetter(0), acc.tasks)))
+            if acc.jobs:
+                first = min(first, min(map(itemgetter(0), acc.jobs)))
+            if acc.submits:
+                first = min(first, min(acc.submits))
+        return None if first == math.inf else first
+
+    def settle(self, clock: float, events: int) -> None:
+        """Advance to a recorded ``clock`` and take its ingest count.
+
+        The last step of rebuilding a window from its journal: the
+        refold started at a low-water mark, so its own count covers
+        only the refolded records, while the checkpoint recorded the
+        count the live window had.
+        """
+        self.advance(clock)
+        self._events = int(events)
 
     def drop_tenant(self, tenant: str) -> None:
         """Forget a departed tenant's window state entirely."""

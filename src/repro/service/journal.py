@@ -41,17 +41,20 @@ acknowledged behind the hole (seq numbers and string-table defines are
 assigned at encode time, before the write).
 
 Every record carries a monotonically increasing sequence number, which
-is what snapshots reference: resume loads the newest snapshot and
-replays only the journal tail with ``seq`` past it (see
-:mod:`repro.service.snapshot`).
+is what snapshots reference: resume loads the newest snapshot, refolds
+each shard window from its journal's **low-water mark**
+(:meth:`EventJournal.low_water`) up to the snapshot's seq, and replays
+only the tail with ``seq`` past it (see :mod:`repro.service.snapshot`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import zlib
+from operator import attrgetter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -61,7 +64,9 @@ from repro.service.codec import (
     HEADER_FRAME,
     BinaryEncoder,
     decode_payload,
+    newest_event_time,
     split_frames,
+    split_window_state,
 )
 from repro.service.events import (
     DecisionMade,
@@ -114,6 +119,8 @@ _EVENT_TYPES = {
 }
 
 
+_event_time = attrgetter("time")
+
 #: ``EventJournal._heartbeat`` before the one-time tail scan of a journal
 #: that was opened non-empty (or truncated below its cached boundary).
 _UNSCANNED = object()
@@ -129,10 +136,11 @@ class JournalRecord:
 
     Attributes:
         seq: Monotonic sequence number (1-based, dense).
-        kind: ``"event"``, ``"decision"``, ``"config"``, ``"metrics"``
-            or ``"rollback"``.
+        kind: ``"event"``, ``"decision"``, ``"config"``, ``"metrics"``,
+            ``"rollback"`` or ``"window"`` (a reshard's moved window).
         body: What the frame decoded to: the :class:`ServiceEvent` of a
-            typed frame, the JSON dict of a passthrough frame.
+            typed frame, the JSON dict of a passthrough frame, the
+            window-state ``bytes`` of a window record.
     """
 
     seq: int
@@ -444,6 +452,12 @@ class EventJournal:
         #: a non-empty one is scanned once, on first demand
         #: (:meth:`last_heartbeat`).
         self._heartbeat = None if self._next_seq == 1 else _UNSCANNED
+        #: Newest event time per segment (keyed by first seq), never
+        #: below the true one, kept current by every append path for
+        #: the segments this process opened.  A segment missing here (it was on disk
+        #: at open, or was rewritten by a truncation) is scanned once,
+        #: on first demand (:meth:`low_water`).
+        self._newest: dict[int, float] = {}
         #: The write error that stopped this journal (fail-stop), if any.
         self._failed: BaseException | None = None
         self._metrics = None
@@ -590,6 +604,8 @@ class EventJournal:
         first = seq = self._next_seq
         entries = []
         heartbeat = None
+        tail = segment = self._tail_key()
+        newest: dict[int, float] = {}
         for kind, data in records:
             # Rotation bookkeeping matches the hot loop: the encoder
             # decides here whether this record starts a fresh segment.
@@ -597,15 +613,24 @@ class EventJournal:
                 self._bin.reset()
                 self._enc_tail = 0
                 parts, rotate = [HEADER_FRAME], seq
+                segment = seq
             else:
                 parts, rotate = [], None
             self._enc_tail += 1
             parts.append(self._bin.passthrough(seq, kind, data))
             entries.append((seq, 1, parts, rotate))
-            if kind == "event" and data.get("type") == "Heartbeat":
-                heartbeat = (seq, float(data["time"]))
+            when = None
+            if kind == "event":
+                when = float(data["time"])
+                if data.get("type") == "Heartbeat":
+                    heartbeat = (seq, when)
+            elif kind == "window":
+                when = split_window_state(data)[1]
+            if when is not None and when > newest.get(segment, -math.inf):
+                newest[segment] = when
             seq += 1
         self._commit(entries)
+        self._note_newest(newest, tail)
         if heartbeat is not None:
             self._heartbeat = heartbeat
         return list(range(first, seq))
@@ -624,6 +649,7 @@ class EventJournal:
         if not isinstance(events, (list, tuple)):
             events = list(events)
         first = self._next_seq
+        tail = segment = self._tail_key()
         entries: list = []
         seq, self._enc_tail = self._bin.encode_event_batch(
             encode_event,
@@ -635,6 +661,15 @@ class EventJournal:
             entries,
         )
         self._commit(entries)
+        # Each segment the batch landed in gets the newest time of its
+        # own slice of the batch (rotation points are the encoder's).
+        newest: dict[int, float] = {}
+        start = 0
+        for rotate in [entry[3] for entry in entries if entry[3] is not None] + [seq]:
+            if rotate - first > start:
+                newest[segment] = max(map(_event_time, events[start : rotate - first]))
+            segment, start = rotate, rotate - first
+        self._note_newest(newest, tail)
         # Newest heartbeat of the batch, scanning from its end: replay
         # chunks close with one, so this usually stops at once.
         for offset in range(len(events) - 1, -1, -1):
@@ -642,6 +677,28 @@ class EventJournal:
                 self._heartbeat = (first + offset, float(events[offset].time))
                 break
         return list(range(first, seq))
+
+    def _tail_key(self) -> int | None:
+        """First seq of the segment the next append extends (``None``:
+        the next append opens a fresh segment)."""
+        if self._enc_tail >= self.segment_records or self._tail_path is None:
+            return None
+        return _first_seq_of(self._tail_path)
+
+    def _note_newest(self, newest: dict[int, float], tail: int | None) -> None:
+        """Fold a committed batch's newest event time per segment (keyed
+        by first seq) into the per-segment values.
+
+        ``tail`` is the segment the batch extended: when this process
+        did not open it (no value yet), it is left for the on-demand
+        scan, which reads the records appended here too.
+        """
+        known = self._newest
+        for key, when in newest.items():
+            if key == tail and key not in known:
+                continue
+            if when > known.get(key, -math.inf):
+                known[key] = when
 
     def _check_writable(self) -> None:
         # Fail-stop: the error is never cleared.  The failed write left
@@ -797,6 +854,31 @@ class EventJournal:
             self._heartbeat = found
         return self._heartbeat
 
+    def low_water(self, earliest: float) -> int:
+        """First seq of the first segment holding an event at or after
+        ``earliest`` — the journal's low-water mark for a window whose
+        earliest retained entry is at ``earliest``.
+
+        Every record before the mark is older than every retained
+        entry, so folding this journal from the mark reproduces the
+        window's retained entries (see
+        :meth:`~repro.service.sharding.IngestShard.rebuild`).  Returns
+        :attr:`next_seq` when no segment qualifies.  Answered from the
+        per-segment bounds the append paths keep; a segment opened from
+        disk is scanned once (frame times only, nothing decoded).
+        """
+        known = self._newest
+        for path in self.segments():
+            first = _first_seq_of(path)
+            newest = known.get(first)
+            if newest is None:
+                self.flush()  # never scan past a buffered write
+                payloads, _, _ = split_frames(path.read_bytes())
+                newest = known[first] = newest_event_time(payloads)
+            if newest >= earliest:
+                return first
+        return self._next_seq
+
     # -- compaction ---------------------------------------------------------
 
     def compact(self, covered: int, *, keep_segments: int = 1) -> int:
@@ -823,8 +905,9 @@ class EventJournal:
                 break
             removable += 1
         removable = min(removable, max(0, len(segments) - keep_segments))
-        for path in segments[:removable]:
+        for path, first in zip(segments[:removable], firsts):
             path.unlink()
+            self._newest.pop(first, None)
         if removable and self._m_compacted is not None:
             # Seqs are dense, so a removed prefix's record count is the
             # span of its first seqs — no segment is read to learn it.
@@ -872,6 +955,8 @@ class EventJournal:
                     os.replace(tmp, path)
             break
         self._next_seq = min(self._next_seq, seq + 1)
+        # A cut segment's bound may now overshoot: still a valid bound.
+        self._newest = {k: v for k, v in self._newest.items() if k <= seq}
         if isinstance(self._heartbeat, tuple) and self._heartbeat[0] > seq:
             self._heartbeat = _UNSCANNED  # cut away: re-scan on demand
         segments = self.segments()

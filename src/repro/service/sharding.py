@@ -68,6 +68,7 @@ from repro.service.events import (
     JobSubmitted,
     ServiceEvent,
     TaskCompleted,
+    TenantJoined,
     TenantLeft,
 )
 from repro.service.ingest import RollingWindow
@@ -77,6 +78,29 @@ SHARD_DIR_FMT = "shard-{:02d}"
 
 #: Telemetry event types folded into a shard's rolling window.
 _TELEMETRY_EVENTS = (JobSubmitted, TaskCompleted, JobCompleted)
+
+#: Every event type a shard receives: telemetry, tenant churn and the
+#: broadcast heartbeats (cluster-level events stay on the control plane).
+_SHARD_EVENTS = frozenset(_TELEMETRY_EVENTS + (TenantJoined, TenantLeft, Heartbeat))
+
+
+class ShardMark(NamedTuple):
+    """What a snapshot records of one shard in place of its window.
+
+    Attributes:
+        seq: The shard journal's newest seq the snapshot covers.
+        clock: The shard window's clock.
+        events: The shard window's ingest count.
+        mark: The journal's low-water mark: first seq of the first
+            segment holding an event at or after the window's earliest
+            retained entry (``seq + 1`` for an empty window).  Folding
+            the journal from ``mark`` to ``seq`` reproduces the window.
+    """
+
+    seq: int
+    clock: float
+    events: int
+    mark: int
 
 
 class ShardFailedError(RuntimeError):
@@ -151,6 +175,10 @@ class ShardHandle(Protocol):
 
     def drain_stats(self, now: float) -> dict:
         """Barrier: apply queued batches, return per-tenant statistics."""
+
+    def checkpoint(self, now: float) -> dict:
+        """Barrier: apply queued batches, advance, return the shard's
+        :class:`ShardMark` (no window bytes) for a snapshot."""
 
     def heartbeat_age(self) -> float:
         """Seconds since the shard last proved liveness (0 = in-process)."""
@@ -387,12 +415,11 @@ class IngestShard:
         """Advance to ``now`` and hand over the shard's mergeable state.
 
         The control plane calls this when it needs the *full* window —
-        an applied tune's trace, a durability snapshot.  The returned
-        dict's ``window`` is the live :class:`RollingWindow` (no bytes
-        round trip in-process; a worker encodes it with
+        an applied tune's trace, a reshard or a worker promotion.  The
+        returned dict's ``window`` is the live :class:`RollingWindow`
+        (no bytes round trip in-process; a worker encodes it with
         :meth:`RollingWindow.to_state` before it crosses the process
-        boundary), beside the shard's journal position (for snapshot
-        coverage).
+        boundary), beside the shard's journal position.
         """
         self.window.advance(now)
         state = {"shard": self.shard_id, "window": self.window, "seq": self.last_seq}
@@ -411,6 +438,63 @@ class IngestShard:
         """
         self.window.advance(now)
         return self.window.snapshot()
+
+    def checkpoint(self, now: float) -> dict:
+        """Advance to ``now`` and return what a snapshot records of the
+        shard: its :class:`ShardMark` (plus its metrics dump, like a
+        drain).  No window entry is encoded: the journal holds them,
+        from the mark on."""
+        window = self.window
+        window.advance(now)
+        seq = self.last_seq
+        earliest = window.earliest()
+        if earliest is None or self.journal is None:
+            mark = seq + 1
+        else:
+            mark = self.journal.low_water(earliest)
+        state = {
+            "shard": self.shard_id,
+            "mark": ShardMark(seq, window.now, window.events_ingested, mark),
+        }
+        if self.metrics is not None:
+            state["metrics"] = self.metrics.to_dict()
+        return state
+
+    def rebuild(self, journal, mark: ShardMark) -> int:
+        """Rebuild the window from ``journal`` as a snapshot recorded it.
+
+        Folds the records from ``mark.mark`` through ``mark.seq``
+        window-only — the shard's own events through :meth:`fold`, a
+        reshard's ``"window"`` record by replacing the window with the
+        one it carries, everything else (control events and records of
+        a single-shard layout's shared journal) skipped — then settles
+        the clock and ingest count the snapshot recorded.  A prefix a
+        compaction deleted held no retained entry (compaction is
+        anchored on the oldest retained snapshot's marks), so folding
+        starts wherever the journal does.  Returns the records refolded.
+        """
+        self.window = RollingWindow(self.window.window)
+        bound = journal.segment_records
+        run: list[ServiceEvent] = []
+        refolded = 0
+        if mark.mark <= mark.seq:
+            for record in journal.iter_records(after=mark.mark - 1):
+                if record.seq > mark.seq:
+                    break
+                if record.kind == "window":
+                    run = []  # superseded: the record is the whole window
+                    self.window = RollingWindow.from_state(record.body)
+                elif record.event_type in _SHARD_EVENTS:
+                    run.append(record.event)
+                    if len(run) >= bound:
+                        self.fold(run)
+                        run = []
+                else:
+                    continue
+                refolded += 1
+        self.fold(run)
+        self.window.settle(mark.clock, mark.events)
+        return refolded
 
     def restore(self, window_state: bytes) -> None:
         """Replace the shard's window with a persisted state."""
@@ -503,6 +587,8 @@ def _worker_main(
                 replies.put(("state", state))
             elif op == "stats":
                 replies.put(("stats", shard.drain_stats(command[1])))
+            elif op == "checkpoint":
+                replies.put(("checkpoint", shard.checkpoint(command[1])))
             elif op == "restore":
                 shard.restore(command[1])
                 replies.put(("ok", shard_id))
@@ -667,6 +753,13 @@ class ShardWorkerHandle:
         stats = self._reply("stats")
         self.pending_batches = 0
         return stats
+
+    def checkpoint(self, now: float) -> dict:
+        """Barrier returning the shard's snapshot facts (no window bytes)."""
+        self._commands.put(("checkpoint", now))
+        state = self._reply("checkpoint")
+        self.pending_batches = 0
+        return state
 
     def restore(self, window_state: bytes) -> None:
         """Replace the worker's window with a persisted state."""

@@ -3,17 +3,17 @@
 The journal (:mod:`repro.service.journal`) alone is enough to rebuild a
 daemon — replay everything from the first event — but recovery time then
 grows with the daemon's lifetime.  Snapshots bound it: every so often
-the full serving state (retained rolling-window entries, applied-config
-history, controller tuning state, decisions, counters) is written as one
-atomically renamed file under ``<state-dir>/snapshots/``, tagged with
-the journal sequence number it covers.  The file has three parts, every
-frame CRC-checked: a JSON text line saying what the file covers, a JSON
-text line with the control state (everything but the windows — ``head
--2`` reads both), then the 1 or N rolling-window states as the binary
-:mod:`repro.service.codec` frames :meth:`RollingWindow.to_state
-<repro.service.ingest.RollingWindow.to_state>` produced, written without
-re-encoding.  Resume then loads the newest readable snapshot and replays
-only the journal tail past it
+the control state (applied-config history, controller tuning state,
+decisions, counters) is written as one atomically renamed file under
+``<state-dir>/snapshots/``, tagged with the journal sequence number it
+covers.  The file is two CRC-framed JSON text lines: a header saying
+what the file covers — the seq, and per shard journal a
+:class:`~repro.service.sharding.ShardMark` (covered seq, window clock,
+ingest count, low-water mark) — then the control state.  No window
+entry is in it: every retained entry is a journal record at or past its
+shard's low-water mark, so resume refolds each window from its mark up
+to the covered seq, window-only, and then replays only the journal tail
+past the snapshot
 (:meth:`~repro.service.daemon.TempoService.resume`).
 
 :class:`ServiceState` is the facade the daemon talks to — one object
@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.core.decisions import _floats_in, _floats_out
 from repro.rm.config import RMConfig, TenantConfig
-from repro.service.codec import split_window_state
 from repro.service.events import Heartbeat
 from repro.service.ingest import TenantWindowStats
 from repro.service.journal import (
@@ -52,16 +51,17 @@ from repro.service.journal import (
     heartbeat_at_or_before,
     unframe_bytes,
 )
-from repro.service.sharding import _TELEMETRY_EVENTS, shard_dir_name
+from repro.service.sharding import _TELEMETRY_EVENTS, ShardMark, shard_dir_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.controller import TempoController
 
 #: Format tag in every snapshot file's header frame.  A file without it
-#: — including the all-JSON ``tempo-snapshot/2`` files earlier builds
+#: — including the ``tempo-snapshot/3`` files (which carried window
+#: frames) and the all-JSON ``tempo-snapshot/2`` files earlier builds
 #: wrote — is unreadable to this build and handled exactly like a
 #: corrupt one.
-SNAPSHOT_FORMAT = "tempo-snapshot/3"
+SNAPSHOT_FORMAT = "tempo-snapshot/4"
 
 
 # -- RM configuration codec ---------------------------------------------------
@@ -212,17 +212,14 @@ def read_snapshot(
 
     The one decoder of the snapshot file format, shared by
     :class:`SnapshotStore` and read-only tooling (``repro status``,
-    ``repro dump-snapshot``).  The header carries ``seq`` and
-    ``shard_seqs`` (``None`` when the state covers no shard journals).
+    ``repro dump-snapshot``).  The header carries ``seq`` and ``marks``
+    (one :class:`~repro.service.sharding.ShardMark` per shard journal,
+    ``None`` when the state covers no shard journal).
     ``stop_after="header"`` reads only the first line and returns
     ``state`` as ``None`` — the cold paths that only ask what a file
-    *covers*; ``stop_after="control"`` reads the two text lines and
-    leaves ``state["windows"]`` as the byte sizes the control frame
-    records, never loading a window.  Read whole, ``state["windows"]``
-    holds each window state as the ``bytes`` it was written from,
-    every frame CRC-checked.  Raises ``ValueError`` for anything that
-    is not a readable :data:`SNAPSHOT_FORMAT` file: a damaged, torn or
-    missing frame anywhere, or a file of another format (earlier
+    *covers*.  Raises ``ValueError`` for anything that is not a readable
+    :data:`SNAPSHOT_FORMAT` file: a damaged, torn or missing frame,
+    bytes past the control line, or a file of another format (earlier
     builds' shapes are deliberately not a second read path).
     """
     with path.open("rb") as fh:
@@ -230,28 +227,18 @@ def read_snapshot(
             header = json.loads(unframe_bytes(fh.readline()))
             if header["format"] != SNAPSHOT_FORMAT:
                 raise ValueError(f"format {header['format']!r}")
-            seqs = header["shard_seqs"]
+            marks = header["marks"]
             header = {
                 "seq": int(header["seq"]),
-                "shard_seqs": None if seqs is None else [int(s) for s in seqs],
+                "marks": None if marks is None else [ShardMark(*m) for m in marks],
             }
         except (KeyError, TypeError) as exc:
             raise ValueError(f"not a {SNAPSHOT_FORMAT} header: {exc!r}") from exc
         if stop_after == "header":
             return header, None
         state = json.loads(unframe_bytes(fh.readline()))
-        if stop_after == "control" or "windows" not in state:
-            return header, state
-        body = fh.read()
-    sizes = state["windows"]
-    if sum(sizes) != len(body):
-        raise ValueError(f"window frames are {len(body)} bytes, expected {sizes}")
-    windows, offset = [], 0
-    for size in sizes:
-        windows.append(body[offset : offset + size])
-        split_window_state(windows[-1])  # all of it readable, or none of it used
-        offset += size
-    state["windows"] = windows
+        if fh.read(1):
+            raise ValueError("bytes past the control line")
     return header, state
 
 
@@ -260,10 +247,9 @@ class SnapshotStore:
 
     Files are named ``snapshot-<seq>.json`` where ``seq`` is the journal
     sequence number the state includes, and hold two CRC-framed text
-    lines — a small **header** (format tag, ``seq``, and the
-    shard-journal positions the state covers) and the **control
-    state** — followed by the state's rolling windows as binary codec
-    frames (see :func:`read_snapshot`).
+    lines — a small **header** (format tag, ``seq``, and one
+    :class:`~repro.service.sharding.ShardMark` per shard journal) and
+    the **control state** (see :func:`read_snapshot`).
     Writes go to a temp file first and are renamed into place, so a
     crash mid-snapshot leaves at worst a stale temp file — removed the
     next time the store opens — never a half snapshot under a valid
@@ -285,13 +271,13 @@ class SnapshotStore:
         self.keep = int(keep)
         for stale in self.root.glob("snapshot-*.tmp"):
             stale.unlink()  # a crash between the temp write and its rename
-        self._retained: list[tuple[int, list[int] | None]] = []
+        self._retained: list[tuple[int, list[ShardMark] | None]] = []
         for path in sorted(self.root.glob("snapshot-*.json")):
             try:
-                shard_seqs = read_snapshot(path, stop_after="header")[0]["shard_seqs"]
+                marks = read_snapshot(path, stop_after="header")[0]["marks"]
             except ValueError:
-                shard_seqs = None  # unreadable: still retained, covers nothing
-            self._retained.append((int(path.stem.split("-")[1]), shard_seqs))
+                marks = None  # unreadable: still retained, covers nothing
+            self._retained.append((int(path.stem.split("-")[1]), marks))
 
     def _path(self, seq: int) -> Path:
         return self.root / f"snapshot-{seq:010d}.json"
@@ -300,13 +286,13 @@ class SnapshotStore:
         """Snapshot files in sequence order."""
         return [self._path(seq) for seq, _ in self._retained]
 
-    def retained(self) -> list[tuple[int, list[int] | None]]:
-        """``(seq, shard_seqs)`` of every retained file, oldest first.
+    def retained(self) -> list[tuple[int, list[ShardMark] | None]]:
+        """``(seq, marks)`` of every retained file, oldest first.
 
-        ``seq`` is the file name's; ``shard_seqs`` are the shard-journal
-        positions the file's header records — ``None`` when it records
-        none or cannot be read, either of which proves nothing about
-        any shard journal.
+        ``seq`` is the file name's; ``marks`` are the per-shard-journal
+        facts the file's header records — ``None`` when it records none
+        or cannot be read, either of which proves nothing about any
+        shard journal.
         """
         return list(self._retained)
 
@@ -315,35 +301,27 @@ class SnapshotStore:
         seq: int,
         state: dict,
         *,
-        shard_seqs: list[int] | None = None,
+        marks: list | None = None,
         fsync: bool = False,
     ) -> Path:
         """Persist one snapshot covering journal records up to ``seq``.
 
-        ``shard_seqs`` are the shard-journal positions ``state``
-        includes (sharded layouts).  ``state["windows"]``, when present,
-        is a list of :meth:`RollingWindow.to_state
-        <repro.service.ingest.RollingWindow.to_state>` values: they are
-        written as they are, after a control frame that holds the rest
-        of ``state`` and their byte sizes.  With ``fsync`` the temp file is forced
-        to stable storage before the rename and the directory after it
-        — the caller is about to delete the journal prefix this file
-        covers, so the file must survive a power loss first; without it
-        no extra syscall is made.
+        ``marks`` are the :class:`~repro.service.sharding.ShardMark`
+        facts of the shard journals ``state`` includes (any
+        4-sequences).  With ``fsync`` the temp file is forced to stable
+        storage before the rename and the directory after it — the
+        caller is about to delete the journal prefix this file's marks
+        release, so the file must survive a power loss first; without
+        it no extra syscall is made.
         """
         seq = int(seq)
-        if shard_seqs is not None:
-            shard_seqs = [int(s) for s in shard_seqs]
-        header = {"format": SNAPSHOT_FORMAT, "seq": seq, "shard_seqs": shard_seqs}
+        if marks is not None:
+            marks = [ShardMark(int(m[0]), float(m[1]), int(m[2]), int(m[3])) for m in marks]
+        header = {"format": SNAPSHOT_FORMAT, "seq": seq, "marks": marks}
         path = self._path(seq)
         tmp = path.with_suffix(".tmp")
-        windows = state.get("windows", ())
-        if windows:
-            state = {**state, "windows": [len(blob) for blob in windows]}
         with tmp.open("wb") as fh:
-            fh.write(frame_bytes(canonical_json(header)))
-            fh.write(frame_bytes(canonical_json(state)))
-            fh.writelines(windows)
+            fh.write(frame_bytes(canonical_json(header)) + frame_bytes(canonical_json(state)))
             if fsync:
                 fh.flush()
                 os.fsync(fh.fileno())
@@ -355,7 +333,7 @@ class SnapshotStore:
             finally:
                 os.close(fd)
         kept = [entry for entry in self._retained if entry[0] != seq]
-        kept.append((seq, shard_seqs))
+        kept.append((seq, marks))
         kept.sort(key=lambda entry: entry[0])
         for old, _ in kept[: -self.keep]:
             self._path(old).unlink(missing_ok=True)
@@ -377,18 +355,18 @@ class SnapshotStore:
                 continue  # unreadable snapshot: fall back to an older one
         return None
 
-    def discard(self, doomed: Callable[[int, list[int] | None], bool]) -> int:
-        """Delete each retained file for which ``doomed(seq, shard_seqs)``.
+    def discard(self, doomed: Callable[[int, list[ShardMark] | None], bool]) -> int:
+        """Delete each retained file for which ``doomed(seq, marks)``.
 
         The arguments are one :meth:`retained` entry.  Returns the
         number of files deleted.
         """
         kept = []
-        for seq, shard_seqs in self._retained:
-            if doomed(seq, shard_seqs):
+        for seq, marks in self._retained:
+            if doomed(seq, marks):
                 self._path(seq).unlink(missing_ok=True)
             else:
-                kept.append((seq, shard_seqs))
+                kept.append((seq, marks))
         removed = len(self._retained) - len(kept)
         self._retained = kept
         return removed
@@ -396,6 +374,12 @@ class SnapshotStore:
     def truncate_after(self, seq: int) -> int:
         """Delete snapshots covering journal records beyond ``seq``."""
         return self.discard(lambda snapshot_seq, _: snapshot_seq > seq)
+
+
+def _holds_events(journal: EventJournal) -> bool:
+    """Whether a journal holds any event record (a full read: only asked
+    of journals without a heartbeat, which are fresh and short)."""
+    return any(record.kind == "event" for record in journal.iter_records())
 
 
 class ServiceState:
@@ -418,7 +402,7 @@ class ServiceState:
         shard-00/journal/...         shard 0 telemetry (+ heartbeats)
         shard-01/journal/...         shard 1 telemetry (+ heartbeats)
         snapshots/snapshot-*.json    one snapshot covering ALL journals
-                                     (per-shard seqs recorded inside)
+                                     (one ShardMark per shard inside)
 
     Args:
         root: State directory (created if missing).
@@ -633,7 +617,7 @@ class ServiceState:
         path = self.snapshots.write(
             seq,
             state,
-            shard_seqs=state.get("sharding", {}).get("shard_seqs"),
+            marks=state.get("sharding", {}).get("marks"),
             fsync=self.journal.fsync,
         )
         self._last_snapshot_seq = seq
@@ -649,60 +633,66 @@ class ServiceState:
     # -- compaction ----------------------------------------------------------
 
     def compact(self, keep_segments: int | None = None) -> int:
-        """Delete journal segments fully covered by a retained snapshot.
+        """Delete journal segments no retained snapshot needs.
 
         The compaction anchor is the **oldest retained** snapshot, not
         the newest: every resume path — including falling back past a
         corrupt newer snapshot, and the heartbeat-boundary rewind
         ``repro resume`` performs before loading state — must still find
-        its journal tail intact.  Concretely, a segment is deleted only
-        when its entire seq range is at or below the oldest retained
-        snapshot's seq; if the journal holds heartbeats but even the
-        oldest snapshot lies *past* the newest heartbeat (resume would
-        rewind to before every snapshot and need the journal from the
-        start), nothing is compacted.  ``keep_segments`` newest segments
-        survive regardless (default: the constructor's margin).  Returns
-        the number of segments deleted.
+        its journal intact.  A snapshot needs each shard journal from
+        its low-water mark (the window is refolded from there) and the
+        control journal past its seq (the tail), so a segment is deleted
+        only when its entire seq range lies below both — at one shard
+        the control journal *is* shard 0's.  If the journal holds
+        heartbeats but even the oldest snapshot lies *past* the newest
+        heartbeat (resume would rewind to before every snapshot and need
+        the journal from the start), nothing is compacted.
+        ``keep_segments`` newest segments survive regardless (default:
+        the constructor's margin).  Returns the number of segments
+        deleted.
         """
         keep = self.keep_segments if keep_segments is None else int(keep_segments)
         retained = self.snapshots.retained()
         if not retained:
             return 0
-        anchor, shard_seqs = retained[0]
+        anchor, marks = retained[0]
         heartbeat = self.journal.last_heartbeat()
         if heartbeat is not None and anchor > heartbeat[0]:
             return 0
-        removed = self.journal.compact(anchor, keep_segments=keep)
+        covered = anchor
+        if self.shards == 1 and marks:
+            covered = min(covered, marks[0].mark - 1)
+        removed = self.journal.compact(covered, keep_segments=keep)
         if self.shards > 1 and self.shard_compaction and heartbeat is not None:
             # Heartbeats are broadcast: none in the control journal
             # means none anywhere, so no completed-chunk boundary
             # protects a rewind yet.
-            removed += self._compact_shards(shard_seqs, keep)
+            removed += self._compact_shards(marks, keep)
         return removed
 
-    def _compact_shards(self, shard_seqs: list[int] | None, keep: int) -> int:
-        """Compact shard journals below the oldest snapshot's coverage.
+    def _compact_shards(self, marks: list[ShardMark] | None, keep: int) -> int:
+        """Compact shard journals below the oldest snapshot's marks.
 
-        Each shard journal ``i`` is compacted up to the oldest retained
-        snapshot's recorded position ``shard_seqs[i]`` — and only when
-        that position is at or before the shard journal's newest
-        broadcast heartbeat, the same boundary-safety rule the control
-        journal applies: the crash-recovery rewind truncates to a
-        completed chunk boundary, and the anchor snapshot must survive
-        that rewind for the compacted prefix to stay unreachable.
-        Both facts are in memory on a running daemon (the anchor's
-        header coverage and each journal's own newest heartbeat), so
-        nothing is read to decide.
+        Each shard journal ``i`` is compacted up to just before the
+        oldest retained snapshot's low-water mark ``marks[i].mark`` —
+        and only when that snapshot's position ``marks[i].seq`` is at or
+        before the shard journal's newest broadcast heartbeat, the same
+        boundary-safety rule the control journal applies: the
+        crash-recovery rewind truncates to a completed chunk boundary,
+        and the anchor snapshot must survive that rewind for the
+        compacted prefix to stay unreachable.  Both facts are in memory
+        on a running daemon (the anchor's header marks and each
+        journal's own newest heartbeat), so nothing is read to decide.
         """
-        if not shard_seqs or len(shard_seqs) != self.shards:
+        if not marks or len(marks) != self.shards:
             return 0  # anchor predates this layout; nothing provable
         removed = 0
-        for i, covered in enumerate(shard_seqs):
+        for i, mark in enumerate(marks):
             journal = self.shard_journal(i)
             boundary = journal.last_heartbeat()
-            if boundary is None or covered > boundary[0]:
+            if boundary is None or mark.seq > boundary[0]:
                 continue
-            removed += journal.compact(covered, keep_segments=keep)
+            removed += journal.compact(mark.mark - 1, keep_segments=keep)
         return removed
 
     # -- truncation ----------------------------------------------------------
@@ -740,13 +730,17 @@ class ServiceState:
         journals = [self.journal] + [
             self.shard_journal(i) for i in range(self.shards)
         ]
-        # A journal holding no records at all constrains nothing: a
-        # freshly resharded (or tenant-less) shard journal must not
-        # drag the common boundary — and the whole retained history —
-        # down to zero.  Only journals with acknowledged records but no
+        # A journal holding no events constrains nothing: a freshly
+        # resharded (or tenant-less) shard journal — empty, or holding
+        # only the window record the reshard wrote — must not drag the
+        # common boundary, and the whole retained history, down to
+        # zero.  Only journals with acknowledged events but no
         # completed chunk boundary force the full rewind.
+        quiet = [not (self.journal.last_seq or self.journal.segments())] + [
+            j.last_heartbeat() is None and not _holds_events(j) for j in journals[1:]
+        ]
         newest = [
-            j.last_heartbeat() for j in journals if j.last_seq or j.segments()
+            j.last_heartbeat() for j, skip in zip(journals, quiet) if not skip
         ]
         if not newest or any(found is None for found in newest):
             start, control_seq = 0.0, 0
@@ -762,13 +756,16 @@ class ServiceState:
             cuts = []
             for i in range(self.shards):
                 journal = self.shard_journal(i)
+                if quiet[i + 1]:
+                    cuts.append(journal.last_seq)
+                    continue
                 found = heartbeat_at_or_before(journal, start)
                 cut = found[0] if found is not None else 0
                 cuts.append(cut)
                 dropped += journal.truncate_after(cut)
         self.snapshots.discard(
-            lambda seq, shard_seqs: seq > control_seq
-            or any(s > cut for s, cut in zip(shard_seqs or (), cuts))
+            lambda seq, marks: seq > control_seq
+            or any(m.seq > cut for m, cut in zip(marks or (), cuts))
         )
         self._last_snapshot_seq = min(self._last_snapshot_seq, control_seq)
         return start, dropped
@@ -790,9 +787,9 @@ class ServiceState:
         every chunk edge.  Surviving shards keep their post-boundary
         records untouched: only the dead shard pays the bounded replay.
         Snapshots whose recorded position for this shard lies past the
-        cut are pruned — their windows contain telemetry that no longer
-        exists in any journal, and restoring one would resurrect the
-        failover's bounded loss.
+        cut are pruned — they cover telemetry that no longer exists in
+        any journal, and resuming from one would skip the re-delivered
+        records.
 
         Only worker shards are rewound, and a single-shard layout has
         none: its shard journal *is* the control journal, holding
@@ -816,9 +813,9 @@ class ServiceState:
         )
         dropped = journal.truncate_after(cut)
         self.snapshots.discard(
-            lambda _, shard_seqs: shard_seqs is not None
-            and len(shard_seqs) > shard_id
-            and shard_seqs[shard_id] > cut
+            lambda _, marks: marks is not None
+            and len(marks) > shard_id
+            and marks[shard_id].seq > cut
         )
         return when, cut, dropped, telemetry_dropped
 
@@ -840,13 +837,13 @@ class ServiceState:
         """Re-target the state dir at a new shard count.
 
         Only the *layout pointer* changes: existing journals stay on
-        disk (records at or below the covering snapshot's recorded
-        positions are never replayed, and orphaned ``shard-NN`` trees
-        beyond the new count are simply ignored).  The caller — see
-        ``repro resume --reshard`` — must immediately write a full
-        snapshot recording the new layout, so every later resume finds
-        a consistent (snapshot, journal-tail) pair under the new
-        routing.
+        disk (records before the covering snapshot's marks are never
+        refolded, and orphaned ``shard-NN`` trees beyond the new count
+        are simply ignored).  The caller —
+        :meth:`~repro.service.daemon.TempoService.reshard` — must
+        journal each new shard's moved window and then write a snapshot
+        recording the new layout, so every later resume finds a
+        consistent (snapshot, journal) pair under the new routing.
         """
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")

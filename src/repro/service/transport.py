@@ -20,9 +20,10 @@ journal uses on disk, so a telemetry record has one encoding from the
 control plane's socket to the shard's segment file.  A body whose
 first byte is ``0x01`` carries one rolling-window state
 (:meth:`RollingWindow.to_state <repro.service.ingest.RollingWindow.
-to_state>` bytes, every codec frame inside self-CRC'd) exactly as a
-snapshot file holds it: sent alone it is the ``restore`` request, and
-a ``state`` reply's JSON frame is followed by one.  The server
+to_state>` bytes, every codec frame inside self-CRC'd): sent alone it
+is the ``restore`` request, and
+a ``state`` reply's JSON frame is followed by one.  A ``checkpoint``
+reply carries the shard's snapshot facts and no window bytes.  The server
 dispatches per frame on that first byte.  Every request gets exactly
 one reply (stop-and-wait), which makes reply ordering, and therefore
 the drain barrier ("a drain reply follows every batch sent before
@@ -89,6 +90,7 @@ from repro.service.sharding import (
     _TELEMETRY_EVENTS,
     IngestShard,
     ShardFailedError,
+    ShardMark,
     ShardPartitionedError,
 )
 from repro.service.snapshot import stats_from_dict, stats_to_dict
@@ -360,6 +362,10 @@ class ShardServer:
             state = shard.drain_state(float(request["now"]))
             window = state.pop("window").to_state()
             return {"op": "state", "window": window, "state": state}
+        if op == "checkpoint":
+            state = shard.checkpoint(float(request["now"]))
+            state["mark"] = list(state["mark"])
+            return {"op": "checkpoint", "state": state}
         if op == "stats":
             snapshot = shard.drain_stats(float(request["now"]))
             return {
@@ -583,6 +589,12 @@ class RemoteShardHandle:
     def drain_state(self, now: float) -> dict:
         """Barrier: apply every queued batch, advance, return the state."""
         return self._sync({"op": "state", "now": float(now)}, "state")["state"]
+
+    def checkpoint(self, now: float) -> dict:
+        """Barrier returning the shard's snapshot facts (no window bytes)."""
+        state = self._sync({"op": "checkpoint", "now": float(now)}, "checkpoint")["state"]
+        state["mark"] = ShardMark(*state["mark"])
+        return state
 
     def drain_stats(self, now: float) -> dict:
         """Barrier returning per-tenant statistics (cadence path)."""

@@ -602,11 +602,14 @@ class TestCompaction:
 
     def test_auto_compaction_on_snapshot_write(self, tmp_path):
         state, live = self._fill(tmp_path, auto=True)
-        before = len(state.journal.segments())
+        before = state.journal.segments()
         state.write_snapshot(live.state_dict())
         live.ingest_batch([Heartbeat(8e6)])
         state.write_snapshot(live.state_dict())  # auto-compacts
-        assert len(state.journal.segments()) < before
+        # The oldest retained snapshot moved on, and so did its mark:
+        # the segment it released is gone (a new tail segment may have
+        # opened meanwhile).
+        assert before[0] not in state.journal.segments()
         state.close()
 
     def test_newest_segment_never_deleted(self, tmp_path):
@@ -653,7 +656,7 @@ class TestCompaction:
 
         state_dir = tmp_path / "state"
         state = ServiceState(
-            state_dir, segment_records=128, snapshot_every=500
+            state_dir, segment_records=32, snapshot_every=500
         )
         scenario = make_scenario("steady", scale=1.0, horizon=1800.0)
         config = ServiceConfig(window=600.0, retune_interval=300.0, min_window_jobs=3)
@@ -673,13 +676,15 @@ class TestCompaction:
             }
         )
         service = build_service(scenario, config, seed=1, state=state)
-        ScenarioReplayer(scenario, service, seed=1).run(900.0)  # dies at 900s
+        # Dies at 1500s: the 600s window has slid past the first
+        # segments, so the oldest retained snapshot's mark releases them.
+        ScenarioReplayer(scenario, service, seed=1).run(1500.0)
         state.close()
         first_seq = EventJournal._first_seq_of(state.journal.segments()[0])
         assert first_seq > 1  # auto-compaction reclaimed the prefix
         out = io.StringIO()
         assert main(["resume", "--state-dir", str(state_dir)], out=out) == 0
-        assert "continuing scenario=steady from t=900s" in out.getvalue()
+        assert "continuing scenario=steady from t=1500s" in out.getvalue()
 
 
 class TestNodeRecovered:

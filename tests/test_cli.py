@@ -321,43 +321,18 @@ class TestDumpJournal:
 
 
 class TestDumpSnapshot:
-    """`repro dump-snapshot` is the JSON view of a snapshot's binary frames."""
+    """`repro dump-snapshot` renders a snapshot: header, control state,
+    then one line per shard journal's mark."""
 
-    @staticmethod
-    def _windows():
-        from repro.service.events import JobCompleted, JobSubmitted, TaskCompleted
-        from repro.service.ingest import RollingWindow
-        from repro.workload.trace import JobRecord, TaskRecord
-
-        first, second = RollingWindow(600.0), RollingWindow(600.0)
-        first.ingest(JobSubmitted(1.0, tenant="acme", job_id="j0"))
-        first.ingest(
-            TaskCompleted(
-                2.0,
-                record=TaskRecord("j0", "j0/t0", "acme", "map", "m", 1.0, 1.5, 2.0),
-            )
-        )
-        first.ingest(
-            JobCompleted(
-                2.5,
-                record=JobRecord("j0", "acme", 1.0, 2.5, None, 1, ("etl",), (("m", ()),)),
-            )
-        )
-        second.ingest(JobSubmitted(3.0, tenant="zeta", job_id="z0"))
-        return first, second
+    MARKS = [(3, 2.5, 3, 1), (1, 3.0, 1, 2)]
 
     @classmethod
     def _state_dir(cls, tmp_path):
         from repro.service.snapshot import SnapshotStore
 
-        first, second = cls._windows()
         store = SnapshotStore(tmp_path / "snapshots")
-        store.write(10, {"events": 3, "windows": [first.to_state()]})
-        store.write(
-            20,
-            {"events": 4, "windows": [first.to_state(), second.to_state()]},
-            shard_seqs=[3, 1],
-        )
+        store.write(10, {"events": 3})
+        store.write(20, {"events": 4}, marks=cls.MARKS)
         return tmp_path
 
     @staticmethod
@@ -366,39 +341,29 @@ class TestDumpSnapshot:
         assert main(argv, out=out) == 0
         return [json.loads(line) for line in out.getvalue().splitlines()]
 
-    def test_header_control_then_one_line_per_retained_entry(self, tmp_path):
-        from repro.workload.trace import job_record_to_dict, task_record_to_dict
-
+    def test_header_control_then_one_line_per_shard_mark(self, tmp_path):
         root = self._state_dir(tmp_path)
-        first, second = self._windows()
-        header, control, *entries = self._dump(
+        header, control, *marks = self._dump(
             ["dump-snapshot", "--state-dir", str(root)]
         )
-        assert header == {"format": "tempo-snapshot/3", "seq": 20, "shard_seqs": [3, 1]}
-        assert control == {
-            "events": 4,
-            "windows": [len(first.to_state()), len(second.to_state())],
+        assert header == {
+            "format": "tempo-snapshot/4",
+            "seq": 20,
+            "marks": [list(mark) for mark in self.MARKS],
         }
-        task = first._tenants["acme"].tasks[0][1]
-        job = first._tenants["acme"].jobs[0][1]
-        assert entries == [
-            {"window": 0, "tenant": "acme", "kind": "task", "time": 2.0,
-             "record": task_record_to_dict(task)},
-            {"window": 0, "tenant": "acme", "kind": "job", "time": 2.5,
-             "record": json.loads(json.dumps(job_record_to_dict(job)))},
-            {"window": 0, "tenant": "acme", "kind": "submit", "time": 1.0,
-             "record": None},
-            {"window": 1, "tenant": "zeta", "kind": "submit", "time": 3.0,
-             "record": None},
+        assert control == {"events": 4}
+        assert marks == [
+            {"shard": 0, "seq": 3, "clock": 2.5, "events": 3, "mark": 1},
+            {"shard": 1, "seq": 1, "clock": 3.0, "events": 1, "mark": 2},
         ]
 
     def test_seq_selects_an_older_snapshot(self, tmp_path):
         root = self._state_dir(tmp_path)
-        header, control, *entries = self._dump(
+        header, control, *marks = self._dump(
             ["dump-snapshot", "--state-dir", str(root), "--seq", "10"]
         )
-        assert (header["seq"], header["shard_seqs"], control["events"]) == (10, None, 3)
-        assert {entry["window"] for entry in entries} == {0}
+        assert (header["seq"], header["marks"], control["events"]) == (10, None, 3)
+        assert marks == []
         with pytest.raises(SystemExit, match="no snapshot at seq 15"):
             main(
                 ["dump-snapshot", "--state-dir", str(root), "--seq", "15"],
@@ -410,30 +375,28 @@ class TestDumpSnapshot:
             main(["dump-snapshot", "--state-dir", str(tmp_path)], out=io.StringIO())
         root = self._state_dir(tmp_path)
         newest = root / "snapshots" / "snapshot-0000000020.json"
-        newest.write_bytes(newest.read_bytes()[:-7])  # a torn window frame
+        newest.write_bytes(newest.read_bytes()[:-7])  # a torn control frame
         with pytest.raises(SystemExit, match=r"snapshot-0000000020\.json is unreadable"):
             main(["dump-snapshot", "--state-dir", str(root)], out=io.StringIO())
 
     def test_status_reads_counters_without_loading_a_window(
         self, tmp_path, monkeypatch
     ):
-        """`repro status` stops after the control frame: window bytes are
-        neither read nor CRC-checked, so even a torn window tail does
-        not hide the counters."""
-        import repro.service.snapshot as snapshot_module
+        """`repro status` reads the snapshot's two text lines: no window
+        is decoded or refolded, and no journal is read to get them."""
+        import repro.service.codec as codec_module
+        import repro.service.journal as journal_module
         from repro.obs.introspect import load_latest_snapshot
 
         root = self._state_dir(tmp_path)
-        newest = root / "snapshots" / "snapshot-0000000020.json"
-        newest.write_bytes(newest.read_bytes()[:-7])
 
-        def forbidden(data):
-            raise AssertionError("status parsed a window state")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("status touched a window or a journal")
 
-        monkeypatch.setattr(snapshot_module, "split_window_state", forbidden)
+        monkeypatch.setattr(codec_module, "split_window_state", forbidden)
+        monkeypatch.setattr(journal_module, "read_segment", forbidden)
         seq, state = load_latest_snapshot(root)
-        assert (seq, state["events"]) == (20, 4)
-        assert all(isinstance(size, int) for size in state["windows"])
+        assert (seq, state) == (20, {"events": 4})
 
     def test_piped_into_head_exits_zero(self, tmp_path):
         import os
@@ -441,16 +404,12 @@ class TestDumpSnapshot:
         import sys
         from pathlib import Path
 
-        from repro.service.events import JobSubmitted
-        from repro.service.ingest import RollingWindow
         from repro.service.snapshot import SnapshotStore
 
         root = self._state_dir(tmp_path)
-        big = RollingWindow(1e9)  # far more output than a pipe buffer holds
-        big.ingest_many(
-            JobSubmitted(float(i), tenant="acme", job_id=f"j{i}") for i in range(20000)
-        )
-        SnapshotStore(root / "snapshots").write(30, {"windows": [big.to_state()]})
+        # Far more output than a pipe buffer holds.
+        marks = [(i, float(i), i, 1) for i in range(20000)]
+        SnapshotStore(root / "snapshots").write(30, {"events": 5}, marks=marks)
         src = Path(__file__).parent.parent / "src"
         done = subprocess.run(
             f"{sys.executable} -m repro dump-snapshot --state-dir {root} | head -1",
@@ -462,5 +421,5 @@ class TestDumpSnapshot:
             timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert "tempo-snapshot/3" in done.stdout
+        assert "tempo-snapshot/4" in done.stdout
         assert done.stderr == ""

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.service.codec import HEADER_FRAME, peek_window_tenant, split_window_state
 from repro.service.daemon import ServiceConfig, TempoService
+from repro.service.failover import FailoverConfig
 from repro.service.events import (
     Heartbeat,
     JobCompleted,
@@ -292,10 +293,9 @@ class TestSnapshotStore:
     @staticmethod
     def _damage(path, how):
         """Break one snapshot file the way a bad disk or old build would."""
-        header, rest = path.read_bytes().split(b"\n", 1)
-        control, windows = rest.split(b"\n", 1)
+        header, control, rest = path.read_bytes().split(b"\n", 2)
         header, control = header + b"\n", control + b"\n"
-        assert windows  # the file under test carries window frames
+        assert not rest  # a snapshot is its two text lines, nothing after
 
         def flipped(raw, at=12):
             return raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1 :]
@@ -303,15 +303,12 @@ class TestSnapshotStore:
         path.write_bytes(
             {
                 "header_truncated": header[: len(header) // 2],
-                "header_crc": flipped(header) + control + windows,
-                "body_crc": header + flipped(control) + windows,
+                "header_crc": flipped(header) + control,
+                "body_crc": header + flipped(control),
                 "body_truncated": header + control[: len(control) // 2],
                 "body_missing": header,
-                "window_crc": header + control + flipped(windows, len(windows) // 2),
-                "window_truncated": header + control + windows[: len(windows) // 2],
-                "window_missing": header + control,
-                # What the previous build wrote: header and one all-JSON
-                # body line.  Not a second read path.
+                # What an earlier build wrote: the header and one
+                # all-JSON body line.  Not a second read path.
                 "old_shape": frame_bytes(
                     canonical_json(
                         {"format": "tempo-snapshot/2", "seq": 20, "shard_seqs": [8, 9]}
@@ -329,48 +326,70 @@ class TestSnapshotStore:
             "body_crc",
             "body_truncated",
             "body_missing",
-            "window_crc",
-            "window_truncated",
-            "window_missing",
             "old_shape",
         ],
     )
     def test_damaged_frame_falls_back_to_older_snapshot(self, tmp_path, how):
-        window = RollingWindow(1e6)
-        for event in ALL_EVENT_SHAPES[:4]:
-            window.ingest(event)
-        windows = [window.to_state(), RollingWindow(1e6).to_state()]
-        older = {"value": 10, "windows": windows}
+        older = {"value": 10}
         store = SnapshotStore(tmp_path, keep=3)
-        store.write(10, older, shard_seqs=[4, 5])
-        newest = store.write(20, {"value": 20, "windows": windows}, shard_seqs=[8, 9])
-        assert store.load_latest() == (20, {"value": 20, "windows": windows})
+        store.write(10, older, marks=[(4, 1.0, 3, 2), (5, 1.0, 4, 6)])
+        newest = store.write(20, {"value": 20}, marks=[(8, 2.0, 6, 2), (9, 2.0, 7, 6)])
+        assert store.load_latest() == (20, {"value": 20})
         self._damage(newest, how)
         assert store.load_latest() == (10, older)
         # A store opened on the damaged directory agrees, still counts
         # the file for retention, and claims no coverage it cannot read.
         reopened = SnapshotStore(tmp_path, keep=3)
         assert reopened.load_latest() == (10, older)
-        coverage = dict(reopened.retained())
+        coverage = {seq: marks and [m.seq for m in marks] for seq, marks in reopened.retained()}
         assert coverage[10] == [4, 5]
-        header_intact = how.startswith(("body", "window"))
-        assert coverage[20] == ([8, 9] if header_intact else None)
+        assert coverage[20] == ([8, 9] if how.startswith("body") else None)
+
+    def test_previous_format_and_trailing_window_frames_are_unreadable(self, tmp_path):
+        """A ``tempo-snapshot/3`` file (header, control, then window
+        frames) and a current file with window frames appended are both
+        refused: no snapshot carries a window, and an unreadable newest
+        snapshot falls back exactly like a corrupt one."""
+        window = RollingWindow(1e6)
+        for event in ALL_EVENT_SHAPES[:4]:
+            window.ingest(event)
+        store = SnapshotStore(tmp_path, keep=3)
+        store.write(10, {"value": 10}, marks=[(4, 1.0, 3, 2)])
+        newest = store.write(20, {"value": 20}, marks=[(8, 2.0, 6, 2)])
+        whole = newest.read_bytes()
+        newest.write_bytes(whole + window.to_state())
+        assert store.load_latest() == (10, {"value": 10})
+        newest.write_bytes(
+            frame_bytes(canonical_json(
+                {"format": "tempo-snapshot/3", "seq": 20, "shard_seqs": [8]}
+            ))
+            + frame_bytes(canonical_json({"value": 20, "windows": [len(window.to_state())]}))
+            + window.to_state()
+        )
+        assert store.load_latest() == (10, {"value": 10})
+        assert dict(SnapshotStore(tmp_path, keep=3).retained())[20] is None
 
     def test_retained_coverage_follows_writes_and_deletes(self, tmp_path):
+        def marks(*seqs):
+            return [(seq, float(seq), seq, 1) for seq in seqs]
+
+        def seqs(store):
+            return [(seq, m and [mark.seq for mark in m]) for seq, m in store.retained()]
+
         store = SnapshotStore(tmp_path, keep=2)
         store.write(10, {"v": 1})
-        store.write(20, {"v": 2}, shard_seqs=[7, 9])
-        store.write(30, {"v": 3}, shard_seqs=[8, 12])
-        assert store.retained() == [(20, [7, 9]), (30, [8, 12])]
+        store.write(20, {"v": 2}, marks=marks(7, 9))
+        store.write(30, {"v": 3}, marks=marks(8, 12))
+        assert seqs(store) == [(20, [7, 9]), (30, [8, 12])]
         assert [p.name for p in store.paths()] == [
             "snapshot-0000000020.json",
             "snapshot-0000000030.json",
         ]
-        store.write(30, {"v": 4}, shard_seqs=[8, 13])  # same seq: replaced
-        assert store.retained() == [(20, [7, 9]), (30, [8, 13])]
+        store.write(30, {"v": 4}, marks=marks(8, 13))  # same seq: replaced
+        assert seqs(store) == [(20, [7, 9]), (30, [8, 13])]
         assert SnapshotStore(tmp_path, keep=2).retained() == store.retained()
-        assert store.discard(lambda seq, shard_seqs: shard_seqs[1] > 12) == 1
-        assert store.retained() == [(20, [7, 9])]
+        assert store.discard(lambda seq, m: m[1].seq > 12) == 1
+        assert seqs(store) == [(20, [7, 9])]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "snapshot-0000000020.json"
         ]
@@ -872,8 +891,9 @@ class TestReplayIsBatchIngest:
         resumed = TempoService.resume(
             build_controller(scenario), tmp_path, config, shards=shards
         )
-        after, replayed, _ = resumed.last_resume
+        after, replayed, refolded, _ = resumed.last_resume
         assert after == snapshot_seq > 0 and replayed > 0  # snapshot + tail
+        assert refolded > 0  # the windows came back from the journal
         assert resumed.events_processed == live.events_processed
         assert resumed.telemetry_ingested == live.telemetry_ingested
         assert resumed.active_tenants == live.active_tenants
@@ -912,10 +932,11 @@ class TestReplayIsBatchIngest:
             _service_config(),
             shards=shards,
         )
-        after, replayed, seconds = resumed.last_resume
-        assert (after, replayed) == (0, journaled) and seconds > 0
+        after, replayed, refolded, seconds = resumed.last_resume
+        assert (after, replayed, refolded) == (0, journaled, 0) and seconds > 0
         gauges = resumed.metrics_snapshot().to_dict()["gauges"]
         assert gauges["tempo_resume_replayed_records"]["value"] == journaled
+        assert gauges["tempo_resume_refolded_records"]["value"] == 0
         assert gauges["tempo_resume_seconds"]["value"] == seconds
         resumed.close()
         resumed.state.close()
@@ -928,6 +949,13 @@ class TestReplayIsBatchIngest:
         """Control records, tenant churn, capacity changes and segment
         edges fall inside, before and after the replayed event runs; the
         resumed service equals the one that never crashed.
+
+        The stream spans several windows, so snapshots are taken after
+        the window has slid and each shard window comes back from its
+        journal's low-water mark; on top of that a run may compact past
+        the marks, fail a shard over in process (its window refolded
+        from the mark), or reshard and slide the window again before it
+        is resumed.
 
         Every event has its own instant: across shards, replay orders
         same-instant telemetry before a decision, which only the single
@@ -974,39 +1002,60 @@ class TestReplayIsBatchIngest:
                 events.append(cls(t + 3.0, pool="map", containers=1 + i % 3))
             t += 26.0
         assert len({e.time for e in events}) == len(events)
-        force_at = data.draw(st.integers(0, len(events)), label="force_at")
-        rollback_at = data.draw(st.integers(0, len(events)), label="rollback_at")
+        n = len(events)
+        force_at = data.draw(st.integers(0, n), label="force_at")
+        rollback_at = data.draw(st.integers(0, n), label="rollback_at")
+        failover_at = data.draw(st.none() | st.integers(0, n), label="failover_at")
+        reshard_at = data.draw(st.none() | st.integers(0, n // 2), label="reshard_at")
+        reshard_to = data.draw(
+            st.sampled_from([k for k in (1, 2, 3) if k != shards]), label="reshard_to"
+        )
+        compact = data.draw(st.booleans(), label="compact")
+        marks = {force_at, rollback_at} | ({failover_at, reshard_at} - {None})
         cuts = sorted(
-            {0, len(events), force_at, rollback_at}
-            | set(data.draw(st.lists(st.integers(0, len(events)), max_size=6)))
+            {0, n}
+            | marks
+            | set(data.draw(st.lists(st.integers(0, n), max_size=6)))
         )
         root = tmp_path_factory.mktemp("replay")
         state = ServiceState(
             root,
             segment_records=data.draw(st.sampled_from([3, 8, 64]), label="segment"),
             snapshot_every=data.draw(st.sampled_from([10**9, 30]), label="snapshot"),
-            auto_compact=False,  # so that any snapshot may be lost below
+            keep_segments=1,
+            # Without compaction any snapshot may be lost below.
+            auto_compact=compact,
             shards=shards,
         )
-        live = _build(state=state, shards=shards)
+        live = _build(state=state, shards=shards, failover=FailoverConfig())
         for start, end in zip(cuts, cuts[1:]):
             if start == force_at:
                 live.retune(live.now, force=True)
             if start == rollback_at:
                 live.rollback()
+            if start == failover_at:
+                live.failover_shard(failover_at % live.num_shards, "test")
+            if start == reshard_at:
+                live.reshard(reshard_to)
             live.ingest_batch(events[start:end])
         live.close()
         state.close()
         # Every applied tune snapshots; lose the newest few (or all) so
-        # the replayed tail reaches back over tunes and rollbacks.
+        # the replayed tail reaches back over tunes and rollbacks.  A
+        # compacted journal keeps one (the oldest) to resume from, and a
+        # reshard keeps every one: the pre-reshard ones are of the old
+        # layout.
         snapshots = state.snapshots.paths()
-        for path in snapshots[data.draw(st.integers(0, len(snapshots)), label="kept") :]:
-            path.unlink()
+        if reshard_at is None:
+            floor = 1 if compact and snapshots else 0
+            kept = data.draw(st.integers(floor, len(snapshots)), label="kept")
+            for path in snapshots[kept:]:
+                path.unlink()
         resumed = TempoService.resume(
             build_controller(make_scenario("steady", scale=1.0, horizon=3600.0)),
             root,
             _service_config(),
-            shards=shards,
+            shards=live.num_shards,
         )
         _assert_equivalent(live, resumed)
         assert resumed.stats_gap_now() < 1e-9
@@ -1016,6 +1065,96 @@ class TestReplayIsBatchIngest:
         _assert_stats_close(live._last_snapshot, resumed._last_snapshot)
         resumed.close()
         resumed.state.close()
+
+
+class TestCrashAtEveryWriteBoundary:
+    """A checkpoint — snapshot write, then the compaction it releases —
+    is a sequence of file operations; a crash after any prefix of them
+    resumes to the service that never crashed."""
+
+    @staticmethod
+    def _record_boundaries(monkeypatch, root, captures):
+        """Before each file operation of the checkpoint path, copy the
+        state dir as a crash right there would leave it."""
+        real_open, real_fsync = Path.open, os.fsync
+        real_replace, real_unlink = os.replace, Path.unlink
+        ops = []
+
+        def boundary(op):
+            copy = root.with_name(f"{root.name}-crash{len(ops)}")
+            shutil.copytree(root, copy)
+            captures.append(copy)
+            ops.append(op)
+
+        def spy_open(path, mode="r", *args, **kwargs):
+            if "w" in mode and path.suffix == ".tmp":
+                boundary("write-tmp")
+            return real_open(path, mode, *args, **kwargs)
+
+        def spy_fsync(fd):
+            boundary("fsync-dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync-file")
+            real_fsync(fd)
+
+        def spy_replace(src, dst):
+            boundary("rename")
+            real_replace(src, dst)
+
+        def spy_unlink(path, *args, **kwargs):
+            boundary(f"unlink-{path.name.split('-')[0]}")
+            real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", spy_open)
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        monkeypatch.setattr(Path, "unlink", spy_unlink)
+        return ops
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_resume_after_a_crash_after_every_operation(
+        self, tmp_path, monkeypatch, shards
+    ):
+        root = tmp_path / "state"
+        state = ServiceState(
+            root, segment_records=16, snapshot_every=10**9, fsync=True,
+            keep_segments=1, keep_snapshots=2, shards=shards,
+        )
+        live = _build(state=state, shards=shards)
+        events = _events(seed=12, count=240)
+        for i in range(0, len(events), 60):  # chunks closed by a heartbeat
+            chunk = events[i : i + 60]
+            live.ingest_batch(chunk + [Heartbeat(chunk[-1].time)])
+        live.ingest_batch([Heartbeat(events[-1].time + 1.0)])  # past the last snapshot
+        captures = []
+        ops = self._record_boundaries(monkeypatch, root, captures)
+        state.write_snapshot(live.state_dict())
+        monkeypatch.undo()
+        captures.append(root)  # after the last operation
+        assert ops[:4] == ["write-tmp", "fsync-file", "rename", "fsync-dir"]
+        assert "unlink-snapshot" in ops and "unlink-segment" in ops
+        # The slid window released journal prefixes: compaction has
+        # deleted every segment wholly before the oldest snapshot's marks.
+        _, marks = state.snapshots.retained()[0]
+        firsts = []
+        for i, mark in enumerate(marks):
+            segments = state.shard_journal(i).segments()
+            firsts.append(EventJournal._first_seq_of(segments[0]))
+            for later in segments[1:2]:
+                assert EventJournal._first_seq_of(later) > mark.mark
+        assert max(firsts) > 1
+        live.close()
+        state.close()
+        for crashed in captures:
+            resumed = TempoService.resume(
+                build_controller(make_scenario("steady", scale=1.0, horizon=3600.0)),
+                crashed,
+                _service_config(),
+                shards=shards,
+            )
+            _assert_equivalent(live, resumed)
+            assert resumed.telemetry_ingested == live.telemetry_ingested
+            resumed.close()
+            resumed.state.close()
+        assert len(captures) == len(ops) + 1
 
 
 class TestServiceState:

@@ -284,6 +284,7 @@ class TestDeadShard:
             lambda: dead.advance(1.0),
             lambda: dead.drain_state(1.0),
             lambda: dead.drain_stats(1.0),
+            lambda: dead.checkpoint(1.0),
             lambda: dead.restore({}),
         ):
             with pytest.raises(ShardFailedError) as exc:
@@ -304,6 +305,7 @@ class TestFaultedShard:
             lambda: faulted.ingest([Heartbeat(1.0)]),
             lambda: faulted.drain_state(1.0),
             lambda: faulted.drain_stats(1.0),
+            lambda: faulted.checkpoint(1.0),
         ):
             with pytest.raises(ShardFailedError) as exc:
                 call()

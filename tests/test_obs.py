@@ -403,6 +403,31 @@ class TestStatusCli:
         for line in lines:
             assert PROM_LINE.match(line), f"bad exposition line: {line!r}"
 
+    def test_whatif_counters_are_exposed_from_the_start(self, tmp_path):
+        """Zero is a reading, not an absence: the what-if counters exist
+        from construction, and a scrape of a steady run shows both."""
+        from repro.cli import main
+
+        fresh = build_service(
+            make_scenario("steady", scale=1.0, horizon=600.0), ServiceConfig()
+        )
+        counters = fresh.metrics_snapshot().to_dict()["counters"]
+        assert counters["tempo_whatif_evaluations_total"] == 0
+        assert counters["tempo_whatif_cache_hits_total"] == 0
+        state_dir, _ = self._run_state_dir(tmp_path)
+        out = io.StringIO()
+        assert (
+            main(["status", "--state-dir", str(state_dir), "--format", "prom"], out=out)
+            == 0
+        )
+        samples = {
+            line.split()[0]: float(line.split()[1])
+            for line in out.getvalue().splitlines()
+            if line.startswith("tempo_whatif_")
+        }
+        assert samples["tempo_whatif_cache_hits_total"] >= 0
+        assert samples["tempo_whatif_evaluations_total"] >= 0
+
     def test_status_refuses_non_state_dir(self, tmp_path):
         from repro.cli import main
 

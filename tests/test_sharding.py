@@ -2,6 +2,7 @@
 statistics, sharded durability/resume, worker processes, resharding,
 and trace-file replay."""
 
+import dataclasses
 import json
 import math
 import shutil
@@ -704,7 +705,7 @@ class TestCheckpointCost:
     ):
         """In-memory boundary + coverage (the serving process) and a
         header/tail scan (``repro compact`` on a cold dir) agree."""
-        events = _events(seed=22, count=500, controls=False)
+        events = _events(seed=22, count=1000, controls=False)
         warm_root = tmp_path / "warm"
         state, service = self._serve(warm_root, shards, auto_compact=False)
         compared = 0
@@ -745,10 +746,10 @@ class TestCheckpointCost:
 
     @pytest.mark.parametrize("shards", [1, 4])
     def test_no_json_on_the_window_path(self, tmp_path, monkeypatch, shards):
-        """What a checkpoint renders as JSON does not grow with the
-        window: 4x the retained entries, the same control frame — and
-        the window bytes on disk are the very objects ``to_state``
-        returned, handed through ``state_dict`` and written as they are."""
+        """A checkpoint encodes nothing of the window: 4x the retained
+        entries, the same file — header and control line, < 8 KiB, no
+        window frame — and no ``to_state`` call; the window comes back
+        from the journal, from each shard's mark."""
         jobs = 4000
         events = []
         for i in range(jobs):  # 3 entries a job, all inside one cadence interval
@@ -763,41 +764,46 @@ class TestCheckpointCost:
         state, service = self._serve(
             tmp_path, shards, snapshot_every=10**9, auto_compact=False
         )
-        produced, handed = [], []
-        real_to_state, real_write = RollingWindow.to_state, state.snapshots.write
 
         def to_state(window):
-            produced.append(real_to_state(window))
-            return produced[-1]
-
-        def write(seq, snapshot, **kwargs):
-            handed.append(snapshot["windows"])
-            return real_write(seq, snapshot, **kwargs)
+            raise AssertionError("a checkpoint encoded a window")
 
         monkeypatch.setattr(RollingWindow, "to_state", to_state)
-        monkeypatch.setattr(state.snapshots, "write", write)
         sizes, fed = [], 0
         for stop in (len(events) // 4, len(events)):  # 1x, then 4x the entries
             service.ingest_batch(events[fed:stop])
             fed = stop
             path = state.write_snapshot(service.state_dict())
-            _header, control, windows = path.read_bytes().split(b"\n", 2)
-            assert len(handed[-1]) == shards
-            assert windows == b"".join(handed[-1])
-            for blob in handed[-1]:  # identity: no copy, no re-encode
-                assert any(blob is made for made in produced)
-            retained = sum(
-                RollingWindow.from_state(blob).events_ingested for blob in handed[-1]
-            )
-            assert retained == stop
-            sizes.append((len(control), len(windows)))
+            _header, control, rest = path.read_bytes().split(b"\n", 2)
+            assert rest == b""
+            marks = json.loads(control.split(b" ", 1)[1])["sharding"]["marks"]
+            assert len(marks) == shards
+            assert sum(events for _, _, events, _ in marks) == stop
+            assert all(mark == 1 for *_, mark in marks)  # nothing has slid out
+            sizes.append(path.stat().st_size)
+        monkeypatch.undo()
         assert not service.decisions  # no tick fired: the control state is still
-        (control_1x, windows_1x), (control_4x, windows_4x) = sizes
-        assert control_1x < 8192
-        assert abs(control_4x - control_1x) <= 16  # counters gained digits, only
-        assert windows_4x > 3 * windows_1x > 3 * 3000 * 16
+        size_1x, size_4x = sizes
+        assert size_1x < 8192
+        assert abs(size_4x - size_1x) <= 16 * shards  # counters gained digits, only
+        live = service.window.snapshot()
         service.close()
         state.close()
+        resumed = TempoService.resume(
+            build_controller(_scenario()),
+            tmp_path,
+            _service_config(min_window_jobs=10**9),
+            shards=shards,
+        )
+        assert resumed.last_resume.refolded == len(events)
+        restored = resumed.window.snapshot()
+        assert set(restored) == set(live)
+        for name, stats in live.items():
+            assert dataclasses.asdict(restored[name]) == pytest.approx(
+                dataclasses.asdict(stats), rel=0, abs=1e-9
+            )
+        resumed.close()
+        resumed.state.close()
 
     def test_rewind_invalidates_cached_shard_boundaries(self, tmp_path):
         """A heartbeat that reached one shard only (crash mid-broadcast)
@@ -1015,6 +1021,37 @@ class TestReshard:
         state = ServiceState(tmp_path, shards=2)
         start, dropped = state.rewind_to_heartbeat()
         assert start == boundary  # not wiped to zero
+        state.close()
+
+    def test_crash_between_reshard_and_its_first_heartbeat(self, tmp_path):
+        """A reshard heads every new shard journal with its moved window:
+        a journal holding only that record constrains no rewind, and a
+        resume refolds the window from it."""
+        events = [Heartbeat(e.time) if i % 97 == 96 else e
+                  for i, e in enumerate(_events(seed=5, count=300))]
+        TestShardedDurability()._run_durable(tmp_path, 1, events)
+        state = ServiceState(tmp_path, shards=1)
+        state.rewind_to_heartbeat()  # what `repro resume` does first
+        resumed = TempoService.resume(
+            build_controller(_scenario()), state, _service_config()
+        )
+        resumed.reshard(3)  # fresh shard journals: one window record each
+        live = resumed.window.snapshot()
+        resumed.close()
+        state.close()
+        for i in range(3):
+            kinds = [r.kind for r in EventJournal(
+                tmp_path / f"shard-{i:02d}" / "journal").iter_records()]
+            assert kinds == ["window"]
+        state = ServiceState(tmp_path, shards=3)
+        start, dropped = state.rewind_to_heartbeat()
+        assert start > 0 and dropped == 0  # not wiped to zero
+        again = TempoService.resume(
+            build_controller(_scenario()), state, _service_config()
+        )
+        assert again.last_resume.refolded >= 3  # the window records
+        _stats_close(live, again.window.snapshot())
+        again.close()
         state.close()
 
     def test_telemetry_count_survives_reshards(self):

@@ -41,6 +41,7 @@ from repro.service.sharding import (
     IngestShard,
     ShardFailedError,
     ShardHandle,
+    ShardMark,
     ShardPartitionedError,
     ShardRouter,
 )
@@ -288,6 +289,7 @@ class TestHandleProtocol:
             "ingest",
             "drain_state",
             "drain_stats",
+            "checkpoint",
             "heartbeat_age",
             "restore",
             "close",
@@ -374,6 +376,13 @@ class TestRemoteHandleParity:
             # carries its bytes.
             local_state["window"] = local_state["window"].to_state()
             assert state == local_state
+            # A checkpoint carries the shard's mark and no window bytes.
+            remote = handle.checkpoint(now)
+            local_mark = local.checkpoint(now)["mark"]
+            assert set(remote) == {"shard", "mark"}
+            assert isinstance(remote["mark"], ShardMark)
+            assert remote["mark"][1:3] == local_mark[1:3]  # clock, ingest count
+            assert 1 <= remote["mark"].mark <= remote["mark"].seq + 1
         finally:
             local.close()
             handle.close()
