@@ -23,8 +23,8 @@ layer (`repro.service`).  Measurements:
 5. **Sharded ingest** — durable batched throughput through the
    per-tenant sharded data plane on a 500-tenant stream: 1 shard (the
    byte-identical baseline), 4 in-process shards (routing overhead
-   only), and 4 worker-process shards (journal encode + window fold on
-   every core).  The worker-shard speedup is a *parallelism*
+   only), and 4 loopback TCP worker shards (journal encode + window
+   fold on every core).  The worker-shard speedup is a *parallelism*
    measurement: it needs >= 4 cores to show its >= 2.5x design target,
    and ``cpu_count`` is recorded next to the numbers so a single-core
    CI box's ~0.4x (pure IPC overhead, nothing to overlap) is
@@ -214,10 +214,11 @@ def bench_sharded_ingest(
     """Durable batched events/sec through the sharded data plane.
 
     ``shards=1`` is the byte-identical single-pipeline baseline;
-    ``workers=True`` runs the shards as processes (journal encode and
-    window fold on every core — the parallel group-commit path).  The
-    timed region ends at a full data-plane barrier so queued worker
-    batches are included, not just acknowledged.
+    ``workers=True`` runs the shards as loopback TCP worker processes
+    (journal encode and window fold on every core — the parallel
+    group-commit path).  The timed region ends at a full data-plane
+    barrier so queued worker batches are included, not just
+    acknowledged.
     """
     scenario = make_scenario("steady")
     with tempfile.TemporaryDirectory() as tmp:
@@ -228,7 +229,7 @@ def bench_sharded_ingest(
             seed=0,
             state=state,
             shards=shards,
-            shard_workers=workers,
+            tcp_workers=workers,
         )
         start = time.perf_counter()
         for i in range(0, len(events), batch):

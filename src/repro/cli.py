@@ -23,7 +23,7 @@ small operational CLI:
     synchronous transport, verifying the incremental window statistics
     against a batch recompute as it goes.  ``--shards N`` routes
     telemetry through the per-tenant sharded data plane
-    (``--shard-workers`` runs the shards as processes); ``--trace``
+    (``--tcp-workers`` runs the shards as processes); ``--trace``
     replays recorded telemetry from a JSONL file instead of simulating
     (``--save-trace`` records one).
 
@@ -365,12 +365,10 @@ def _json_decision_logger(out):
     return _log
 
 
-def _check_worker_plane(shards: int, shard_workers, tcp_workers) -> None:
+def _check_worker_plane(shards: int, tcp_workers) -> None:
     """:func:`check_worker_plane` with its refusal as a CLI exit."""
     try:
-        check_worker_plane(
-            shards, shard_workers=bool(shard_workers), tcp_workers=bool(tcp_workers)
-        )
+        check_worker_plane(shards, tcp_workers=bool(tcp_workers))
     except ValueError as exc:
         raise SystemExit(str(exc))
 
@@ -403,11 +401,7 @@ def _run_scenario(args: argparse.Namespace, out, transport: str) -> int:
         )
     if args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-    if args.shard_workers and args.tcp_workers:
-        raise SystemExit(
-            "--shard-workers and --tcp-workers are mutually exclusive"
-        )
-    _check_worker_plane(args.shards, args.shard_workers, args.tcp_workers)
+    _check_worker_plane(args.shards, args.tcp_workers)
     if args.freeze_after is not None and args.freeze_after < 1:
         raise SystemExit(
             f"--freeze-after must be >= 1, got {args.freeze_after}"
@@ -449,7 +443,6 @@ def _run_scenario(args: argparse.Namespace, out, transport: str) -> int:
                 "continuous": not args.chunked,
                 "keep_segments": args.keep_segments,
                 "shards": args.shards,
-                "shard_workers": args.shard_workers,
                 "tcp_workers": args.tcp_workers,
                 "heartbeat_interval": args.heartbeat_interval,
                 "failover_after": args.failover_after,
@@ -469,7 +462,6 @@ def _run_scenario(args: argparse.Namespace, out, transport: str) -> int:
         seed=args.seed,
         state=state,
         shards=args.shards,
-        shard_workers=args.shard_workers,
         tcp_workers=args.tcp_workers,
         failover=failover,
         revert_windows=args.revert_windows,
@@ -492,7 +484,6 @@ def _run_scenario(args: argparse.Namespace, out, transport: str) -> int:
         f"scenario={scenario.name} ({scenario.description}) "
         f"horizon={scenario.horizon:.0f}s transport={transport} "
         f"shards={args.shards}"
-        f"{' (workers)' if args.shard_workers else ''}"
         f"{' (tcp-workers)' if args.tcp_workers else ''} "
         f"speedup={'max' if args.speedup <= 0 else f'{args.speedup:g}x'}"
         + (f" state-dir={args.state_dir}" if args.state_dir else ""),
@@ -513,11 +504,7 @@ def _run_trace(args: argparse.Namespace, out) -> int:
     """``repro replay --trace``: recorded telemetry through the pipeline."""
     if args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-    if args.shard_workers and args.tcp_workers:
-        raise SystemExit(
-            "--shard-workers and --tcp-workers are mutually exclusive"
-        )
-    _check_worker_plane(args.shards, args.shard_workers, args.tcp_workers)
+    _check_worker_plane(args.shards, args.tcp_workers)
     if not Path(args.trace).exists():
         raise SystemExit(f"trace file {args.trace} does not exist")
     events = load_trace_events(args.trace)
@@ -547,7 +534,6 @@ def _run_trace(args: argparse.Namespace, out) -> int:
                 "drift": args.drift,
                 "revert_windows": args.revert_windows,
                 "shards": args.shards,
-                "shard_workers": args.shard_workers,
                 "tcp_workers": args.tcp_workers,
                 "guards": args.guards,
                 "freeze_after": args.freeze_after,
@@ -565,7 +551,6 @@ def _run_trace(args: argparse.Namespace, out) -> int:
         seed=args.seed,
         state=state,
         shards=args.shards,
-        shard_workers=args.shard_workers,
         tcp_workers=args.tcp_workers,
         failover=_failover_from_args(args.heartbeat_interval, args.failover_after),
         revert_windows=args.revert_windows,
@@ -577,7 +562,6 @@ def _run_trace(args: argparse.Namespace, out) -> int:
     print(
         f"trace={args.trace} ({len(events)} events) "
         f"scenario={scenario.name} shards={args.shards}"
-        f"{' (workers)' if args.shard_workers else ''}"
         f"{' (tcp-workers)' if args.tcp_workers else ''}",
         file=out,
     )
@@ -631,9 +615,7 @@ def cmd_resume(args: argparse.Namespace, out) -> int:
             f"--shards {reshard_to} was requested; pass --reshard to "
             "redistribute the data plane"
         )
-    _check_worker_plane(
-        reshard_to or shards, meta.get("shard_workers"), meta.get("tcp_workers")
-    )
+    _check_worker_plane(reshard_to or shards, meta.get("tcp_workers"))
     try:
         state = ServiceState(
             args.state_dir,
@@ -699,9 +681,7 @@ def cmd_resume(args: argparse.Namespace, out) -> int:
 
         service.process(Heartbeat(start))
         print(f"resharded data plane: {shards} -> {reshard_to} shard(s)", file=out)
-    if meta.get("shard_workers"):
-        service.promote_to_workers()
-    elif meta.get("tcp_workers"):
+    if meta.get("tcp_workers"):
         service.promote_to_remote()
     horizon = scenario.horizon
     if start >= horizon:
@@ -747,11 +727,7 @@ def cmd_chaos(args: argparse.Namespace, out) -> int:
         raise SystemExit("at least one --fault is required (e.g. kill-shard@t=2)")
     if args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-    if args.shard_workers and args.tcp_workers:
-        raise SystemExit(
-            "--shard-workers and --tcp-workers are mutually exclusive"
-        )
-    _check_worker_plane(args.shards, args.shard_workers, args.tcp_workers)
+    _check_worker_plane(args.shards, args.tcp_workers)
     if args.horizon is not None and args.horizon <= 0:
         raise SystemExit(f"--horizon must be positive, got {args.horizon}")
     if args.window <= 0:
@@ -764,7 +740,6 @@ def cmd_chaos(args: argparse.Namespace, out) -> int:
             args.scenario,
             faults,
             shards=args.shards,
-            shard_workers=args.shard_workers,
             tcp_workers=args.tcp_workers,
             horizon=args.horizon * 3600.0 if args.horizon is not None else None,
             scale=args.scale,
@@ -1251,11 +1226,6 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
         help="per-tenant data-plane shards (own window + journal each)",
     )
     parser.add_argument(
-        "--shard-workers",
-        action="store_true",
-        help="run the shards as multiprocessing worker processes",
-    )
-    parser.add_argument(
         "--tcp-workers",
         action="store_true",
         help="run the shards as socket-fed loopback worker processes "
@@ -1265,7 +1235,7 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
         "--heartbeat-interval",
         type=float,
         default=1.0,
-        help="seconds between worker-shard liveness beats (supervision)",
+        help="seconds between worker-shard liveness pings (supervision)",
     )
     parser.add_argument(
         "--failover-after",
@@ -1393,11 +1363,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-tenant data-plane shards (own window + journal each)",
     )
     chaos.add_argument(
-        "--shard-workers",
-        action="store_true",
-        help="run the shards as multiprocessing worker processes",
-    )
-    chaos.add_argument(
         "--tcp-workers",
         action="store_true",
         help="run the shards as socket-fed loopback worker processes "
@@ -1419,7 +1384,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--heartbeat-interval",
         type=float,
         default=1.0,
-        help="seconds between worker-shard liveness beats",
+        help="seconds between worker-shard liveness pings",
     )
     chaos.add_argument(
         "--failover-after",

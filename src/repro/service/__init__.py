@@ -16,9 +16,8 @@ live Resource Manager):
   configuration, and rollback;
 * :mod:`repro.service.sharding` — the per-tenant sharded data plane:
   :class:`ShardRouter` (stable tenant-hash routing), :class:`IngestShard`
-  (own bus + window + journal per shard, in-process or as
-  ``multiprocessing`` workers), merged by the control plane at each
-  retune cadence;
+  (own bus + window + journal per shard, in-process or as loopback
+  TCP workers), merged by the control plane at each retune cadence;
 * :mod:`repro.service.snapshot` — periodic full-state snapshots over
   the journal and the :class:`ServiceState` facade owning a state
   directory, enabling :meth:`TempoService.resume` crash recovery;
@@ -33,8 +32,8 @@ live Resource Manager):
 * :mod:`repro.service.transport` — the network data plane:
   length-prefixed CRC-framed TCP transport, ``repro worker`` shard
   servers, and :class:`RemoteShardHandle` — retrying, deduping,
-  partition-tolerant — presenting the same shard surface as the
-  in-process and ``multiprocessing`` planes.
+  partition-tolerant — presenting the same shard surface as an
+  in-process shard; the one way a shard runs in its own process.
 """
 
 from repro.service.events import (
@@ -89,7 +88,6 @@ from repro.service.sharding import (
     ShardHandle,
     ShardPartitionedError,
     ShardRouter,
-    ShardWorkerHandle,
     stable_shard,
     tenant_of,
 )
@@ -154,7 +152,6 @@ __all__ = [
     "ShardHandle",
     "ShardPartitionedError",
     "ShardRouter",
-    "ShardWorkerHandle",
     "stable_shard",
     "tenant_of",
     "RemoteShardHandle",

@@ -42,10 +42,11 @@ The service is split into two planes (see
 :class:`~repro.service.sharding.IngestShard` instances — each owning a
 bus, a rolling window, and (durable, sharded) its own journal — with
 telemetry routed per tenant by a stable hash; shards run in-process or
-as ``multiprocessing`` workers.  The **control plane** is this class:
-it owns the cadence, the guards, the controller, the rollback history,
-and the decision/config journal, and at every cadence tick it drains
-the shards' window states and merges them
+as loopback TCP worker processes (:mod:`repro.service.transport`).
+The **control plane** is this class: it owns the cadence, the guards,
+the controller, the rollback history, and the decision/config journal,
+and at every cadence tick it drains the shards' window states and
+merges them
 (:meth:`~repro.service.ingest.RollingWindow.merge_states`) before
 deciding exactly as a single window would.  Every shard count runs the
 same route → shard ingest → account → drain/merge → snapshot path;
@@ -108,8 +109,6 @@ from repro.service.sharding import (
     ShardMark,
     ShardPartitionedError,
     ShardRouter,
-    ShardWorkerHandle,
-    start_shard_workers,
 )
 from repro.service.transport import (
     RemoteShardHandle,
@@ -299,25 +298,22 @@ class TempoService:
             cadence tick; ``1`` (the default) is the same pipeline with
             one shard, whose journal is the state dir's top-level
             journal.
-        shard_workers: Run the shards as ``multiprocessing`` worker
-            processes (each owning its journal and window) instead of
-            in-process objects.  Batches are acknowledged when queued to
-            a worker, so durability lags acknowledgement by the queue
-            depth; batches lost with a worker are recovered by the
-            chunk-boundary rewind.  Requires ``shards >= 2``
-            (see :func:`check_worker_plane`).
         tcp_workers: Run the shards as loopback **TCP** worker
-            processes behind :class:`~repro.service.transport.
-            RemoteShardHandle` proxies — same acknowledgement and
-            journal-ownership contract as ``shard_workers``, plus the
-            transport plane's partition tolerance (bounded buffering,
-            backoff reconnect, degraded-mode serving).  Exclusive with
-            ``shard_workers``; requires ``shards >= 2``.
+            processes (each owning its journal and window) behind
+            :class:`~repro.service.transport.RemoteShardHandle` proxies
+            instead of in-process objects.  Batches are acknowledged
+            when queued to a worker, so durability lags acknowledgement
+            by the queue depth; batches lost with a worker are recovered
+            by the chunk-boundary rewind.  The transport adds partition
+            tolerance (bounded buffering, backoff reconnect,
+            degraded-mode serving), and a worker whose process exits is
+            failed over at the next supervised touch.  Requires
+            ``shards >= 2`` (see :func:`check_worker_plane`).
         shard_endpoints: Addresses of operator-managed ``repro worker``
             processes, one ``(host, port)`` per shard — the service
-            connects instead of spawning.  Exclusive with both worker
-            modes and with durable ``state`` (external workers own
-            their journals end to end); requires ``shards >= 2``.
+            connects instead of spawning.  Exclusive with
+            ``tcp_workers`` and with durable ``state`` (external workers
+            own their journals end to end); requires ``shards >= 2``.
         transport: Optional :class:`~repro.service.transport.
             TransportConfig` tuning the TCP planes' timeouts, backoff,
             and send-queue bound.
@@ -341,7 +337,6 @@ class TempoService:
         state: ServiceState | None = None,
         *,
         shards: int = 1,
-        shard_workers: bool = False,
         tcp_workers: bool = False,
         shard_endpoints: list | None = None,
         transport: TransportConfig | None = None,
@@ -365,26 +360,18 @@ class TempoService:
                 "change the layout"
             )
         check_worker_plane(
-            shards,
-            shard_workers=shard_workers,
-            tcp_workers=tcp_workers,
-            shard_endpoints=shard_endpoints,
+            shards, tcp_workers=tcp_workers, shard_endpoints=shard_endpoints
         )
         self.bus = bus or EventBus(self.config.queue_capacity)
         self.state = state
         self.router = ShardRouter(shards)
-        self.shard_workers = bool(shard_workers)
         #: TCP loopback worker fleet (see :mod:`repro.service.transport`).
         self.tcp_workers = bool(tcp_workers)
-        if self.shard_workers and self.tcp_workers:
-            raise ValueError("choose one of shard_workers / tcp_workers")
         #: Operator-managed worker addresses (``repro worker`` peers).
         self.shard_endpoints = None
         if shard_endpoints is not None:
-            if self.shard_workers or self.tcp_workers:
-                raise ValueError(
-                    "shard_endpoints is exclusive with shard_workers/tcp_workers"
-                )
+            if self.tcp_workers:
+                raise ValueError("shard_endpoints is exclusive with tcp_workers")
             if len(shard_endpoints) != shards:
                 raise ValueError(
                     f"{len(shard_endpoints)} endpoint(s) for {shards} shard(s)"
@@ -431,22 +418,10 @@ class TempoService:
         #: and the last totals scraped into the metrics registry.
         self._transport_base: dict[int, dict] = {}
         self._transport_seen: dict[tuple, int] = {}
-        if self.shard_workers:
+        if self.tcp_workers:
             if state is not None:
                 # Workers own their journals; the parent must neither
                 # open nor compact them while the workers run.
-                state.shard_compaction = False
-                paths = [state.shard_journal_path(i) for i in range(shards)]
-                opts = state.shard_journal_opts()
-            else:
-                paths, opts = None, None
-            self.shards = start_shard_workers(
-                shards, self.config.window, paths, opts,
-                observe=self.config.observe, **self._supervision(),
-            )
-        elif self.tcp_workers:
-            if state is not None:
-                # TCP workers own their journals exactly like mp workers.
                 state.shard_compaction = False
                 paths = [state.shard_journal_path(i) for i in range(shards)]
                 opts = state.shard_journal_opts()
@@ -674,8 +649,8 @@ class TempoService:
             if self.failover is not None:
                 self.check_shards()
             if any(not hasattr(shard, "window") for shard in self.shards):
-                # Worker shards (mp or TCP) hold their windows behind a
-                # process boundary: check the merged drained state.
+                # Worker shards hold their windows behind a process
+                # boundary: check the merged drained state.
                 return stats_gap(self._control_window(self._now))
             return max(stats_gap(shard.window) for shard in self.shards)
 
@@ -873,7 +848,7 @@ class TempoService:
             boundary_time = 0.0
             records_dropped = telemetry_dropped = replayed = 0
             if state is not None:
-                if self.shard_workers or self.tcp_workers:
+                if self.tcp_workers:
                     # Worker journals lose their unsynced tail with the
                     # process: rewind to the heartbeat boundary.
                     boundary_time, _cut, records_dropped, telemetry_dropped = (
@@ -913,24 +888,7 @@ class TempoService:
                     replayer.fold(tail)
                 replayed = len(tail)
                 replacement_window = replayer.window
-            if self.shard_workers:
-                if state is not None:
-                    # The truncation opened a parent-side handle; the
-                    # replacement worker owns the journal from here on.
-                    state.release_shard_journal(shard_id)
-                handle = ShardWorkerHandle(
-                    shard_id,
-                    self.config.window,
-                    None if state is None else state.shard_journal_path(shard_id),
-                    None if state is None else state.shard_journal_opts(),
-                    observe=self.config.observe,
-                    heartbeat_interval=self.failover.heartbeat_interval,
-                    failover_after=self.failover.failover_after,
-                )
-                if state is not None:
-                    handle.restore(replacement_window.to_state())
-                self.shards[shard_id] = handle
-            elif self.tcp_workers:
+            if self.tcp_workers:
                 if state is not None:
                     # The truncation opened a parent-side handle; the
                     # respawned worker owns the journal from here on.
@@ -1739,7 +1697,6 @@ class TempoService:
         bus: EventBus | None = None,
         *,
         shards: int | None = None,
-        shard_workers: bool = False,
         tcp_workers: bool = False,
         transport: TransportConfig | None = None,
         failover: FailoverConfig | None = None,
@@ -1766,11 +1723,10 @@ class TempoService:
         match the state dir's layout (pass it when ``state`` is a
         path); a mismatch — including a snapshot recorded under a
         different layout — is refused rather than silently re-routed
-        (reshard explicitly instead).  ``shard_workers`` promotes the
-        shards to worker processes *after* the replay, which always
-        runs in-process; ``tcp_workers`` promotes to TCP loopback
-        workers instead (``transport`` tunes their
-        :class:`~repro.service.transport.TransportConfig`); both are
+        (reshard explicitly instead).  ``tcp_workers`` promotes the
+        shards to TCP loopback worker processes *after* the replay,
+        which always runs in-process (``transport`` tunes their
+        :class:`~repro.service.transport.TransportConfig`); it is
         refused for a single-shard dir (:func:`check_worker_plane`).
 
         ``controller`` must be a freshly built controller for the same
@@ -1788,9 +1744,7 @@ class TempoService:
                 f"state dir is laid out for {state.shards} shard(s), "
                 f"asked to resume with {shards}; reshard explicitly"
             )
-        check_worker_plane(
-            state.shards, shard_workers=shard_workers, tcp_workers=tcp_workers
-        )
+        check_worker_plane(state.shards, tcp_workers=tcp_workers)
         service = cls(
             controller,
             config,
@@ -1842,9 +1796,7 @@ class TempoService:
             "tempo_resume_seconds",
             "Wall seconds the last resume took (snapshot load and replay).",
         ).set(seconds)
-        if shard_workers:
-            service.promote_to_workers()
-        elif tcp_workers:
+        if tcp_workers:
             service.promote_to_remote(transport)
         return service
 
@@ -1952,7 +1904,7 @@ class TempoService:
         handle is closed first, so the workers — which own the journals
         from here on — never race the parent's open.
         """
-        check_worker_plane(self.router.shards, shard_workers=True)
+        check_worker_plane(self.router.shards, tcp_workers=True)
         windows = [_window_bytes(s["window"]) for s in self._drain_shards(self._now)]
         self._shard_metrics.clear()
         for shard in self.shards:
@@ -1976,28 +1928,13 @@ class TempoService:
             "failover_after": self.failover.failover_after,
         }
 
-    def promote_to_workers(self) -> None:
-        """Swap in-process shards for worker processes (post-replay).
-
-        The in-process shards' windows move into freshly spawned
-        workers, which own the shard journals from here on.
-        """
-        windows, paths, opts = self._release_shards()
-        self.shards = start_shard_workers(
-            self.router.shards, self.config.window, paths, opts,
-            observe=self.config.observe, **self._supervision(),
-        )
-        for shard, window in zip(self.shards, windows):
-            shard.restore(window)
-        self.shard_workers = True
-
     def promote_to_remote(self, transport: TransportConfig | None = None) -> None:
         """Swap in-process shards for TCP loopback workers (post-replay).
 
-        The TCP twin of :meth:`promote_to_workers`: windows move into
-        freshly spawned ``serve_shard`` processes behind
+        The in-process shards' windows move into freshly spawned
+        ``serve_shard`` processes behind
         :class:`~repro.service.transport.RemoteShardHandle` proxies,
-        with the same journal-ownership handoff.
+        which own the shard journals from here on.
         """
         windows, paths, opts = self._release_shards()
         if transport is not None:
@@ -2028,7 +1965,7 @@ class TempoService:
         """
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if self.shard_workers or self.tcp_workers or self.shard_endpoints:
+        if self.tcp_workers or self.shard_endpoints:
             raise RuntimeError("reshard before promoting shards to workers")
         with self._lock:
             merged = self._control_window(self._now).to_state()
@@ -2191,7 +2128,6 @@ class TempoService:
 def check_worker_plane(
     shards: int,
     *,
-    shard_workers: bool = False,
     tcp_workers: bool = False,
     shard_endpoints: list | None = None,
 ) -> None:
@@ -2201,9 +2137,9 @@ def check_worker_plane(
     appends decisions, configs and cluster events to it, so no worker
     process — spawned or operator-managed — may own it.
     """
-    if shards == 1 and (shard_workers or tcp_workers or shard_endpoints is not None):
+    if shards == 1 and (tcp_workers or shard_endpoints is not None):
         raise ValueError(
-            "worker shards (shard_workers / tcp_workers / shard_endpoints) "
+            "worker shards (tcp_workers / shard_endpoints) "
             "need shards >= 2: a single shard's journal is the control "
             "journal, which only the control plane writes"
         )

@@ -83,8 +83,9 @@ class FailoverConfig:
     """Supervision knobs of the failover plane.
 
     Attributes:
-        heartbeat_interval: Seconds between one worker liveness beat
-            and the next (``--heartbeat-interval``).
+        heartbeat_interval: Seconds between one worker liveness proof
+            and the next: a worker handle pings an idle link at least
+            this often (``--heartbeat-interval``).
         failover_after: Heartbeat age — and synchronous barrier reply
             bound — past which a shard is declared dead
             (``--failover-after``).  Must be at least twice the
@@ -621,7 +622,7 @@ class FaultInjector:
         (``kill``/``stall``/``slow_journal``/``inject_*``) and falls
         back to an in-process :class:`DeadShard`/:class:`FaultedShard`
         stand-in when the plane has none — so every shard plane
-        (in-process, worker process, TCP worker) takes the same fault
+        (in-process, TCP worker) takes the same fault
         schedule without the injector naming a single handle class.
         """
         service = self._service
@@ -705,7 +706,6 @@ class ChaosReport:
     Attributes:
         scenario: Scenario name driven through the faulted service.
         shards: Data-plane shard count.
-        shard_workers: Whether shards ran as worker processes.
         horizon: Simulated seconds replayed.
         faults: The requested schedule (canonical spec strings).
         injected: Faults that actually fired (resolved shard + time).
@@ -735,8 +735,8 @@ class ChaosReport:
         recovery_latency: Worst wall-clock failover latency (seconds).
         max_stats_gap: Worst incremental-vs-batch stats deviation seen
             during the faulted run (the 1e-9 oracle, live).
-        transport: Data-plane transport (``"tcp"`` for socket-fed
-            workers; empty for in-process and pipe-fed planes).
+        transport: Data-plane transport (``"tcp"`` for loopback TCP
+            workers; empty for in-process shards).
         reconnects: Transport reconnections completed across all
             shard links (partitions healed within backoff budget).
         transport_retries: Batches re-sent after a reconnect (every
@@ -749,7 +749,6 @@ class ChaosReport:
 
     scenario: str
     shards: int
-    shard_workers: bool
     horizon: float
     faults: tuple[str, ...]
     injected: tuple[str, ...]
@@ -782,10 +781,7 @@ class ChaosReport:
 
     def lines(self) -> list[str]:
         """Operator-facing render (what ``repro chaos`` prints)."""
-        if self.transport == "tcp":
-            mode = "tcp-workers"
-        else:
-            mode = "workers" if self.shard_workers else "in-process"
+        mode = "tcp-workers" if self.transport == "tcp" else "in-process"
         out = [
             f"chaos: {self.scenario} x {len(self.faults)} fault(s), "
             f"{self.shards} shard(s) ({mode}), horizon {self.horizon:.0f}s",
@@ -838,7 +834,6 @@ def run_chaos(
     faults: Sequence,
     *,
     shards: int = 4,
-    shard_workers: bool = False,
     tcp_workers: bool = False,
     horizon: float | None = None,
     scale: float | None = None,
@@ -854,10 +849,9 @@ def run_chaos(
     Runs the scenario twice with the same seed: once fault-free and
     in-process (the oracle for retunes and verdicts), once durable and
     supervised with the fault schedule armed — in-process shards by
-    default, pipe-fed worker processes with ``shard_workers=True``, or
-    socket-fed TCP workers with ``tcp_workers=True`` (the plane the
-    network faults ``partition``/``slow-net``/``drop-net`` hit for
-    real; on other planes they fall back to in-process stand-ins).  After the faulted run,
+    default, or loopback TCP workers with ``tcp_workers=True`` (the
+    plane the network faults ``partition``/``slow-net``/``drop-net`` hit
+    for real; in-process they fall back to stand-ins).  After the faulted run,
     every shard journal is re-read end to end (proving the frames
     CRC-clean) and per-shard journaled telemetry is compared against
     the delivered stream routed through a fresh
@@ -876,7 +870,7 @@ def run_chaos(
     from repro.service.sharding import ShardRouter
     from repro.service.snapshot import ServiceState
 
-    check_worker_plane(shards, shard_workers=shard_workers, tcp_workers=tcp_workers)
+    check_worker_plane(shards, tcp_workers=tcp_workers)
     specs = [
         parse_fault(fault) if isinstance(fault, str) else fault for fault in faults
     ]
@@ -904,7 +898,6 @@ def run_chaos(
             seed=seed,
             state=state,
             shards=shards,
-            shard_workers=shard_workers,
             tcp_workers=tcp_workers,
             failover=FailoverConfig(
                 heartbeat_interval=heartbeat_interval,
@@ -971,7 +964,6 @@ def run_chaos(
     return ChaosReport(
         scenario=scenario.name,
         shards=shards,
-        shard_workers=bool(shard_workers),
         horizon=summary.horizon,
         faults=tuple(spec.canonical() for spec in specs),
         injected=tuple(injector.injected),

@@ -19,7 +19,7 @@ A window's mergeable form is one ``bytes`` value
 (:meth:`RollingWindow.to_state`): a window-header frame then one frame
 per tenant with its retained entries as typed columns, all
 :mod:`repro.service.codec` frames.  Shard drains across a process
-boundary (``multiprocessing`` queue, TCP), ``restore`` and resharding
+boundary (a TCP worker's socket), ``restore`` and resharding
 carry that value as is; nothing renders a window entry as JSON.  A
 snapshot carries no window at all: the journal already holds every
 retained entry, so a snapshot records the window's clock, its ingest

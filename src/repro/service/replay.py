@@ -467,7 +467,6 @@ def build_service(
     seed: int = 0,
     state=None,
     shards: int = 1,
-    shard_workers: bool = False,
     tcp_workers: bool = False,
     failover=None,
     transport=None,
@@ -476,8 +475,8 @@ def build_service(
     """A TempoService wired for ``scenario`` (controller + config space).
 
     ``state`` optionally attaches a durable
-    :class:`~repro.service.snapshot.ServiceState` home; ``shards`` /
-    ``shard_workers`` / ``tcp_workers`` configure the data plane (see
+    :class:`~repro.service.snapshot.ServiceState` home; ``shards`` and
+    ``tcp_workers`` configure the data plane (see
     :mod:`repro.service.sharding` and
     :mod:`repro.service.transport`); ``failover`` optionally enables
     shard supervision (a :class:`~repro.service.failover.
@@ -490,7 +489,6 @@ def build_service(
         config,
         state=state,
         shards=shards,
-        shard_workers=shard_workers,
         tcp_workers=tcp_workers,
         failover=failover,
         transport=transport,

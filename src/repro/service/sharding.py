@@ -21,10 +21,10 @@ This module splits the serving stack into two planes:
   exactly as the unsharded daemon would.
 
 Shards run **in-process** (the default — same thread, zero IPC) or as
-**worker processes** (:class:`ShardWorkerHandle`): each worker owns its
-journal and window and receives event batches over a ``multiprocessing``
-queue, so journal encoding — the measured ingest bottleneck — runs on
-every core instead of one.  Both modes write byte-identical journals
+loopback **TCP workers** (:mod:`repro.service.transport`): each worker
+process owns its journal and window and receives event batches over a
+socket, so journal encoding — the measured ingest bottleneck — runs on
+every core instead of one.  Both modes write the same journal records
 (same routing, same order, same encoder, same sequence numbers), so
 resume never cares how the journals were produced.  In-process shards
 hand the control plane their live window at a barrier; only a process
@@ -42,24 +42,19 @@ common completed-chunk boundary (see
 ``ServiceState.rewind_to_heartbeat``).
 
 **Supervision** (the failover plane, see :mod:`repro.service.failover`):
-each worker runs a daemon heartbeat thread that keeps beating even while
-the command loop crunches batches, so the parent can tell a *busy*
-worker from a *dead* one.  Three failure signals surface as a typed
-:class:`ShardFailedError`: the process exited (``process-exit``),
-heartbeats stopped (``heartbeat-timeout``), or a synchronous barrier
-reply outlived ``failover_after`` (``reply-timeout`` — catches a worker
-that is alive and beating but wedged).  Unsupervised handles
-(``failover_after=None``) keep the legacy generous
-:attr:`ShardWorkerHandle.REPLY_TIMEOUT` bound.
+a failed shard surfaces as a typed :class:`ShardFailedError` whose
+``reason`` names the signal — ``process-exit`` (the launcher's probe saw
+the worker process exit), ``heartbeat-timeout`` (the failure detector,
+fed by replies and idle pings), ``reply-timeout`` (a barrier reply
+outlived ``failover_after``: reachable but wedged) or ``partition``
+(the link stayed down past ``failover_after``).
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
 import zlib
-from time import monotonic as _monotonic
-from typing import Iterable, Mapping, NamedTuple, Protocol, runtime_checkable
+from typing import Iterable, NamedTuple, Protocol, runtime_checkable
 
 from repro.service.events import (
     EventBus,
@@ -144,8 +139,7 @@ class ShardPartitionedError(RuntimeError):
 class ShardHandle(Protocol):
     """Minimal surface the control plane needs from any shard.
 
-    Implemented by the in-process :class:`IngestShard`, the
-    ``multiprocessing`` :class:`ShardWorkerHandle`, and the TCP
+    Implemented by the in-process :class:`IngestShard` and the TCP
     :class:`~repro.service.transport.RemoteShardHandle`, so the daemon,
     its drain barriers, and ``failover_shard`` stay transport-agnostic:
     they call this protocol and probe optional capabilities (``kill``
@@ -431,8 +425,8 @@ class IngestShard:
         """Advance to ``now`` and return per-tenant statistics only.
 
         The cadence tick's cheap path: O(tenants) running-sums
-        snapshots (and, in worker mode, a few hundred bytes over the
-        queue) instead of the full O(retained-entries) window dump —
+        snapshots (and, for a TCP worker, a few hundred bytes over the
+        socket) instead of the full O(retained-entries) window dump —
         the guards decide on merged statistics, and the full state is
         only drained when a tune actually proceeds.
         """
@@ -504,349 +498,3 @@ class IngestShard:
         """Close the shard journal (pending appends are flushed)."""
         if self.journal is not None:
             self.journal.close()
-
-
-# -- worker processes ---------------------------------------------------------
-
-
-def _worker_main(
-    shard_id: int,
-    window: float,
-    journal_path,
-    journal_opts: dict,
-    commands,
-    replies,
-    observe: bool = False,
-    beats=None,
-    heartbeat_interval: float = 1.0,
-) -> None:
-    """Entry point of one shard worker process.
-
-    Owns the shard end-to-end: the journal is opened *inside* the worker
-    (never in the parent, whose open would race the worker's tail
-    repair), commands arrive over ``commands``, and every synchronous
-    command answers on ``replies``.  Any failure is reported on
-    ``replies`` and ends the worker — a dead shard must surface at the
-    parent's next sync point, not vanish.
-
-    When ``beats`` is given, a daemon thread puts one liveness beat on
-    it every ``heartbeat_interval`` seconds.  The thread beats through
-    batch processing (and through an injected ``stall``), so heartbeat
-    age distinguishes *dead* from *busy*; only an actual process exit
-    or a wedged reply trips the detector.  The ``stall`` and ``slow``
-    commands exist for the fault injector: ``stall`` sleeps the command
-    loop (the worker stays alive and beating but stops replying) and
-    ``slow`` degrades the next N batches to per-record journal appends
-    (byte-identical records, group commit disabled — pure latency).
-    """
-    import threading
-    import time as _time
-
-    from repro.service.journal import EventJournal  # local: after fork
-
-    if beats is not None:
-        stop_beating = threading.Event()
-
-        def _beat() -> None:
-            while not stop_beating.is_set():
-                try:
-                    beats.put_nowait(_time.monotonic())
-                except Exception:  # queue torn down at exit
-                    return
-                if stop_beating.wait(heartbeat_interval):
-                    return
-
-        threading.Thread(
-            target=_beat, name=f"tempo-shard-{shard_id:02d}-beat", daemon=True
-        ).start()
-
-    journal = None
-    slow_batches = 0
-    try:
-        if journal_path is not None:
-            journal = EventJournal(journal_path, **journal_opts)
-        metrics = None
-        if observe:
-            from repro.obs import MetricsRegistry
-
-            metrics = MetricsRegistry()
-        shard = IngestShard(shard_id, window, journal=journal, metrics=metrics)
-        while True:
-            command = commands.get()
-            op = command[0]
-            if op == "ingest":
-                if slow_batches > 0:
-                    slow_batches -= 1
-                    for event in command[1]:
-                        shard.ingest([event])
-                else:
-                    shard.ingest(command[1])
-            elif op == "state":
-                state = shard.drain_state(command[1])
-                state["window"] = state["window"].to_state()
-                replies.put(("state", state))
-            elif op == "stats":
-                replies.put(("stats", shard.drain_stats(command[1])))
-            elif op == "checkpoint":
-                replies.put(("checkpoint", shard.checkpoint(command[1])))
-            elif op == "restore":
-                shard.restore(command[1])
-                replies.put(("ok", shard_id))
-            elif op == "stall":
-                _time.sleep(command[1])
-            elif op == "slow":
-                slow_batches += int(command[1])
-            elif op == "stop":
-                shard.close()
-                replies.put(("stopped", shard_id))
-                return
-            else:  # pragma: no cover - protocol misuse
-                raise RuntimeError(f"unknown shard command {op!r}")
-    except BaseException as exc:
-        try:
-            if journal is not None:
-                journal.close()
-        finally:
-            replies.put(("error", f"{type(exc).__name__}: {exc}"))
-
-
-class ShardWorkerHandle:
-    """Parent-side proxy of one shard worker process.
-
-    Implements the same surface the control plane uses on an in-process
-    :class:`IngestShard` — :meth:`ingest` (asynchronous: the batch is
-    enqueued and the call returns), :meth:`drain_state` (synchronous
-    barrier: the reply necessarily follows every batch queued before
-    it, so the returned window state covers them all), :meth:`restore`,
-    and :meth:`close`.  Durability therefore lags acknowledgement by
-    the queue depth: batches still queued at a crash are the torn tail
-    recovery already rewinds past.
-    """
-
-    #: Seconds to wait on a synchronous reply before declaring the
-    #: worker dead (generous: a drain waits behind queued batches).
-    #: ``failover_after`` tightens this bound when supervision is on.
-    REPLY_TIMEOUT = 120.0
-
-    def __init__(
-        self,
-        shard_id: int,
-        window: float,
-        journal_path=None,
-        journal_opts: Mapping | None = None,
-        observe: bool = False,
-        heartbeat_interval: float = 1.0,
-        failover_after: float | None = None,
-    ):
-        self.shard_id = int(shard_id)
-        #: Batches queued since the last synchronous barrier — the
-        #: parent-side view of this worker's queue lag.
-        self.pending_batches = 0
-        #: Seconds the worker emits one liveness beat per.
-        self.heartbeat_interval = float(heartbeat_interval)
-        #: Supervised reply bound (``None``: legacy unsupervised mode
-        #: with the generous :attr:`REPLY_TIMEOUT`).
-        self.failover_after = None if failover_after is None else float(failover_after)
-        ctx = mp.get_context("fork")
-        self._commands = ctx.Queue()
-        self._replies = ctx.Queue()
-        self._beats = ctx.Queue()
-        self._last_beat = _monotonic()
-        self._process = ctx.Process(
-            target=_worker_main,
-            args=(
-                self.shard_id,
-                float(window),
-                None if journal_path is None else str(journal_path),
-                dict(journal_opts or {}),
-                self._commands,
-                self._replies,
-                bool(observe),
-                self._beats,
-                self.heartbeat_interval,
-            ),
-            name=f"tempo-shard-{shard_id:02d}",
-            daemon=True,
-        )
-        self._process.start()
-
-    def __repr__(self) -> str:
-        alive = self._process.is_alive()
-        return f"ShardWorkerHandle(id={self.shard_id}, alive={alive})"
-
-    @property
-    def alive(self) -> bool:
-        """Whether the worker process is still running."""
-        return self._process.is_alive()
-
-    def heartbeat_age(self) -> float:
-        """Seconds since the worker's newest liveness beat.
-
-        Drains the beat queue (newest beat wins; ``monotonic`` is
-        system-wide on Linux so worker stamps compare directly with the
-        parent clock).  The beat thread keeps beating while the command
-        loop crunches a batch, so a large age means the *process* is
-        gone or wedged, not merely busy.
-        """
-        import queue as _queue
-
-        while True:
-            try:
-                stamp = self._beats.get_nowait()
-            except (_queue.Empty, OSError, ValueError):
-                break
-            if stamp > self._last_beat:
-                self._last_beat = stamp
-        return max(0.0, _monotonic() - self._last_beat)
-
-    def kill(self) -> None:
-        """SIGKILL the worker process and reap it (fault injection)."""
-        self._process.kill()
-        self._process.join(timeout=10.0)
-        self._release_queues()
-
-    def _release_queues(self) -> None:
-        """Drop the queue buffers once the worker is gone.
-
-        A queue feeder thread flushing buffered batches into a pipe no
-        process will ever read blocks — and ``multiprocessing`` joins
-        feeder threads at interpreter exit, so a SIGKILLed worker whose
-        command queue still held data would hang shutdown forever.
-        """
-        for queue in (self._commands, self._replies, self._beats):
-            try:
-                queue.cancel_join_thread()
-                queue.close()
-            except (OSError, ValueError):
-                pass  # already closed
-
-    def stall(self, seconds: float) -> None:
-        """Inject a command-loop stall: the worker sleeps but keeps beating."""
-        self._commands.put(("stall", float(seconds)))
-
-    def slow_journal(self, batches: int) -> None:
-        """Degrade the next ``batches`` ingests to per-record appends."""
-        self._commands.put(("slow", int(batches)))
-
-    def ingest(self, events: list[ServiceEvent]) -> None:
-        """Queue one batch for the worker (returns immediately).
-
-        Supervised handles check liveness first — enqueueing onto a dead
-        worker would silently drop the batch until the next barrier.
-        """
-        if events:
-            if self.failover_after is not None and not self._process.is_alive():
-                raise ShardFailedError(self.shard_id, "process-exit")
-            self.pending_batches += 1
-            self._commands.put(("ingest", events))
-
-    def drain_state(self, now: float) -> dict:
-        """Barrier: process every queued batch, advance, return state."""
-        self._commands.put(("state", now))
-        state = self._reply("state")
-        self.pending_batches = 0
-        return state
-
-    def drain_stats(self, now: float) -> dict:
-        """Barrier returning only per-tenant statistics (cadence path)."""
-        self._commands.put(("stats", now))
-        stats = self._reply("stats")
-        self.pending_batches = 0
-        return stats
-
-    def checkpoint(self, now: float) -> dict:
-        """Barrier returning the shard's snapshot facts (no window bytes)."""
-        self._commands.put(("checkpoint", now))
-        state = self._reply("checkpoint")
-        self.pending_batches = 0
-        return state
-
-    def restore(self, window_state: bytes) -> None:
-        """Replace the worker's window with a persisted state."""
-        self._commands.put(("restore", window_state))
-        self._reply("ok")
-
-    def close(self) -> None:
-        """Stop the worker, flushing its journal; join the process."""
-        if self._process.is_alive():
-            try:
-                self._commands.put(("stop",))
-                self._reply("stopped")
-            except RuntimeError:
-                pass  # already dead; join below reaps it either way
-        self._process.join(timeout=10.0)
-        self._release_queues()
-
-    def _reply(self, expected: str):
-        import queue as _queue
-
-        bound = (
-            self.REPLY_TIMEOUT if self.failover_after is None else self.failover_after
-        )
-        deadline = _monotonic() + bound
-        # Poll in short slices so a worker that died mid-batch surfaces
-        # within ~0.2s instead of blocking the control plane on a reply
-        # that will never come (the latent drain-barrier hang).
-        while True:
-            try:
-                kind, payload = self._replies.get(timeout=0.2)
-            except _queue.Empty:
-                if not self._process.is_alive():
-                    raise ShardFailedError(
-                        self.shard_id,
-                        "process-exit",
-                        f"shard worker {self.shard_id} died without replying",
-                    ) from None
-                if _monotonic() > deadline:
-                    raise ShardFailedError(
-                        self.shard_id,
-                        "reply-timeout",
-                        f"shard worker {self.shard_id} reply timed out "
-                        f"after {bound:g}s",
-                    ) from None
-                continue
-            if kind == "error":
-                raise ShardFailedError(
-                    self.shard_id,
-                    "worker-error",
-                    f"shard worker {self.shard_id} failed: {payload}",
-                )
-            if kind != expected:  # pragma: no cover - protocol misuse
-                raise RuntimeError(
-                    f"shard worker {self.shard_id}: expected {expected!r} "
-                    f"reply, got {kind!r}"
-                )
-            return payload
-
-
-def start_shard_workers(
-    shards: int,
-    window: float,
-    journal_paths: list | None,
-    journal_opts: Mapping | None = None,
-    observe: bool = False,
-    heartbeat_interval: float = 1.0,
-    failover_after: float | None = None,
-) -> list[ShardWorkerHandle]:
-    """Spawn one worker process per shard; returns their handles.
-
-    ``journal_paths`` is either ``None`` (no durability) or one path per
-    shard; the journals are opened inside the workers.  With ``observe``
-    each worker builds a shard-local metrics registry whose dump rides
-    back on every :meth:`~ShardWorkerHandle.drain_state` barrier.
-    ``failover_after`` turns on supervision: barriers bound their reply
-    wait by it and raise :class:`ShardFailedError` instead of the
-    legacy 120s untyped timeout.
-    """
-    return [
-        ShardWorkerHandle(
-            i,
-            window,
-            None if journal_paths is None else journal_paths[i],
-            journal_opts,
-            observe=observe,
-            heartbeat_interval=heartbeat_interval,
-            failover_after=failover_after,
-        )
-        for i in range(shards)
-    ]

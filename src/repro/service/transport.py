@@ -1,13 +1,13 @@
 """TCP transport for shard workers: socket-fed shards with retry/backoff.
 
-PR 7 gave the data plane crash tolerance — a phi-style failure detector
-and journal-replay failover — but shards still lived behind same-host
-``multiprocessing`` queues.  This module promotes them to network
-peers while keeping the control plane transport-agnostic: a
+The one way a shard runs outside the control plane's process.  A
 :class:`RemoteShardHandle` implements the exact
 :class:`~repro.service.sharding.ShardHandle` surface the daemon, the
-drain barrier, and ``failover_shard`` already use, so nothing above
-the handle knows whether a shard is an object, a fork, or a socket.
+drain barrier, and ``failover_shard`` use on an in-process shard, so
+nothing above the handle knows whether a shard is an object or a
+socket.  The peer is either a loopback worker process the
+:class:`WorkerLauncher` forked (``tcp_workers``) or an operator-run
+``repro worker`` (``shard_endpoints``).
 
 **Wire format.**  One frame = a 4-byte big-endian length prefix
 followed by a body.  Control ops and every reply are CRC-framed
@@ -49,8 +49,15 @@ long partition.
    server-side) and the episode ends.
 3. If the episode outlives ``failover_after``, the handle fences
    itself — ``alive`` goes ``False`` with ``reason="partition"`` — and
-   the next supervised touch routes into the PR 7 failover path
-   (journal rewind, replay, respawn).
+   the next supervised touch routes into the failover path (journal
+   rewind, replay, respawn).
+
+**Process exit.**  A launched worker's handle does not wait for the
+partition bound: once the :class:`WorkerLauncher` sees the worker's
+process gone, ``alive`` goes ``False`` with ``reason="process-exit"``
+and pending barriers fail with that reason, so the next supervised
+touch fails the shard over at once.  Operator-run peers have no
+process to probe; for them a dead worker is a partition.
 
 See ``docs/OPERATIONS.md`` ("Distributed deployment") for the tuning
 table and the partition-vs-failover timeline, and
@@ -104,6 +111,10 @@ _LEN = struct.Struct("!I")
 _WIRE_MAGIC_BYTE = bytes([WIRE_MAGIC])
 #: First body byte of a frame carrying one window state.
 _WINDOW_MAGIC_BYTE = b"\x01"
+
+#: Seconds a handle that lost its connection waits for a launched
+#: worker's exit to show before treating the loss as a partition.
+_EXIT_GRACE = 0.05
 
 
 class TransportError(RuntimeError):
@@ -233,9 +244,8 @@ class ShardServer:
     duplicate-free at the journal: a re-sent batch at or below
     ``applied`` is acknowledged without touching the shard.
 
-    An unexpected shard-side failure mirrors
-    :func:`~repro.service.sharding._worker_main`: the server sends one
-    ``error`` reply best-effort, closes the shard (flushing its
+    An unexpected shard-side failure ends the worker: the server sends
+    one ``error`` reply best-effort, closes the shard (flushing its
     journal), and stops serving — the process death the client's
     supervision then detects.
     """
@@ -317,7 +327,7 @@ class ShardServer:
             except _StopServing:
                 send_frame(conn, {"op": "stopped"})
                 raise
-            except Exception as exc:  # mirror worker death semantics
+            except Exception as exc:  # a failed shard ends the worker
                 try:
                     send_frame(conn, {"op": "error", "message": f"{exc}"})
                 finally:
@@ -404,7 +414,7 @@ def serve_shard(
     The process/thread entrypoint behind ``repro worker`` and
     :class:`WorkerLauncher`: builds the
     :class:`~repro.service.sharding.IngestShard` (opening its journal
-    worker-side, same ownership as the mp plane), binds the listener,
+    worker-side: the worker owns it while it runs), binds the listener,
     reports the bound port on ``ready`` (a queue) when given, and
     serves until a ``stop`` request or a fatal shard error.
     """
@@ -450,8 +460,8 @@ class _SyncWaiter:
 class RemoteShardHandle:
     """Parent-side proxy of one shard served over TCP.
 
-    Same control-plane surface as
-    :class:`~repro.service.sharding.ShardWorkerHandle` (the
+    Same control-plane surface as the in-process
+    :class:`~repro.service.sharding.IngestShard` (the
     :class:`~repro.service.sharding.ShardHandle` protocol):
     asynchronous :meth:`ingest`, synchronous :meth:`drain_state` /
     :meth:`drain_stats` barriers, :meth:`restore`, :meth:`close`,
@@ -464,7 +474,16 @@ class RemoteShardHandle:
     ``backpressure_dropped``, ``connect_attempts``) are plain ints
     written only by the I/O thread and scraped by the control plane —
     the registry's single-writer contract.
+
+    With a ``launcher`` the handle also probes its worker's process:
+    once it has exited the handle is dead with
+    ``reason="process-exit"``.
     """
+
+    #: Seconds an unsupervised handle waits on a synchronous reply
+    #: (generous: a drain waits behind queued batches).
+    #: ``failover_after`` tightens this bound when supervision is on.
+    REPLY_TIMEOUT = 120.0
 
     def __init__(
         self,
@@ -537,7 +556,7 @@ class RemoteShardHandle:
     @property
     def alive(self) -> bool:
         """Whether the handle still considers its worker reachable."""
-        return not self._dead
+        return not self._probe_dead()
 
     @property
     def pending_batches(self) -> int:
@@ -549,8 +568,8 @@ class RemoteShardHandle:
 
         The I/O thread pings on an idle connection every
         ``ping_idle`` seconds, so on a healthy link this stays near
-        zero; through a partition it grows until reconnect — the same
-        signal the failure detector consumes for mp workers.
+        zero; through a partition it grows until reconnect — the
+        signal the failure detector consumes.
         """
         return max(0.0, _monotonic() - self._last_reply)
 
@@ -564,7 +583,7 @@ class RemoteShardHandle:
         """
         if not events:
             return
-        if self._dead:
+        if self._probe_dead():
             if self.failover_after is not None:
                 raise ShardFailedError(self.shard_id, self.reason or "partition")
             return
@@ -701,7 +720,7 @@ class RemoteShardHandle:
 
         ``payload`` is an op mapping or a pre-encoded raw frame body.
         """
-        if self._dead:
+        if self._probe_dead():
             raise ShardFailedError(self.shard_id, self.reason or "partition")
         if self._ever_connected and self._sock is None:
             raise ShardPartitionedError(
@@ -718,7 +737,7 @@ class RemoteShardHandle:
             bound = (
                 self.failover_after
                 if self.failover_after is not None
-                else ShardWorkerReplyBound
+                else self.REPLY_TIMEOUT
             )
         if not waiter.event.wait(bound):
             raise ShardFailedError(
@@ -735,6 +754,23 @@ class RemoteShardHandle:
                 f"got {reply.get('op')!r}"
             )
         return reply
+
+    def _probe_dead(self, grace: float = 0.0) -> bool:
+        """Whether the handle is dead, marking it so once the launcher's
+        process for this shard has exited (``process-exit``).
+
+        ``grace`` re-probes for up to that many seconds: a worker's
+        socket EOF and its exit reach the parent in no fixed order.
+        """
+        if self._dead or self.launcher is None:
+            return self._dead
+        deadline = _monotonic() + grace
+        while self.launcher.alive(self.shard_id):
+            if _monotonic() >= deadline:
+                return self._dead
+            time.sleep(0.005)
+        self._mark_dead("process-exit")
+        return True
 
     def _mark_dead(self, reason: str) -> None:
         """Flip the handle dead and fail every pending synchronous wait."""
@@ -774,7 +810,14 @@ class RemoteShardHandle:
             self._sock = None
 
     def _on_disconnect(self) -> None:
-        """Handle a lost connection: fail barriers, keep batches, retry."""
+        """Handle a lost connection: fail barriers, keep batches, retry.
+
+        A lost connection whose worker process exited is no partition:
+        the handle goes dead with ``process-exit`` and its barriers fail
+        with that reason instead.
+        """
+        if self._probe_dead(_EXIT_GRACE):
+            return
         with self._lock:
             self._close_socket()
             if self._disconnected_since is None:
@@ -808,7 +851,7 @@ class RemoteShardHandle:
     def _try_connect(self) -> bool:
         """One bounded connect+hello attempt under backoff and fencing."""
         now = _monotonic()
-        if self._check_fence(now):
+        if self._probe_dead() or self._check_fence(now):
             return False
         if now < self._partition_until or now < self._next_attempt:
             self._stop.wait(0.005)
@@ -974,23 +1017,18 @@ class RemoteShardHandle:
         return reply
 
 
-#: Unsupervised synchronous reply bound — mirrors
-#: :attr:`~repro.service.sharding.ShardWorkerHandle.REPLY_TIMEOUT`.
-ShardWorkerReplyBound = 120.0
-
-
 # -- loopback worker fleet ----------------------------------------------------
 
 
 class WorkerLauncher:
     """Spawns and reaps loopback ``serve_shard`` worker processes.
 
-    The TCP analogue of :func:`~repro.service.sharding.
-    start_shard_workers`: forks one OS process per shard, each binding
-    an ephemeral loopback port it reports over a ready queue.  The
-    launcher keeps the process table so failover can fence (SIGKILL)
-    and respawn a shard — :meth:`spawn` on an existing shard id kills
-    the old process first and returns the replacement's address.
+    Forks one OS process per shard, each binding an ephemeral loopback
+    port it reports over a ready queue.  The launcher keeps the process
+    table so handles can probe their worker's exit (:meth:`alive`) and
+    failover can fence (SIGKILL) and respawn a shard — :meth:`spawn` on
+    an existing shard id kills the old process first and returns the
+    replacement's address.
     """
 
     def __init__(
@@ -1053,6 +1091,11 @@ class WorkerLauncher:
         self._procs[shard_id] = process
         return (self.host, int(port))
 
+    def alive(self, shard_id: int) -> bool:
+        """Whether the worker process for ``shard_id`` is still running."""
+        process = self._procs.get(int(shard_id))
+        return process is not None and process.is_alive()
+
     def kill(self, shard_id: int) -> None:
         """SIGKILL and reap the worker for ``shard_id`` (fencing)."""
         process = self._procs.pop(int(shard_id), None)
@@ -1091,9 +1134,8 @@ def start_remote_shards(
 ) -> tuple[list[RemoteShardHandle], WorkerLauncher]:
     """Spawn a loopback TCP worker fleet; return (handles, launcher).
 
-    The TCP twin of :func:`~repro.service.sharding.start_shard_workers`
-    with the same journal-ownership contract: ``journal_paths`` is
-    ``None`` or one path per shard, opened inside the workers.
+    ``journal_paths`` is ``None`` or one path per shard; each journal is
+    opened inside its worker, which owns it while it runs.
     """
     config = config or TransportConfig()
     launcher = WorkerLauncher(

@@ -162,7 +162,7 @@ class TestDocsPages:
         replay = {
             s for a in subs["replay"]._actions for s in a.option_strings
         }
-        for flag in ("--shards", "--shard-workers", "--state-dir", "--scenario"):
+        for flag in ("--shards", "--tcp-workers", "--state-dir", "--scenario"):
             assert flag in serve and flag in replay
 
     def test_operations_covers_scenario_catalog(self):

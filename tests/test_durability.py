@@ -1261,11 +1261,13 @@ class TestCliResume:
                 "revert_windows": 1,
                 "continuous": True,
                 # Written by builds that still had codecs, the what-if
-                # pool/memo and the async journal writer: ignored.
+                # pool/memo, the async journal writer and multiprocessing
+                # shard workers: ignored.
                 "journal_codec": "binary",
                 "whatif_workers": 2,
                 "whatif_cache_size": 256,
                 "async_journal": True,
+                "shard_workers": True,
             }
         )
         service = build_service(scenario, config, seed=1, state=state)

@@ -1,8 +1,8 @@
 """Tests for the failover plane: fault grammar, failure detector,
 dead/faulted shard stand-ins, the deterministic injector, the crash
-matrix (fault kind x shard count x execution mode), the kill -9
-mid-replay acceptance run, the drain-barrier regression, random fault
-schedules as hypothesis properties, and the ``repro chaos`` harness."""
+matrix (fault kind x shard count x plane), the kill -9 mid-replay
+acceptance run, the drain-barrier regression, random fault schedules
+as hypothesis properties, and the ``repro chaos`` harness."""
 
 import math
 import os
@@ -35,15 +35,15 @@ from repro.service.failover import (
     run_chaos,
 )
 from repro.service.ingest import RollingWindow
-from repro.service.journal import decode_event
+from repro.service.journal import canonical_json, decode_event, encode_event
 from repro.service.replay import build_controller, build_service, make_scenario
 from repro.service.sharding import (
     IngestShard,
     ShardFailedError,
     ShardRouter,
-    ShardWorkerHandle,
 )
 from repro.service.snapshot import ServiceState
+from repro.service.transport import RemoteShardHandle, start_remote_shards
 from repro.workload.trace import JobRecord, TaskRecord
 
 TENANTS = tuple(f"tenant-{i:02d}" for i in range(11))
@@ -176,6 +176,16 @@ def _routed_telemetry(events, shards):
         if isinstance(event, TELEMETRY):
             routed[router.route(event)].append(event)
     return routed
+
+
+def _event_keys(events):
+    """Canonical identity of each telemetry event (duplicate detector)."""
+    return [canonical_json(encode_event(e)) for e in events]
+
+
+def _kill_worker(service, shard_id):
+    """SIGKILL one loopback TCP worker from outside, as a crash would."""
+    os.kill(service._launcher._procs[shard_id].pid, signal.SIGKILL)
 
 
 def _oracle_stats(journaled, window, now):
@@ -407,21 +417,23 @@ class TestFaultInjector:
 
 
 class TestCrashMatrix:
-    """Every fault kind x {1, 2, 4} shards x {in-process, workers}.
+    """Every fault kind x {1, 2, 4} shards x {in-process, TCP workers}.
 
     The uniform post-mortem: the journals re-read CRC-clean end to end,
     surviving shards journal exactly the telemetry routed to them (minus
-    what drop faults discarded before any shard saw it), and the merged
-    window statistics equal a fresh batch recompute over the journaled
-    survivor set to 1e-9 — the same oracle the fault-free sharding tests
-    hold the data plane to.
+    what drop faults discarded before any shard saw it) and no shard
+    journals an event twice, and the merged window statistics equal a
+    fresh batch recompute over the journaled survivor set to 1e-9 — the
+    same oracle the fault-free sharding tests hold the data plane to.
+    The ids name each plane's role: loopback TCP is the worker plane.
     """
 
-    @pytest.mark.parametrize("workers", [False, True], ids=["inproc", "workers"])
+    @pytest.mark.parametrize("plane", ["inproc", "tcp"], ids=["inproc", "workers"])
     @pytest.mark.parametrize("shards", [1, 2, 4])
     @pytest.mark.parametrize("kind", FAULT_KINDS)
-    def test_fault_matrix(self, tmp_path, kind, shards, workers):
-        if workers and shards == 1:
+    def test_fault_matrix(self, tmp_path, kind, shards, plane):
+        tcp = plane == "tcp"
+        if tcp and shards == 1:
             pytest.skip("worker data plane requires shards > 1")
         events = _events(seed=3 + shards, count=240, heartbeat_every=60)
         half = len(events) // 2
@@ -444,7 +456,7 @@ class TestCrashMatrix:
             seed=0,
             state=state,
             shards=shards,
-            shard_workers=workers,
+            tcp_workers=tcp,
             failover=FAST,
         )
         injector = FaultInjector(
@@ -458,10 +470,17 @@ class TestCrashMatrix:
             # Wait out the partition window so the barrier below heals
             # the link and flushes the buffered tail to the journal.
             time.sleep(amount + 0.2)
+        if kind == "stall-shard" and tcp:
+            # Give supervision time to notice the unresponsive worker.
+            deadline = time.monotonic() + 5.0
+            while not service.failovers and time.monotonic() < deadline:
+                service.check_shards()
+                time.sleep(0.05)
 
         merged = service.window  # live merged view: forces a full barrier
         snap, now = merged.snapshot(), merged.now
         failovers = list(service.failovers)
+        transport = service.transport_stats()
         service.close()
         state.close()
 
@@ -470,7 +489,7 @@ class TestCrashMatrix:
             assert failed == {victim}
             report = failovers[0]
             if kind == "kill-shard":
-                assert report.reason in ("killed", "process-exit")
+                assert report.reason in ("killed", "fenced", "process-exit")
             else:
                 assert report.reason in ("stall", "reply-timeout", "heartbeat-timeout")
             assert report.latency >= 0.0
@@ -480,19 +499,25 @@ class TestCrashMatrix:
             # Every plane, one shard included, has a producer->shard
             # batch boundary: drops must really happen there.
             assert sum(injector.dropped_by_shard().values()) > 0
+        if kind == "partition" and tcp:
+            # The real transport partitioned and healed by reconnect.
+            assert transport[victim].get("partitions", 0) >= 1
+            assert transport[victim].get("reconnects", 0) >= 1
 
         routed = _routed_telemetry(events, shards)
         journaled = _journaled_telemetry(tmp_path, shards)
         dropped = injector.dropped_by_shard()
         for i in range(shards):
             expected = len(routed[i]) - dropped.get(i, 0)
-            if i in failed and workers:
+            if i in failed and tcp:
                 # A killed worker's queue residue and truncated tail are
                 # the failover's bounded loss; never negative, never a
                 # survivor's.
                 assert 0 <= len(journaled[i]) <= expected
             else:
                 assert len(journaled[i]) == expected, f"shard {i} lost events"
+            keys = _event_keys(journaled[i])
+            assert len(set(keys)) == len(keys), f"shard {i} duplicates"
 
         _stats_close(
             snap,
@@ -504,7 +529,7 @@ class TestCrashMatrix:
 
 class TestKillNineAcceptance:
     def test_sigkill_mid_replay_bounded_recovery(self, tmp_path):
-        """kill -9 one shard worker mid-stream: the service keeps
+        """kill -9 one loopback worker mid-stream: the service keeps
         serving, the replacement resumes from the shard journal at the
         broadcast heartbeat boundary, survivors lose nothing, merged
         stats match the batch oracle to 1e-9, and a resume restores the
@@ -518,13 +543,12 @@ class TestKillNineAcceptance:
             seed=0,
             state=state,
             shards=4,
-            shard_workers=True,
+            tcp_workers=True,
             failover=FAST,
         )
         service.ingest_batch(events[:half])
-        handle = service.shards[1]
-        assert isinstance(handle, ShardWorkerHandle)
-        os.kill(handle._process.pid, signal.SIGKILL)
+        assert isinstance(service.shards[1], RemoteShardHandle)
+        _kill_worker(service, 1)
 
         service.ingest_batch(events[half:])  # keeps serving
         assert [report.shard for report in service.failovers] == [1]
@@ -568,31 +592,66 @@ class TestKillNineAcceptance:
         _stats_close(resumed.window.snapshot(), snap)
         resumed.close()
 
+    def test_exited_worker_fails_over_in_the_same_call(self, tmp_path):
+        """A loopback worker killed from outside is a process exit, not
+        a partition: the next ``ingest_batch`` fails it over with
+        ``process-exit`` and serves no stale statistics on the way."""
+        events = _events(seed=6, count=200, heartbeat_every=20)
+        half = len(events) // 2
+        state = ServiceState(tmp_path, shards=2)
+        service = build_service(
+            _scenario(),
+            _service_config(),
+            seed=0,
+            state=state,
+            shards=2,
+            tcp_workers=True,
+            failover=FAST,
+        )
+        try:
+            service.ingest_batch(events[:half])
+            process = service._launcher._procs[1]
+            _kill_worker(service, 1)
+            process.join(10.0)  # exited (and reaped) before the next call
+            assert not process.is_alive()
+            service.ingest_batch(events[half:])
+            assert [(r.shard, r.reason) for r in service.failovers] == [
+                (1, "process-exit")
+            ]
+            assert service.stale_serves == 0
+        finally:
+            service.close()
+            state.close()
+
 
 class TestDrainBarrierRegression:
     """The latent hang: a worker dying mid-batch left the control plane
-    blocked on a reply that would never come.  The barrier now polls the
-    reply queue in short slices and checks the process between slices."""
+    blocked on a reply that would never come.  A launched worker's
+    handle probes its process, so a barrier sees the death at once."""
 
     def test_dead_worker_mid_drain_surfaces_quickly(self):
-        handle = ShardWorkerHandle(0, 600.0)  # legacy unsupervised mode
+        handles, launcher = start_remote_shards(1, 600.0)  # unsupervised
+        handle = handles[0]
         try:
             handle.ingest([e for e in _events(seed=7, count=5)])
-            handle._process.kill()
+            handle.drain_state(10.0)  # connected, batches applied
+            launcher._procs[0].kill()
             started = time.monotonic()
             with pytest.raises(ShardFailedError) as exc:
                 handle.drain_state(10.0)
             assert exc.value.reason == "process-exit"
-            # Far below the 120s legacy reply timeout: the barrier saw
-            # the death, it did not wait out the clock.
+            # Far below the 120s unsupervised reply timeout: the barrier
+            # saw the death, it did not wait out the clock.
             assert time.monotonic() - started < 30.0
         finally:
             handle.close()
+            launcher.close()
 
     def test_stalled_worker_hits_the_supervised_reply_bound(self):
-        handle = ShardWorkerHandle(
-            0, 600.0, heartbeat_interval=0.1, failover_after=0.5
+        handles, launcher = start_remote_shards(
+            1, 600.0, heartbeat_interval=0.1, failover_after=0.5
         )
+        handle = handles[0]
         try:
             handle.stall(3.0)
             started = time.monotonic()
@@ -602,6 +661,7 @@ class TestDrainBarrierRegression:
             assert time.monotonic() - started < 30.0
         finally:
             handle.kill()  # fence it; no need to wait out the stall
+            launcher.close()
 
     def test_service_barrier_fails_over_a_worker_killed_mid_drain(self, tmp_path):
         state = ServiceState(tmp_path, shards=2)
@@ -611,12 +671,12 @@ class TestDrainBarrierRegression:
             seed=0,
             state=state,
             shards=2,
-            shard_workers=True,
+            tcp_workers=True,
             failover=FAST,
         )
         try:
             service.ingest_batch(_events(seed=8, count=40))
-            os.kill(service.shards[0]._process.pid, signal.SIGKILL)
+            _kill_worker(service, 0)
             started = time.monotonic()
             merged = service.window  # drain barrier: must not hang
             assert time.monotonic() - started < 30.0
@@ -681,7 +741,6 @@ class TestFaultScheduleProperties:
                 seed=0,
                 state=state,
                 shards=shards,
-                shard_workers=False,
                 failover=FAST,
             )
             injector = FaultInjector(specs, seed=seed)
@@ -715,7 +774,6 @@ class TestChaosHarness:
             "flash-failure",
             ["kill-shard:1@t=1"],
             shards=2,
-            shard_workers=False,
             horizon=2 * 3600.0,
             window=600.0,
             interval=300.0,
@@ -738,7 +796,6 @@ class TestChaosHarness:
             "steady",
             ["kill-shard:0@t=99"],
             shards=2,
-            shard_workers=False,
             horizon=1800.0,
             window=600.0,
             interval=300.0,
