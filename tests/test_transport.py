@@ -1,10 +1,9 @@
 """Tests for the TCP transport plane: wire framing, the shard server's
 request/reply loop with reconnect dedupe, :class:`RemoteShardHandle`
 parity with the in-process shard, backpressure accounting, random
-partition/reconnect schedules as hypothesis properties, and
-service-level degraded serving plus lethal-partition failover with
-transport metrics.  The crash matrix over every fault kind runs the TCP
-plane beside the in-process one in ``test_failover``."""
+partition/reconnect schedules as hypothesis properties, the TCP crash
+matrix, and service-level degraded serving plus lethal-partition
+failover with transport metrics."""
 
 import socket
 import struct
@@ -23,7 +22,12 @@ from repro.service.events import (
     JobSubmitted,
     TaskCompleted,
 )
-from repro.service.failover import FailoverConfig
+from repro.service.failover import (
+    FAULT_KINDS,
+    FailoverConfig,
+    FaultInjector,
+    FaultSpec,
+)
 from repro.service.codec import encode_wire_batches
 from repro.service.ingest import RollingWindow
 from repro.service.journal import (
@@ -39,6 +43,7 @@ from repro.service.sharding import (
     ShardHandle,
     ShardMark,
     ShardPartitionedError,
+    ShardRouter,
 )
 from repro.service.snapshot import ServiceState
 from repro.service.transport import (
@@ -558,6 +563,115 @@ class TestPartitionScheduleProperties:
         keys = _event_keys(journaled)
         assert len(set(keys)) == len(keys), "duplicate events in journal"
         assert set(keys) <= set(_event_keys(events))
+
+
+class TestTcpCrashMatrix:
+    """Every fault kind against the TCP loopback worker plane.
+
+    The same post-mortem as test_failover's crash matrix: journals
+    CRC-clean, survivors journal exactly the telemetry routed to them
+    minus counted drops, merged statistics equal a batch recompute over
+    the journaled set to 1e-9.
+    """
+
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_fault_matrix_tcp(self, tmp_path, kind):
+        shards, victim = 2, 1
+        events = _events(seed=4, count=120, heartbeat_every=40)
+        half = len(events) // 2
+        amount = {
+            "stall-shard": 1.0,
+            "drop-batches": 2.0,
+            "slow-journal": 2.0,
+            "partition": 0.3,  # transient: heals under failover_after
+            "slow-net": 5.0,  # ms per frame
+            "drop-net": 2.0,
+        }.get(kind)
+        state = ServiceState(tmp_path, shards=shards)
+        service = build_service(
+            make_scenario("steady", scale=1.0, horizon=3600.0),
+            ServiceConfig(window=600.0, retune_interval=300.0, min_window_jobs=3),
+            seed=0,
+            state=state,
+            shards=shards,
+            tcp_workers=True,
+            failover=FAST,
+        )
+        injector = FaultInjector(
+            [FaultSpec(kind=kind, at=1.0, shard=victim, amount=amount)], seed=0
+        )
+        injector.arm(service)
+        service.ingest_batch(events[:half])
+        assert injector.advance(10**9), "the scheduled fault must fire"
+        service.ingest_batch(events[half:])
+        if kind == "partition":
+            time.sleep(amount + 0.2)  # heal before the barrier
+        if kind == "stall-shard":
+            # Give supervision time to notice the unresponsive worker.
+            deadline = time.monotonic() + 5.0
+            while not service.failovers and time.monotonic() < deadline:
+                service.check_shards()
+                time.sleep(0.05)
+
+        merged = service.window
+        snap, now = merged.snapshot(), merged.now
+        failovers = list(service.failovers)
+        transport = service.transport_stats()
+        service.close()
+        state.close()
+
+        failed = {report.shard for report in failovers}
+        if kind in ("kill-shard", "stall-shard"):
+            assert failed == {victim}
+            reason = failovers[0].reason
+            if kind == "kill-shard":
+                assert reason in ("fenced", "killed", "process-exit")
+            else:
+                assert reason in ("stall", "reply-timeout", "heartbeat-timeout")
+        else:
+            assert failed == set()  # transient faults never fail over
+        if kind == "partition":
+            totals = transport.get(victim, {})
+            assert totals.get("partitions", 0) >= 1
+            assert totals.get("reconnects", 0) >= 1
+
+        router = ShardRouter(shards)
+        routed = [[] for _ in range(shards)]
+        for event in events:
+            if isinstance(event, TELEMETRY):
+                routed[router.route(event)].append(event)
+        reader = ServiceState(tmp_path, shards=shards)
+        try:
+            journaled = [
+                [
+                    decode_event(record.data)
+                    for record in reader.shard_journal(i).iter_records()
+                    if record.kind == "event"
+                    and record.data.get("type")
+                    in ("JobSubmitted", "TaskCompleted", "JobCompleted")
+                ]
+                for i in range(shards)
+            ]
+        finally:
+            reader.close()
+        dropped = injector.dropped_by_shard()
+        for i in range(shards):
+            expected = len(routed[i]) - dropped.get(i, 0)
+            if i in failed:
+                # The fenced worker's queue residue and truncated tail
+                # are the failover's bounded loss; never a survivor's.
+                assert 0 <= len(journaled[i]) <= expected
+            else:
+                assert len(journaled[i]) == expected, f"shard {i} lost events"
+            keys = _event_keys(journaled[i])
+            assert len(set(keys)) == len(keys), f"shard {i} duplicates"
+
+        _stats_close(
+            snap,
+            _oracle_stats(
+                [e for part in journaled for e in part], service.config.window, now
+            ),
+        )
 
 
 class TestServicePartitionPolicy:
