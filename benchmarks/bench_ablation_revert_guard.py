@@ -2,9 +2,10 @@
 
 Two experiments:
 
-1. **Sabotage** (the original ablation): the control loop reverts a
-   newly applied configuration whose observed QS vector the previous
-   configuration's observation Pareto-dominates.  To expose its value
+1. **Sabotage** (the original ablation): the paper's guard
+   (``LegacyRevertGuard``) reverts a newly applied configuration whose
+   observed QS vector the previous configuration's observation
+   Pareto-dominates.  To expose its value
    we sabotage the what-if model (a misleading evaluator that
    periodically recommends strangling the best-effort tenant) and
    compare the observed AJR trajectory with the guard on and off.
@@ -12,9 +13,10 @@ Two experiments:
 2. **Sustained overload** (the decision-plane ablation): under the 3x
    sustained-overload continuous replay session, backlog compounds
    across retune intervals and observed QS deteriorates monotonically,
-   so the legacy observed-vs-observed guard reverts good configurations
-   in a churn loop.  The predictive guard re-evaluates the incumbent
-   and its revert target on each window's *observed* workload
+   so the paper's observed-vs-observed guard reverts good
+   configurations in a churn loop.  The predictive guard of the default
+   pipeline re-evaluates the incumbent and its revert target on each
+   window's *observed* workload
    (predicted-vs-observed, load-normalized) and holds steady — the
    table prints the predicted-vs-observed chain per decision, and the
    run appends to the machine-readable trajectory
@@ -30,6 +32,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _harness import RESULTS_DIR, append_trajectory_run, report
 
 from repro.core.controller import TempoController, windows_from_model
+from repro.core.decisions import (
+    DecisionEngine,
+    LegacyRevertGuard,
+    SparsityGuard,
+    StabilityGuard,
+)
 from repro.rm.config import ConfigSpace, RMConfig, TenantConfig
 from repro.service.daemon import ServiceConfig
 from repro.service.replay import ScenarioReplayer, build_service, make_scenario
@@ -45,14 +53,18 @@ from repro.workload.synthetic import (
 
 ITERATIONS = 6
 
-#: The 3x sustained-overload session (matches the backlog-compounding
-#: rows of bench_perf_service_ingest: steady arrivals at 3x capacity).
+#: The 3x sustained-overload session (steady arrivals at 3x capacity).
 OVERLOAD_SCALE = 3.0
 OVERLOAD_HORIZON = 7200.0
 OVERLOAD_SEED = 0
 
 #: Machine-readable trajectory (a ``runs`` list; append-only).
 RESULTS_JSON = RESULTS_DIR / "ablation_revert_guard.json"
+
+
+def _paper_guard_engine() -> DecisionEngine:
+    """The paper's observed-vs-observed pipeline, built from classes."""
+    return DecisionEngine([SparsityGuard(), StabilityGuard(), LegacyRevertGuard()])
 
 
 class _SabotagingController(TempoController):
@@ -95,6 +107,7 @@ def _run(revert_mode: str):
         trust_radius=0.2,
         seed=0,
         revert_mode=revert_mode,
+        engine=_paper_guard_engine(),
     )
     windows = windows_from_model(two_tenant_model(), 1800.0, ITERATIONS, seed=3)
     records = controller.run(windows)
@@ -139,8 +152,9 @@ def test_ablation_revert_guard(benchmark):
     assert np.mean(ajr_on[1:]) <= np.mean(ajr_off[1:]) * 1.05
 
 
-def _overload_session(guards: str):
-    """One 3x sustained-overload continuous replay under ``guards``."""
+def _overload_session(engine: DecisionEngine | None):
+    """One 3x sustained-overload continuous replay judged by ``engine``
+    (``None``: the default predictive pipeline)."""
     scenario = make_scenario(
         "steady", scale=OVERLOAD_SCALE, horizon=OVERLOAD_HORIZON
     )
@@ -148,11 +162,11 @@ def _overload_session(guards: str):
         scenario,
         ServiceConfig(window=900.0, retune_interval=450.0, min_window_jobs=3),
         seed=OVERLOAD_SEED,
-        guards=guards,
+        engine=engine,
         revert_windows=1,
     )
     return ScenarioReplayer(
-        scenario, service, seed=OVERLOAD_SEED, continuous=True, verify_stats=False
+        scenario, service, seed=OVERLOAD_SEED, verify_stats=False
     ).run()
 
 
@@ -168,8 +182,8 @@ def test_ablation_predictive_guard_overload(benchmark):
 
     def run_both():
         return {
-            "legacy": _overload_session("legacy"),
-            "predictive": _overload_session("predictive"),
+            "legacy": _overload_session(_paper_guard_engine()),
+            "predictive": _overload_session(None),
         }
 
     out = benchmark.pedantic(run_both, rounds=1, iterations=1)
@@ -179,7 +193,7 @@ def test_ablation_predictive_guard_overload(benchmark):
     # (best-effort AJR dimension, index 1: the metric overload moves).
     rows = []
     for decision in predictive.decisions:
-        if not decision.retuned or decision.record is None:
+        if not decision.retuned:
             continue
         rec = decision.record
         observed = f"{rec.observed[1]:.0f}" if rec.observed else ""
@@ -225,9 +239,7 @@ def test_ablation_predictive_guard_overload(benchmark):
                 "holds": sum(
                     1
                     for d in predictive.decisions
-                    if d.retuned
-                    and d.record is not None
-                    and d.record.verdict == "hold"
+                    if d.retuned and d.verdict == "hold"
                 ),
                 "mean_response_s": round(predictive.mean_response, 1),
                 "peak_backlog": predictive.peak_backlog,

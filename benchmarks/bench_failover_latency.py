@@ -17,12 +17,12 @@ Not a paper figure — an operational benchmark for the failover plane
    injected window = backoff + hello + suffix replay), and the
    journal-replay rate of a worker failover.
 
-Alongside the human-readable table the benchmark archives a
+Alongside the human-readable table a full run archives a
 machine-readable ``benchmarks/results/failover_latency.json``.  The
-file holds a ``runs`` list and every invocation — full runs *and*
-``--smoke`` — **appends** a timestamped record, so the latency
-trajectory across PRs (and across CI runs) is preserved instead of
-overwritten.
+file holds a ``runs`` list and every full run **appends** a timestamped
+record, so the latency trajectory across PRs is preserved instead of
+overwritten.  ``--smoke`` gates and prints only: it writes no file, so
+a CI or local smoke leaves the tree clean.
 
 The ``--smoke`` gate protects *correctness and boundedness*, not
 throughput: a killed worker must be detected inside ``failover_after``,
@@ -316,8 +316,7 @@ def _tcp_rows(detection: list[float], reconnects: list[dict], replay: dict):
 def smoke() -> int:
     """CI gate: bounded detection + full-tail recovery, generous ceilings.
 
-    Returns a process exit code; appends a ``smoke`` record to the
-    results trajectory either way.
+    Returns a process exit code; prints its table and writes nothing.
     """
     replay = bench_replay_time(1_000)
     tcp_detection = bench_tcp_detection(trials=2)
@@ -328,6 +327,7 @@ def smoke() -> int:
         "Shard failover latency (smoke)",
         ("measurement", "latency", "detail"),
         _rows([replay]) + _tcp_rows(tcp_detection, tcp_reconnect, tcp_replay),
+        archive=False,
     )
     failures = []
     if replay["replayed"] != replay["journal_records"]:
@@ -360,16 +360,6 @@ def smoke() -> int:
         )
     for failure in failures:
         print(f"SMOKE FAILURE: {failure}")
-    append_run(
-        {
-            "mode": "smoke",
-            "replay": [replay],
-            "tcp_detection_seconds": tcp_detection,
-            "tcp_reconnect": tcp_reconnect,
-            "tcp_replay": tcp_replay,
-            "failures": failures,
-        }
-    )
     return 1 if failures else 0
 
 
@@ -379,8 +369,8 @@ def main() -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small journal + boundedness gates (CI gate); appends to "
-        "the results trajectory like a full run",
+        help="small journal + boundedness gates (CI gate); prints and "
+        "archives nothing",
     )
     args = parser.parse_args()
     if args.smoke:

@@ -31,9 +31,6 @@ layer (`repro.service`).  Measurements:
    interpretable.
 6. **Retune latency** — wall seconds per applied tune during a
    flash-crowd replay (window-trace assembly + what-if + PALD).
-7. **Backlog compounding** — an overloaded steady replay in the legacy
-   per-interval mode versus the continuous mode: peak job backlog and
-   mean response time.
 
 Alongside the human-readable table the benchmark archives a
 machine-readable ``benchmarks/results/perf_service_ingest.json``.  The
@@ -278,25 +275,6 @@ def bench_many_tenants(
     return out
 
 
-def bench_backlog_compounding(
-    horizon: float = 3600.0, scale: float = 3.0
-) -> dict[str, tuple[int, float]]:
-    """Peak backlog and mean response: per-interval vs continuous replay."""
-    out: dict[str, tuple[int, float]] = {}
-    for label, continuous in (("per-interval", False), ("continuous", True)):
-        scenario = make_scenario("steady", scale=scale, horizon=horizon)
-        service = build_service(
-            scenario,
-            ServiceConfig(window=900.0, retune_interval=450.0, min_window_jobs=3),
-            seed=5,
-        )
-        summary = ScenarioReplayer(
-            scenario, service, seed=5, continuous=continuous, verify_stats=False
-        ).run()
-        out[label] = (summary.peak_backlog, summary.mean_response)
-    return out
-
-
 def bench_retune_latency(horizon: float = 3 * 3600.0) -> tuple[int, float, float, float]:
     """(retunes, mean, p50, max) retune latency over a flash-crowd replay.
 
@@ -463,7 +441,6 @@ def main() -> int:
         cpu_count=cores,
     )
     retunes, mean_lat, p50_lat, max_lat = bench_retune_latency()
-    backlog = bench_backlog_compounding()
     rows = [
         ["window ingest (events/s)", f"{window_eps:,.0f}"],
         ["window ingest_many (events/s)", f"{window_batched_eps:,.0f}"],
@@ -504,16 +481,6 @@ def main() -> int:
         ["retune latency p50 (ms)", f"{p50_lat * 1e3:.1f}"],
         ["retune latency max (ms)", f"{max_lat * 1e3:.1f}"],
         ["whatif phase p50 (ms/tick)", f"{p50_lat * 1e3:.1f}"],
-        [
-            "overload peak backlog (jobs)",
-            f"per-interval={backlog['per-interval'][0]}, "
-            f"continuous={backlog['continuous'][0]}",
-        ],
-        [
-            "overload mean response (s)",
-            f"per-interval={backlog['per-interval'][1]:.0f}, "
-            f"continuous={backlog['continuous'][1]:.0f}",
-        ],
     ]
     report(
         "perf_service_ingest",
@@ -566,12 +533,6 @@ def main() -> int:
         "retune_latency_p50_s": p50_lat,
         "retune_latency_max_s": max_lat,
         "whatif_phase_p50_s": p50_lat,
-        "overload_peak_backlog": {
-            label: backlog[label][0] for label in backlog
-        },
-        "overload_mean_response_s": {
-            label: backlog[label][1] for label in backlog
-        },
         "failures": failures,
     }
     append_run(machine)

@@ -77,12 +77,10 @@ small operational CLI:
     exposition with ``--format prom``.  Safe against a live daemon's
     state dir — it never opens the journal for writing.
 
-The serving subcommands take ``--guards`` — a comma-separated decision
-pipeline spec (``legacy``, ``predictive``, ``predictive,stability``,
-...).  ``legacy`` (the default) is the byte-compatible
-observed-vs-observed revert guard; ``predictive`` swaps in the
-load-normalized predicted-vs-predicted comparison so workload growth no
-longer reads as config regression.  See ``docs/OPERATIONS.md``.
+The serving subcommands judge every applied configuration with one
+decision pipeline: sparsity, stability, and the load-normalized
+predictive revert guard, so workload growth never reads as config
+regression.  See ``docs/OPERATIONS.md``.
 
 SLO spec file format — a JSON array of QS-template dictionaries::
 
@@ -279,7 +277,7 @@ def cmd_report(args: argparse.Namespace, out) -> int:
 
 
 def _verdict_line(decisions) -> str | None:
-    """Tally decision-plane verdicts (``None`` for legacy pipelines)."""
+    """Tally decision-plane verdicts (``None`` when there are none)."""
     from repro.core.decisions import VERDICTS, verdict_counts
 
     counts = verdict_counts(d.record for d in decisions)
@@ -440,13 +438,11 @@ def _run_scenario(args: argparse.Namespace, out, transport: str) -> int:
                 "speedup": args.speedup,
                 "transport": transport,
                 "revert_windows": args.revert_windows,
-                "continuous": not args.chunked,
                 "keep_segments": args.keep_segments,
                 "shards": args.shards,
                 "tcp_workers": args.tcp_workers,
                 "heartbeat_interval": args.heartbeat_interval,
                 "failover_after": args.failover_after,
-                "guards": args.guards,
                 "freeze_after": args.freeze_after,
                 "log_json": args.log_json,
             }
@@ -465,7 +461,6 @@ def _run_scenario(args: argparse.Namespace, out, transport: str) -> int:
         tcp_workers=args.tcp_workers,
         failover=failover,
         revert_windows=args.revert_windows,
-        guards=args.guards,
         freeze_after=args.freeze_after,
     )
     if args.log_json:
@@ -477,7 +472,6 @@ def _run_scenario(args: argparse.Namespace, out, transport: str) -> int:
         speedup=args.speedup,
         seed=args.seed,
         transport=transport,
-        continuous=not args.chunked,
         record_to=recorded,
     )
     print(
@@ -535,7 +529,6 @@ def _run_trace(args: argparse.Namespace, out) -> int:
                 "revert_windows": args.revert_windows,
                 "shards": args.shards,
                 "tcp_workers": args.tcp_workers,
-                "guards": args.guards,
                 "freeze_after": args.freeze_after,
                 "log_json": args.log_json,
             }
@@ -554,7 +547,6 @@ def _run_trace(args: argparse.Namespace, out) -> int:
         tcp_workers=args.tcp_workers,
         failover=_failover_from_args(args.heartbeat_interval, args.failover_after),
         revert_windows=args.revert_windows,
-        guards=args.guards,
         freeze_after=args.freeze_after,
     )
     if args.log_json:
@@ -607,6 +599,21 @@ def cmd_resume(args: argparse.Namespace, out) -> int:
             "scenario to continue — re-drive it with "
             f"`repro replay --trace {meta.get('trace', '<file>')}`"
         )
+    # Earlier builds recorded the flags that selected another pipeline
+    # or replay mode; their state dirs cannot be continued here.
+    if meta.get("guards", "predictive") != "predictive":
+        raise SystemExit(
+            f"{args.state_dir} was served by an earlier build with its guards "
+            f"flag set to {meta['guards']!r}; this build runs only the "
+            "predictive decision pipeline and cannot resume it — start a "
+            "fresh run"
+        )
+    if meta.get("continuous") is False:
+        raise SystemExit(
+            f"{args.state_dir} was served by an earlier build with its "
+            "chunked flag (per-interval replay); this build replays only "
+            "continuously and cannot resume it — start a fresh run"
+        )
     shards = int(meta.get("shards", 1))
     reshard_to = args.shards
     if reshard_to is not None and reshard_to != shards and not args.reshard:
@@ -643,17 +650,19 @@ def cmd_resume(args: argparse.Namespace, out) -> int:
         scenario,
         seed=meta["seed"],
         revert_windows=meta.get("revert_windows", 1),
-        guards=meta.get("guards"),
         freeze_after=meta.get("freeze_after"),
     )
-    service = TempoService.resume(
-        controller,
-        state,
-        config,
-        failover=_failover_from_args(
-            meta.get("heartbeat_interval", 1.0), meta.get("failover_after")
-        ),
-    )
+    try:
+        service = TempoService.resume(
+            controller,
+            state,
+            config,
+            failover=_failover_from_args(
+                meta.get("heartbeat_interval", 1.0), meta.get("failover_after")
+            ),
+        )
+    except JournalError as exc:  # e.g. record-less decisions of an older build
+        raise SystemExit(str(exc))
     if meta.get("log_json"):
         service.on_decision(_json_decision_logger(out))
     restored_verdicts = _verdict_line(service.decisions)
@@ -696,7 +705,6 @@ def cmd_resume(args: argparse.Namespace, out) -> int:
         speedup=args.speedup if args.speedup is not None else meta["speedup"],
         seed=meta["seed"],
         transport=meta["transport"],
-        continuous=meta.get("continuous", True),
     )
     print(
         f"continuing scenario={scenario.name} from t={start:.0f}s to "
@@ -1188,15 +1196,6 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
         help="windows averaged for the revert-guard comparison",
     )
     parser.add_argument(
-        "--guards",
-        default="legacy",
-        help="decision-plane pipeline: comma-separated guards from "
-        "{legacy, predictive, stability, sparsity}; 'legacy' (default) "
-        "keeps the observed-vs-observed guard byte-identical to the "
-        "pre-decision-plane pipeline, 'predictive' swaps in the "
-        "load-normalized comparison",
-    )
-    parser.add_argument(
         "--freeze-after",
         type=int,
         default=None,
@@ -1207,11 +1206,6 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--state-dir",
         help="persist journal + snapshots here (enables `repro resume`)",
-    )
-    parser.add_argument(
-        "--chunked",
-        action="store_true",
-        help="legacy per-interval simulation (no cross-interval backlog)",
     )
     parser.add_argument(
         "--keep-segments",

@@ -14,16 +14,16 @@ This package is the paper's primary contribution:
 * :mod:`repro.core.pald` — PAreto Local Descent (Section 6);
 * :mod:`repro.core.baselines` — random search, NSGA-II-lite,
   weighted-sum descent baselines;
-* :mod:`repro.core.decisions` — the decision plane: a pluggable guard
-  pipeline (sparsity, stability, legacy observed-vs-observed revert,
-  load-normalized predictive revert) with typed verdicts
-  (accept / revert / hold / freeze) and journaled
+* :mod:`repro.core.decisions` — the decision plane: one guard pipeline
+  (sparsity, stability, load-normalized predictive revert; the paper's
+  observed-vs-observed revert guard stays as the ablation comparator)
+  with typed verdicts (accept / revert / hold / freeze) and journaled
   :class:`~repro.core.decisions.DecisionRecord` s;
 * :mod:`repro.core.controller` — the eight-step Tempo control loop with
-  trust region and decision plane (Section 4); the legacy guard
-  compares multi-window-averaged observed QS vectors to stay calm
-  under noisy telemetry, and :meth:`~repro.core.controller.
-  TempoController.tune_from_trace` is the serving layer's entry point.
+  trust region and decision plane (Section 4); it averages observed QS
+  vectors over several windows to stay calm under noisy telemetry, and
+  :meth:`~repro.core.controller.TempoController.tune_from_trace` is the
+  serving layer's entry point.
 """
 
 from repro.core.pareto import ParetoArchive, dominates, pareto_front, weakly_dominates

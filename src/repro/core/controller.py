@@ -15,12 +15,12 @@ Each iteration performs the paper's Steps (1)-(8):
 Two robustness mechanisms frame the loop: the **trust region** bounds
 each move's normalized-l2 distance (the DBA's risk tolerance), and the
 **decision plane** (:mod:`repro.core.decisions`) judges every applied
-configuration before the loop optimizes further.  The default
-``legacy`` pipeline reproduces the paper's revert guard exactly — roll
-back a configuration whose observed QS vector regresses the previously
-observed one — while the ``predictive`` pipeline re-evaluates both the
-incumbent and its revert target on the *fresh* window's observed
-workload, so workload growth no longer reads as config regression.
+configuration before the loop optimizes further.  Where the paper's
+revert guard rolls back a configuration whose observed QS vector
+regresses the previously observed one, the pipeline's predictive guard
+re-evaluates both the incumbent and its revert target on the *fresh*
+window's observed workload, so workload growth never reads as config
+regression.
 Thresholds of best-effort SLOs are *ratcheted*: the best value observed
 so far becomes the constraint for the next iteration (Section 6.1), so
 the loop keeps improving on the incumbent rather than merely not
@@ -69,17 +69,15 @@ class ControlIteration:
     thresholds: np.ndarray
     reverted: bool
     whatif_evaluations: int
-    trace: TaskSchedule | None = None
     #: The decision plane's full record of this iteration's verdict
     #: (prediction, observation, residual, guard votes).
-    decision: DecisionRecord | None = None
+    decision: DecisionRecord
+    trace: TaskSchedule | None = None
 
     @property
     def verdict(self) -> str:
         """The decision plane's verdict for this iteration."""
-        if self.decision is not None:
-            return self.decision.verdict
-        return "revert" if self.reverted else "accept"
+        return self.decision.verdict
 
     @property
     def feasible(self) -> bool:
@@ -138,18 +136,15 @@ class TempoController:
             guard fire on most applied tunes; averaging ``k > 1``
             windows trades reaction speed for far less revert churn.
             ``1`` reproduces the single-window guard.
-        guards: Decision-plane pipeline judging every applied
-            configuration — a spec string (``"legacy"``,
-            ``"predictive"``, ``"predictive,stability"``, ...) or a
-            pre-built :class:`~repro.core.decisions.DecisionEngine`.
-            The default ``"legacy"`` pipeline is byte-identical to the
-            pre-decision-plane controller; ``"predictive"`` swaps the
-            observed-vs-observed revert comparison for the
-            load-normalized predicted-vs-predicted one.
+        engine: Optional pre-built
+            :class:`~repro.core.decisions.DecisionEngine` judging every
+            applied configuration.  The default is the one pipeline
+            (sparsity, stability, predictive); a pre-built engine is
+            the seam for substituting another.
         freeze_after: Consecutive reverts after which the decision
             plane freezes (roll back and stop proposing candidates
             until the workload moves).  ``None`` disables the churn
-            breaker; ignored when ``guards`` is a pre-built engine.
+            breaker; ignored when ``engine`` is given.
         ratchet: Ratchet best-effort thresholds to the best observed QS.
         heartbeat: Production simulator heartbeat seconds.
         seed: Base RNG seed shared by production runs and PALD.
@@ -175,7 +170,7 @@ class TempoController:
         revert_mode: str = "regression",
         revert_tol: float = 0.05,
         revert_windows: int = 1,
-        guards: str | DecisionEngine | None = None,
+        engine: DecisionEngine | None = None,
         freeze_after: int | None = None,
         ratchet: bool = True,
         heartbeat: float = 5.0,
@@ -210,12 +205,9 @@ class TempoController:
         # Trailing observed-QS vectors feeding the revert guard's
         # multi-window average (len <= revert_windows).
         self._observed_recent: deque[np.ndarray] = deque(maxlen=self.revert_windows)
-        if isinstance(guards, DecisionEngine):
-            self.engine = guards
-        else:
-            self.engine = DecisionEngine.from_spec(guards, freeze_after=freeze_after)
+        self.engine = engine or DecisionEngine(freeze_after=freeze_after)
         # Selection-time what-if prediction for the currently applied
-        # configuration (retained only for prediction-hungry pipelines).
+        # configuration (the predictive guard's residual input).
         self._predicted: np.ndarray | None = None
         self.last_decision: DecisionRecord | None = None
         # The what-if evaluation plane: the batch seam every candidate
@@ -281,12 +273,11 @@ class TempoController:
 
         # Decision plane: judge the applied configuration before
         # optimizing further (Section 4's robustness mechanism,
-        # extracted into :mod:`repro.core.decisions`).  The legacy
-        # guard compares averages over the trailing `revert_windows`
-        # observations; the predictive guard re-evaluates the incumbent
-        # and its revert target on this window's observed workload
-        # through the what-if model, which is why the model is built
-        # before the verdict.
+        # extracted into :mod:`repro.core.decisions`).  The predictive
+        # guard re-evaluates the incumbent and its revert target on this
+        # window's observed workload through the what-if model, which is
+        # why the model is built before the verdict; the trailing
+        # `revert_windows` average is its workload-drift evidence.
         evicted = (
             self._observed_recent[0]
             if len(self._observed_recent) == self._observed_recent.maxlen
@@ -370,14 +361,13 @@ class TempoController:
             self._prev = (self.config, smoothed, self.x.copy())
         self.x = step_x
         self.config = self.space.decode(step_x)
-        if self.engine.wants_prediction:
-            # Retain what the what-if model promised for the configura-
-            # tion just applied — a cache hit for any candidate PALD
-            # evaluated, so this costs no extra simulation in practice.
-            predicted = whatif.evaluate_cached(self.config)
-            self._predicted = (
-                predicted if predicted is not None else bound.evaluate(self.config)
-            )
+        # Retain what the what-if model promised for the configuration
+        # just applied — a cache hit for any candidate PALD evaluated,
+        # so this costs no extra simulation in practice.
+        predicted = whatif.evaluate_cached(self.config)
+        self._predicted = (
+            predicted if predicted is not None else bound.evaluate(self.config)
+        )
         return record
 
     def smoothed_observation(self) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""The decision plane: a journaled, pluggable guard pipeline.
+"""The decision plane: one journaled guard pipeline.
 
 Tempo's promise is *robust* self-tuning: a configuration survives only
 when the configuration — not the workload — is responsible for the QS
@@ -22,8 +22,9 @@ stability skips), and its only durable footprint was a terse
 
 * **guards** — small policy objects voting on a shared context.
   :class:`SparsityGuard` and :class:`StabilityGuard` vote at the
-  cadence tick (before any tuning work); :class:`LegacyRevertGuard`
-  and :class:`PredictiveGuard` vote after the window's observation.
+  cadence tick (before any tuning work); :class:`PredictiveGuard` (or
+  the :class:`LegacyRevertGuard` comparator) votes after the window's
+  observation.
 
 * a :class:`DecisionEngine` that runs the pipeline, combines votes,
   applies the freeze breaker, and emits a first-class
@@ -33,24 +34,18 @@ stability skips), and its only durable footprint was a terse
   ``serve -> kill -> resume`` reproduces not just state but *why* each
   configuration was kept or reverted.
 
-The predictive guard is the load-normalized comparison ROADMAP calls
-for.  The legacy guard compares this window's observation against the
-previous window's — two different workloads — so under sustained
-overload (backlog compounding across retune intervals) every window
-looks worse than the last and good configurations are reverted in a
-churn loop.  The predictive guard instead re-evaluates both the
-incumbent and its revert target through the what-if model **on the
-fresh window's observed workload**: the two predictions share the
-workload and the predictor's bias, so their difference is attributable
-to the configuration alone.  Workload growth moves both predictions
-together and reads as ``hold``, never ``revert``.
-
-Guard pipelines are built from a comma-separated spec (``"legacy"``,
-``"predictive"``, ``"predictive,stability"`` ...) — the surface behind
-``repro serve --guards`` — and the exact pre-refactor stack
-(``legacy`` + stability + sparsity, no freeze) keeps the PR 4 wire
-format: its journal records carry no decision-plane payload, so a
-legacy run's decision sequence is byte-identical to the old pipeline.
+The pipeline is sparsity + stability + predictive.  The predictive
+guard re-evaluates both the incumbent and its revert target through
+the what-if model **on the fresh window's observed workload**: the two
+predictions share the workload and the predictor's bias, so their
+difference is attributable to the configuration alone.  Workload growth moves both predictions
+together and reads as ``hold``, never ``revert``.  The paper's
+observed-vs-observed comparison (:class:`LegacyRevertGuard`) compares
+two different workloads instead, so under sustained overload (backlog
+compounding across retune intervals) every window looks worse than the
+last and good configurations are reverted in a churn loop; it stays a
+plain :class:`Guard` as the ablation comparator, reachable only by
+building an engine from classes.
 """
 
 from __future__ import annotations
@@ -80,10 +75,6 @@ VERDICT_FREEZE = "freeze"
 
 #: Every verdict the decision plane can emit.
 VERDICTS = (VERDICT_ACCEPT, VERDICT_REVERT, VERDICT_HOLD, VERDICT_FREEZE)
-
-#: Guard names accepted by :meth:`DecisionEngine.from_spec`.
-GUARD_NAMES = ("sparsity", "stability", "legacy", "predictive")
-
 
 def _floats_out(values) -> list:
     """Float vector -> JSON list with infinities made round-trippable."""
@@ -177,7 +168,8 @@ class DecisionRecord:
             of ``observed`` the predictive guard compares.
         reference: What the guard compared against: the revert target
             re-evaluated on the same fresh window (predictive), or the
-            previous smoothed observation (legacy).
+            previous smoothed observation (the observed-vs-observed
+            comparator).
         residual: Worst normalized prediction residual, observed vs the
             selection-time prediction — the accountability number: how
             far reality ran from what the tuner promised.
@@ -277,7 +269,7 @@ class TickDecision:
     """Outcome of the pre-tune guard phase at one cadence tick.
 
     ``proceed`` is whether a tune should run; ``reason`` and ``drift``
-    carry the exact legacy vocabulary (``"sparse"``/``"stable"`` when
+    carry the daemon's tick vocabulary (``"sparse"``/``"stable"`` when
     held, ``"initial"``/``"forced"``/``"drift"`` when proceeding).
     """
 
@@ -303,9 +295,10 @@ class RevertSignals:
             ``None`` before any.
         observed: This window's raw observed QS vector.
         smoothed: Mean observation over the trailing revert windows
-            (what the legacy guard compares).
+            (what the observed-vs-observed comparator compares, and
+            the predictive guard's workload-drift evidence).
         predicted: Retained selection-time prediction for ``config``
-            (``None`` outside predictive pipelines).
+            (``None`` before the first applied tune).
         evaluate: Fresh-window what-if evaluation, config -> QS vector
             (memoized per configuration by the what-if model).
         revert_mode: ``"regression"`` / ``"strict"`` / ``"off"``.
@@ -383,8 +376,8 @@ class LegacyRevertGuard(Guard):
     Pareto-dominates this one — exactly the pre-decision-plane
     behavior, and therefore confounded by workload change: under
     sustained overload every window observes worse QS than the last
-    and the guard churns.  Kept as the byte-compatible baseline and
-    the ablation comparator.
+    and the guard churns.  Kept as the ablation comparator; no
+    default pipeline contains it.
     """
 
     name = "legacy"
@@ -429,10 +422,6 @@ class PredictiveGuard(Guard):
 
     name = "predictive"
 
-    #: The controller retains each applied configuration's what-if
-    #: prediction when this guard is in the pipeline.
-    wants_prediction = True
-
     def revert_vote(self, signals: RevertSignals) -> GuardVote | None:
         """Judge the incumbent against its revert target, load-normalized."""
         if signals.predicted is not None:
@@ -458,7 +447,7 @@ class PredictiveGuard(Guard):
                 "config-regression",
                 worst_residual(normalized, reference),
             )
-        # The legacy comparison on the raw observations: when it would
+        # The observed-vs-observed comparison: when it would
         # have reverted but the load-normalized one does not, the
         # regression is the workload's doing — record a hold so the
         # divergence is visible in the decision history.
@@ -489,103 +478,38 @@ class DecisionEngine:
     tick yields one coherent record.
 
     Args:
-        guards: Pipeline, in vote order.
+        guards: Pipeline, in vote order.  ``None`` (the default) is
+            the one pipeline: sparsity, stability, predictive.  Passing
+            guards is the seam tests and the ablation benchmark use to
+            substitute a pipeline.
         freeze_after: Consecutive reverts after which further reverts
             become ``freeze`` verdicts (roll back *and* skip candidate
             application).  ``None`` disables the churn breaker.
-        spec: The spec string this engine was built from (round-tripped
-            through ``meta.json`` so ``repro resume`` rebuilds the same
-            pipeline).
     """
 
     def __init__(
         self,
-        guards: Sequence[Guard],
+        guards: Sequence[Guard] | None = None,
         *,
         freeze_after: int | None = None,
-        spec: str | None = None,
     ):
         if freeze_after is not None and freeze_after < 1:
             raise ValueError(f"freeze_after must be >= 1, got {freeze_after}")
+        if guards is None:
+            guards = (SparsityGuard(), StabilityGuard(), PredictiveGuard())
         self.guards = list(guards)
         self.freeze_after = freeze_after
-        self.spec = spec or ",".join(g.name for g in self.guards)
         #: Consecutive revert/freeze verdicts so far (the freeze fuse).
         self.reverts_in_row = 0
         self._pending: tuple[float | None, tuple[GuardVote, ...]] = (None, ())
         self.last_record: DecisionRecord | None = None
 
     def __repr__(self) -> str:
+        names = ",".join(g.name for g in self.guards)
         return (
-            f"DecisionEngine({self.spec!r}, freeze_after={self.freeze_after}, "
+            f"DecisionEngine({names!r}, freeze_after={self.freeze_after}, "
             f"reverts_in_row={self.reverts_in_row})"
         )
-
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_spec(
-        cls, spec: str | None = None, *, freeze_after: int | None = None
-    ) -> "DecisionEngine":
-        """Build a pipeline from a comma-separated guard spec.
-
-        ``"legacy"`` and ``"predictive"`` alone expand to the full
-        stack (revert guard + stability + sparsity); explicit lists
-        (``"predictive,stability"``) are taken literally.  At most one
-        revert guard (legacy or predictive) may appear.  ``None`` or
-        ``""`` means ``"legacy"`` — the exact pre-decision-plane
-        pipeline.
-        """
-        raw = (spec or "legacy").strip()
-        names = [part.strip() for part in raw.split(",") if part.strip()]
-        if not names:
-            names = ["legacy"]
-        unknown = [n for n in names if n not in GUARD_NAMES]
-        if unknown:
-            raise ValueError(
-                f"unknown guard(s) {unknown}; choose from {list(GUARD_NAMES)}"
-            )
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate guards in spec {raw!r}")
-        if "legacy" in names and "predictive" in names:
-            raise ValueError("at most one revert guard: legacy or predictive")
-        if names in (["legacy"], ["predictive"]):
-            names = ["sparsity", "stability", names[0]]
-        classes = {
-            "sparsity": SparsityGuard,
-            "stability": StabilityGuard,
-            "legacy": LegacyRevertGuard,
-            "predictive": PredictiveGuard,
-        }
-        # Canonical pipeline order: cheap pre-tune guards first.
-        order = {"sparsity": 0, "stability": 1, "legacy": 2, "predictive": 2}
-        guards = [classes[n]() for n in sorted(names, key=lambda n: order[n])]
-        return cls(guards, freeze_after=freeze_after, spec=",".join(names))
-
-    # -- introspection ------------------------------------------------------
-
-    @property
-    def legacy(self) -> bool:
-        """Whether this is the exact pre-decision-plane pipeline.
-
-        Only the full legacy stack with the freeze breaker off keeps
-        the PR 4 wire format; anything else emits decision-plane
-        payloads in journal and snapshot records.
-        """
-        names = {g.name for g in self.guards}
-        return names == {"sparsity", "stability", "legacy"} and (
-            self.freeze_after is None
-        )
-
-    @property
-    def emit_records(self) -> bool:
-        """Whether decision records are attached to journaled decisions."""
-        return not self.legacy
-
-    @property
-    def wants_prediction(self) -> bool:
-        """Whether the controller should retain selection-time predictions."""
-        return any(getattr(g, "wants_prediction", False) for g in self.guards)
 
     def state_dict(self) -> dict:
         """Engine state a resumed daemon needs (the freeze fuse)."""
@@ -697,10 +621,8 @@ def _as_tuple(values) -> tuple[float, ...] | None:
 
 
 def verdict_counts(records) -> dict[str, int]:
-    """Tally verdicts over an iterable of records (``None`` s skipped)."""
+    """Tally verdicts over an iterable of records."""
     counts: dict[str, int] = {}
     for record in records:
-        if record is None:
-            continue
         counts[record.verdict] = counts.get(record.verdict, 0) + 1
     return counts

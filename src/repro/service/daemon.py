@@ -209,13 +209,11 @@ class RetuneDecision:
         reason: ``"initial"``, ``"drift"``, or ``"forced"`` when retuned;
             ``"stable"`` or ``"sparse"`` when skipped.
         drift: The stability signal measured at the attempt.
-        latency: Wall-clock seconds the tune took (0.0 when skipped).
-        iteration: The controller's record when retuned, else ``None``.
         record: The decision plane's full
             :class:`~repro.core.decisions.DecisionRecord` (verdict,
-            guard votes, prediction/observation/residual).  ``None``
-            under the byte-compatible legacy pipeline, whose journal
-            records keep the pre-decision-plane wire format.
+            guard votes, prediction/observation/residual).
+        latency: Wall-clock seconds the tune took (0.0 when skipped).
+        iteration: The controller's record when retuned, else ``None``.
     """
 
     time: float
@@ -223,20 +221,14 @@ class RetuneDecision:
     retuned: bool
     reason: str
     drift: float
+    record: DecisionRecord
     latency: float = 0.0
     iteration: ControlIteration | None = None
-    record: DecisionRecord | None = None
 
     @property
     def verdict(self) -> str:
         """The decision plane's verdict for this cadence tick."""
-        if self.record is not None:
-            return self.record.verdict
-        if not self.retuned:
-            return "hold"
-        if self.iteration is not None:
-            return self.iteration.verdict
-        return "accept"
+        return self.record.verdict
 
 
 class ResumeCost(NamedTuple):
@@ -347,9 +339,7 @@ class TempoService:
         # One decision plane shared with the controller: the daemon
         # consults it at each cadence tick (sparsity/stability phase),
         # the controller in the revert phase of the tune itself.
-        self.engine: DecisionEngine = getattr(
-            controller, "engine", None
-        ) or DecisionEngine.from_spec(None)
+        self.engine: DecisionEngine = controller.engine
         self._decision_listeners: list = []
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -1183,13 +1173,13 @@ class TempoService:
             with span.phase("guard"):
                 tick = self.engine.tick(signals)
             if not tick.proceed:
-                record = (
-                    self.engine.hold_record(self._index, now, tick)
-                    if self.engine.emit_records
-                    else None
-                )
                 decision = RetuneDecision(
-                    now, self._index, False, tick.reason, tick.drift, record=record
+                    now,
+                    self._index,
+                    False,
+                    tick.reason,
+                    tick.drift,
+                    self.engine.hold_record(self._index, now, tick),
                 )
                 self._observe_retune(span)
                 self._record_decision(decision)
@@ -1219,9 +1209,9 @@ class TempoService:
                 True,
                 reason,
                 drift,
+                iteration.decision,
                 latency,
                 iteration,
-                record=iteration.decision if self.engine.emit_records else None,
             )
             self._index += 1
             self._observe_retune(span)
@@ -1428,21 +1418,20 @@ class TempoService:
             reason=decision.reason or "none",
         ).inc()
         record = decision.record
-        if record is not None:
-            for vote in record.votes:
-                m.counter(
-                    "tempo_guard_votes_total",
-                    "Guard votes by guard and argued verdict.",
-                    guard=vote.guard,
-                    verdict=vote.verdict,
-                ).inc()
-            residual = record.residual
-            if residual is not None and math.isfinite(residual):
-                m.histogram(
-                    "tempo_decision_residual",
-                    "Worst normalized QS residual per applied decision.",
-                    buckets=RESIDUAL_BUCKETS,
-                ).observe(residual)
+        for vote in record.votes:
+            m.counter(
+                "tempo_guard_votes_total",
+                "Guard votes by guard and argued verdict.",
+                guard=vote.guard,
+                verdict=vote.verdict,
+            ).inc()
+        residual = record.residual
+        if residual is not None and math.isfinite(residual):
+            m.histogram(
+                "tempo_decision_residual",
+                "Worst normalized QS residual per applied decision.",
+                buckets=RESIDUAL_BUCKETS,
+            ).observe(residual)
         m.gauge(
             "tempo_freeze_fuse_reverts",
             "Consecutive reverts counted toward the freeze fuse.",
@@ -1501,9 +1490,7 @@ class TempoService:
                 index=decision.index,
                 retuned=decision.retuned,
                 reason=decision.reason,
-                record=None
-                if decision.record is None
-                else decision.record.to_dict(),
+                record=decision.record.to_dict(),
             )
             for callback in self._decision_listeners:
                 callback(event)
@@ -2185,32 +2172,38 @@ def _decision_to_dict(decision: RetuneDecision) -> dict:
     """JSON-ready dict for a decision (infinite drift -> null).
 
     The decision plane's :class:`~repro.core.decisions.DecisionRecord`
-    rides along under a ``"record"`` key when present; the legacy
-    pipeline attaches none, which keeps its journal and snapshot bytes
-    identical to the pre-decision-plane format.
+    rides along under a ``"record"`` key.
     """
-    row = {
+    return {
         "time": decision.time,
         "index": decision.index,
         "retuned": decision.retuned,
         "reason": decision.reason,
         "drift": inf_to_null(decision.drift),
         "latency": decision.latency,
+        "record": decision.record.to_dict(),
     }
-    if decision.record is not None:
-        row["record"] = decision.record.to_dict()
-    return row
 
 
 def _decision_from_dict(row: dict) -> RetuneDecision:
-    """Rebuild a decision record (without its in-memory iteration)."""
-    record = row.get("record")
+    """Rebuild a decision record (without its in-memory iteration).
+
+    Raises :class:`~repro.service.journal.JournalError` on a row with
+    no ``"record"``: only builds that could run without the decision
+    plane's records wrote those, and their state dirs are refused.
+    """
+    if "record" not in row:
+        raise JournalError(
+            f"decision row at t={row.get('time')} carries no decision "
+            "record: it was written by an earlier build, whose state dirs "
+            "this build does not resume"
+        )
     return RetuneDecision(
         time=float(row["time"]),
         index=int(row["index"]),
         retuned=bool(row["retuned"]),
         reason=str(row["reason"]),
         drift=inf_from_null(row["drift"]),
+        record=DecisionRecord.from_dict(row["record"]),
         latency=float(row["latency"]),
-        record=None if record is None else DecisionRecord.from_dict(record),
     )

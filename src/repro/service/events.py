@@ -188,10 +188,9 @@ class DecisionMade(ServiceEvent):
     to :meth:`~repro.service.daemon.TempoService.on_decision`
     subscribers (dashboards, ablation harnesses) and may be archived in
     trace files.  ``record`` carries the full
-    :class:`~repro.core.decisions.DecisionRecord` in its dict form when
-    the pipeline emits decision-plane payloads (every non-legacy
-    pipeline), so a consumer sees not just the verdict but the
-    prediction, observation, residual, and each guard's vote.
+    :class:`~repro.core.decisions.DecisionRecord` in its dict form, so
+    a consumer sees not just the verdict but the prediction,
+    observation, residual, and each guard's vote.
     """
 
     verdict: str

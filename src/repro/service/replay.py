@@ -32,16 +32,13 @@ Recorded telemetry can also be replayed from a JSONL trace file
 escape hatch for driving the pipeline with events no generator
 produced.
 
-The replayer is the "production side" of the serving loop.  By default
-it drives **one continuous execution**: a single
+The replayer is the "production side" of the serving loop.  It drives
+**one continuous execution**: a single
 :class:`~repro.sim.simulator.SimulationSession` spans the whole run,
 the applied configuration is swapped into the live simulation at every
 retune interval, observed node loss shrinks the simulated capacity, and
 — crucially — backlog carries across retune intervals, so a sustained
-overload compounds exactly as it would on a real cluster.  The legacy
-``continuous=False`` mode instead simulates each retune-interval chunk
-from an empty cluster (no cross-chunk backlog); it is retained as the
-comparison baseline for the backlog-compounding benchmark.  Telemetry
+overload compounds exactly as it would on a real cluster.  Telemetry
 is delivered to the service synchronously, or through the event bus in
 daemon mode.  With ``speedup <= 0`` the replay runs as fast as
 possible; with ``speedup = k`` one wall-clock second carries ``k``
@@ -81,7 +78,7 @@ from repro.workload.generator import (
     StatisticalWorkloadModel,
     TenantWorkloadModel,
 )
-from repro.workload.model import MAP_POOL, REDUCE_POOL, Workload
+from repro.workload.model import MAP_POOL, REDUCE_POOL
 from repro.workload.patterns import BurstPattern, DiurnalPattern, SpikePattern
 from repro.workload.synthetic import (
     BEST_EFFORT_TENANT,
@@ -97,20 +94,6 @@ CHURN_TENANT = "batch"
 
 #: Tenant name used by the adversarial scenario's SLO-gaming tenant.
 GAMING_TENANT = "gamer"
-
-
-def _node_loss_event(
-    when: float, pool: str, containers: int
-) -> tuple[tuple, NodeLost]:
-    """One keyed NodeLost event (key scheme shared by both chunk builders)."""
-    return (when, 4, pool), NodeLost(when, pool=pool, containers=containers)
-
-
-def _node_recovery_event(
-    when: float, pool: str, containers: int
-) -> tuple[tuple, NodeRecovered]:
-    """One keyed NodeRecovered event (sorts after a same-instant loss)."""
-    return (when, 5, pool), NodeRecovered(when, pool=pool, containers=containers)
 
 
 @dataclass(frozen=True)
@@ -518,7 +501,7 @@ class ReplaySummary:
         max_stats_gap: Largest incremental-vs-batch stats deviation seen.
         peak_backlog: Largest (submitted - completed) job count seen in
             delivery order — the signal that backlog compounds across
-            retune intervals in continuous mode.
+            retune intervals.
         mean_response: Mean response time of the delivered completions.
         decisions: Every retune decision of this run, in order.
         final_config: The configuration left applied.
@@ -560,10 +543,6 @@ class ScenarioReplayer:
             daemon's background thread.
         verify_stats: Track the incremental-vs-batch stats gap
             (per chunk when direct, once at the end when bus).
-        continuous: Drive one continuous simulation (config swaps
-            mid-run, backlog carries across retune intervals).  When
-            False, every retune interval is simulated from an empty
-            cluster — the legacy mode kept as a comparison baseline.
         record_to: Optional list collecting every delivered event in
             delivery order — the capture side of trace-file replay
             (write it out with :func:`dump_trace_events`).
@@ -583,7 +562,6 @@ class ScenarioReplayer:
         seed: int = 0,
         transport: str = "direct",
         verify_stats: bool = True,
-        continuous: bool = True,
         record_to: list[ServiceEvent] | None = None,
         injector=None,
     ):
@@ -595,7 +573,6 @@ class ScenarioReplayer:
         self.seed = seed
         self.transport = transport
         self.verify_stats = verify_stats
-        self.continuous = continuous
         self.record_to = record_to
         self.injector = injector
         self.sim = ClusterSimulator(scenario.cluster, noise=scenario.noise, seed=seed)
@@ -621,33 +598,25 @@ class ScenarioReplayer:
             workload = workload.window(start, horizon)
         span = horizon - start
         chunk = service.config.retune_interval
-        session: SimulationSession | None = None
-        arrivals: list = []
-        if self.continuous:
-            session = self.sim.session(
-                workload, service.controller.config, seed=self.seed
-            )
-            arrivals = sorted(workload, key=lambda j: (j.submit_time, j.job_id))
-            # Capacity changes before the resume boundary stay applied:
-            # the resumed service's what-if cluster already reflects
-            # them (journal replay restored it), so the production
-            # session must start in the same shape — without re-emitting
-            # the NodeLost/NodeRecovered events.  Losses and recoveries
-            # are replayed in time order so interleaved cycles net out.
-            changes = sorted(
-                [(when, 0, pool, n) for when, pool, n in self.scenario.node_loss]
-                + [
-                    (when, 1, pool, n)
-                    for when, pool, n in self.scenario.node_recovery
-                ]
-            )
-            for when, recovered, pool, containers in changes:
-                if when >= start:
-                    break
-                if recovered:
-                    session.restore_capacity(pool, containers)
-                else:
-                    session.lose_capacity(pool, containers)
+        session = self.sim.session(workload, service.controller.config, seed=self.seed)
+        arrivals = sorted(workload, key=lambda j: (j.submit_time, j.job_id))
+        # Capacity changes before the resume boundary stay applied: the
+        # resumed service's what-if cluster already reflects them
+        # (journal replay restored it), so the production session must
+        # start in the same shape — without re-emitting the
+        # NodeLost/NodeRecovered events.  Losses and recoveries are
+        # replayed in time order so interleaved cycles net out.
+        changes = sorted(
+            [(when, 0, pool, n) for when, pool, n in self.scenario.node_loss]
+            + [(when, 1, pool, n) for when, pool, n in self.scenario.node_recovery]
+        )
+        for when, recovered, pool, containers in changes:
+            if when >= start:
+                break
+            if recovered:
+                session.restore_capacity(pool, containers)
+            else:
+                session.lose_capacity(pool, containers)
         if self.transport == "bus":
             service.start()
         # Decisions made before this run (a resumed daemon restores its
@@ -669,27 +638,20 @@ class ScenarioReplayer:
             "response_sum": 0.0,
         }
         max_gap = 0.0
-        # The chunk index seeds the legacy mode's per-chunk simulations;
-        # a resumed run continues the original seed sequence rather than
-        # restarting it at the boundary.
-        s0, index = 0.0, int(round(start / chunk))
+        s0 = 0.0
         arrival_cursor = 0
         while s0 < span:
             s1 = min(s0 + chunk, span)
-            if self.continuous:
-                events, arrival_cursor = self._continuous_chunk(
-                    session, arrivals, arrival_cursor, s0, s1, start
-                )
-                # The final interval's heartbeat is withheld until its
-                # drain finishes (below): a journaled heartbeat at the
-                # horizon must mean "this run's telemetry is complete",
-                # so that a crash during the drain resumes by
-                # re-simulating the final interval, not by mistaking the
-                # run for finished with its backlog completions missing.
-                if s1 < span:
-                    events.append(Heartbeat(start + s1))
-            else:
-                events = self._chunk_events(workload, s0, s1, index, start)
+            events, arrival_cursor = self._continuous_chunk(
+                session, arrivals, arrival_cursor, s0, s1, start
+            )
+            # The final interval's heartbeat is withheld until its drain
+            # finishes (below): a journaled heartbeat at the horizon must
+            # mean "this run's telemetry is complete", so that a crash
+            # during the drain resumes by re-simulating the final
+            # interval, not by mistaking the run for finished with its
+            # backlog completions missing.
+            if s1 < span:
                 events.append(Heartbeat(start + s1))
             if self.injector is not None:
                 # Faults land at chunk boundaries: every spec whose
@@ -709,22 +671,19 @@ class ScenarioReplayer:
                 and service.telemetry_ingested
             ):
                 max_gap = max(max_gap, service.stats_gap_now())
-            s0, index = s1, index + 1
-        if self.continuous and session is not None:
-            # Backlog still queued or running at the horizon completes
-            # in a final drain; its telemetry (timestamped past the
-            # horizon) is exactly the compounded-backlog signal.  The
-            # closing heartbeat — the only one at the horizon — marks
-            # the whole run, drain included, as journaled.
-            drain_events = (
-                self._drain_events(session, start) if not session.idle else []
-            )
-            drain_events.append(Heartbeat(horizon))
-            if self.injector is not None:
-                self.injector.advance(horizon)
-            self._deliver(drain_events, counts)
-            if self.transport == "bus":
-                service.quiesce()
+            s0 = s1
+        # Backlog still queued or running at the horizon completes in a
+        # final drain; its telemetry (timestamped past the horizon) is
+        # exactly the compounded-backlog signal.  The closing heartbeat
+        # — the only one at the horizon — marks the whole run, drain
+        # included, as journaled.
+        drain_events = self._drain_events(session, start) if not session.idle else []
+        drain_events.append(Heartbeat(horizon))
+        if self.injector is not None:
+            self.injector.advance(horizon)
+        self._deliver(drain_events, counts)
+        if self.transport == "bus":
+            service.quiesce()
         if self.transport == "bus":
             service.stop()
             if self.verify_stats and service.telemetry_ingested:
@@ -835,13 +794,21 @@ class ScenarioReplayer:
             # cluster diverge from the simulated truth.
             removed = session.lose_capacity(pool, containers)
             if removed:
-                events.append(_node_loss_event(when, pool, removed))
+                events.append(
+                    ((when, 4, pool), NodeLost(when, pool=pool, containers=removed))
+                )
         for when, pool, containers in self._recoveries_in(offset + s0, offset + s1):
             # Same truthfulness rule in reverse: telemetry reports what
             # actually came back (clamped to the capacity still lost).
             restored = session.restore_capacity(pool, containers)
             if restored:
-                events.append(_node_recovery_event(when, pool, restored))
+                # Sorts after a same-instant loss.
+                events.append(
+                    (
+                        (when, 5, pool),
+                        NodeRecovered(when, pool=pool, containers=restored),
+                    )
+                )
         session.set_config(self.service.controller.config)
         tasks, jobs = session.advance_to(s1)
         while cursor < len(arrivals) and arrivals[cursor].submit_time < s1:
@@ -919,52 +886,6 @@ class ScenarioReplayer:
                     JobCompleted(shifted_job.finish_time, record=shifted_job),
                 )
             )
-
-    def _chunk_events(
-        self, workload: Workload, s0: float, s1: float, index: int, offset: float
-    ) -> list[ServiceEvent]:
-        """Simulate ``[s0, s1)`` in isolation; emit its telemetry.
-
-        The legacy per-chunk mode: each retune interval is simulated
-        from an empty cluster and drained to completion, so completion
-        events may carry timestamps past ``s1`` (the rolling window
-        tolerates that bounded disorder) but backlog never compounds
-        across chunk boundaries — telemetry is correspondingly milder
-        than a real sustained overload would produce.
-        """
-        window = workload.window(s0, s1)
-        events: list[tuple[tuple, ServiceEvent]] = []
-        for job in window:
-            when = offset + s0 + job.submit_time
-            events.append(
-                (
-                    (when, 0, job.job_id),
-                    JobSubmitted(
-                        when,
-                        tenant=job.tenant,
-                        job_id=job.job_id,
-                        deadline=None
-                        if job.deadline is None
-                        else offset + s0 + job.deadline,
-                    ),
-                )
-            )
-        if len(window):
-            trace = self.sim.run(
-                window,
-                self.service.controller.config,
-                seed=self.seed + 7919 * index,
-            )
-            self._append_record_events(
-                events, list(trace.task_records), list(trace.job_records), offset + s0
-            )
-        self._append_churn_events(events, offset + s0, offset + s1)
-        for when, pool, containers in self._losses_in(offset + s0, offset + s1):
-            events.append(_node_loss_event(when, pool, containers))
-        for when, pool, containers in self._recoveries_in(offset + s0, offset + s1):
-            events.append(_node_recovery_event(when, pool, containers))
-        events.sort(key=lambda pair: pair[0])
-        return [event for _, event in events]
 
 
 # -- trace-file replay --------------------------------------------------------

@@ -134,9 +134,8 @@ def controller_state_dict(controller: "TempoController") -> dict:
     Captures the applied configuration and its encoded vector, the
     revert guard's baseline (``_prev``), the trailing observed-QS
     vectors feeding the multi-window average, and the ratcheted
-    best-effort thresholds.  Non-legacy decision pipelines additionally
-    persist the retained selection-time prediction and the engine's
-    freeze fuse (the legacy pipeline has neither).  The PALD sample
+    best-effort thresholds, the retained selection-time prediction, and
+    the decision engine's freeze fuse.  The PALD sample
     buffer is deliberately NOT captured (see the module docstring).
     """
     prev = None
@@ -157,12 +156,10 @@ def controller_state_dict(controller: "TempoController") -> dict:
         ],
         "ratchet": None if ratchet is None else _floats_out(ratchet),
     }
-    engine = getattr(controller, "engine", None)
-    if engine is not None and not engine.legacy:
-        state["guards"] = {"spec": engine.spec, **engine.state_dict()}
-        predicted = getattr(controller, "_predicted", None)
-        if predicted is not None:
-            state["predicted"] = _floats_out(predicted)
+    state["guards"] = controller.engine.state_dict()
+    predicted = controller._predicted
+    if predicted is not None:
+        state["predicted"] = _floats_out(predicted)
     return state
 
 
@@ -192,9 +189,7 @@ def restore_controller_state(controller: "TempoController", state: Mapping) -> N
     controller._predicted = (
         None if predicted is None else np.asarray(_floats_in(predicted), dtype=float)
     )
-    guards = state.get("guards")
-    if guards is not None and getattr(controller, "engine", None) is not None:
-        controller.engine.restore_state(guards)
+    controller.engine.restore_state(state.get("guards", {}))
 
 
 # The infinity-safe float-vector codec is shared with the decision

@@ -104,38 +104,26 @@ class TestReportCommand:
 
 class TestGuardsFlag:
     def test_replay_with_predictive_guards_prints_verdicts(self):
-        out = io.StringIO()
-        code = main(
-            [
-                "replay",
-                "--scenario", "steady",
-                "--horizon", "1",
-                "--guards", "predictive",
-            ],
-            out=out,
-        )
-        assert code == 0
-        assert "verdicts=" in out.getvalue()
-
-    def test_legacy_guards_print_no_verdict_line(self):
+        """The default replay runs the predictive pipeline and tallies
+        its verdicts."""
         out = io.StringIO()
         code = main(
             ["replay", "--scenario", "steady", "--horizon", "1"], out=out
         )
         assert code == 0
-        assert "verdicts=" not in out.getvalue()
+        assert "verdicts=" in out.getvalue()
 
-    def test_unknown_guard_rejected(self):
-        with pytest.raises((SystemExit, ValueError)):
-            main(
-                [
-                    "replay",
-                    "--scenario", "steady",
-                    "--horizon", "1",
-                    "--guards", "psychic",
-                ],
-                out=io.StringIO(),
-            )
+    def test_unknown_guard_rejected(self, capsys):
+        """No flag selects another pipeline or replay mode: the parser
+        refuses the ones earlier builds had."""
+        for flag in (["--guards", "legacy"], ["--chunked"]):
+            with pytest.raises(SystemExit) as exc:
+                main(
+                    ["replay", "--scenario", "steady", "--horizon", "1", *flag],
+                    out=io.StringIO(),
+                )
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_freeze_after_rejected(self):
         with pytest.raises(SystemExit, match="freeze-after"):
@@ -177,7 +165,6 @@ class TestConvertCommand:
                 "replay",
                 "--scenario", "steady",
                 "--trace", str(events),
-                "--guards", "predictive",
             ],
             out=out,
         )

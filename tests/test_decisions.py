@@ -1,11 +1,12 @@
 """Tests for the decision plane (repro.core.decisions).
 
 Covers the guard pipeline's construction and verdict combination, the
-DecisionRecord codec (bit-exact round trip), the legacy pipeline's wire
-format (byte-compatible with the pre-decision-plane journal), the
-predictive guard's load-normalized behavior (identical verdicts to
-legacy on a stationary stream for N ∈ {1, 4} shards, churn-free under
-the adversarial scenario, still reverting genuine sabotage), the freeze
+DecisionRecord codec (bit-exact round trip), the decision wire format
+(every journaled decision carries its record; a record-less row of an
+earlier build is refused), the predictive guard's load-normalized
+behavior (identical verdicts to the paper's observed-vs-observed guard
+on a stationary stream for N ∈ {1, 4} shards, churn-free under the
+adversarial scenario, still reverting genuine sabotage), the freeze
 churn breaker, decision durability through journal → snapshot → resume,
 and the RM-callback-log converter round trip.
 """
@@ -34,7 +35,7 @@ from repro.core.decisions import (
     TickSignals,
     verdict_counts,
 )
-from repro.service.daemon import ServiceConfig, TempoService
+from repro.service.daemon import ServiceConfig, TempoService, _decision_from_dict
 from repro.service.events import Heartbeat, JobCompleted, JobSubmitted, TaskCompleted
 from repro.service.replay import (
     ScenarioReplayer,
@@ -47,6 +48,7 @@ from repro.service.replay import (
     make_scenario,
     replay_trace,
 )
+from repro.service.journal import JournalError
 from repro.service.snapshot import ServiceState
 from repro.slo.qs import normalized_residual, worst_residual
 from repro.workload.trace import JobRecord, TaskRecord, Trace
@@ -90,6 +92,13 @@ def stationary_stream(horizon=7200.0, seed=1, heartbeat=450.0):
     return events
 
 
+def legacy_engine(**kwargs):
+    """The paper's observed-vs-observed pipeline, built from classes."""
+    return DecisionEngine(
+        [SparsityGuard(), StabilityGuard(), LegacyRevertGuard()], **kwargs
+    )
+
+
 def verdict_sequence(summary):
     """Accept/revert/hold sequence of a replay's decisions."""
     out = []
@@ -104,41 +113,23 @@ def verdict_sequence(summary):
 
 
 class TestEngineConstruction:
-    def test_default_spec_is_legacy_stack(self):
-        engine = DecisionEngine.from_spec(None)
-        assert [g.name for g in engine.guards] == ["sparsity", "stability", "legacy"]
-        assert engine.legacy
-        assert not engine.emit_records
-        assert not engine.wants_prediction
-
     def test_predictive_spec_expands_full_stack(self):
-        engine = DecisionEngine.from_spec("predictive")
+        """The default engine is the one pipeline, in vote order."""
+        engine = DecisionEngine()
         assert [g.name for g in engine.guards] == [
             "sparsity",
             "stability",
             "predictive",
         ]
-        assert not engine.legacy
-        assert engine.emit_records
-        assert engine.wants_prediction
+        assert engine.freeze_after is None
 
     def test_explicit_list_taken_literally(self):
-        engine = DecisionEngine.from_spec("predictive,stability")
+        engine = DecisionEngine([StabilityGuard(), PredictiveGuard()])
         assert [g.name for g in engine.guards] == ["stability", "predictive"]
 
-    def test_freeze_after_breaks_legacy_wire_format(self):
-        assert DecisionEngine.from_spec("legacy").legacy
-        assert not DecisionEngine.from_spec("legacy", freeze_after=3).legacy
-
     def test_bad_specs_rejected(self):
-        with pytest.raises(ValueError, match="unknown guard"):
-            DecisionEngine.from_spec("psychic")
-        with pytest.raises(ValueError, match="at most one revert guard"):
-            DecisionEngine.from_spec("legacy,predictive")
-        with pytest.raises(ValueError, match="duplicate"):
-            DecisionEngine.from_spec("stability,stability")
         with pytest.raises(ValueError, match="freeze_after"):
-            DecisionEngine.from_spec("legacy", freeze_after=0)
+            DecisionEngine(freeze_after=0)
 
     def test_verdict_vocabulary(self):
         assert VERDICTS == ("accept", "revert", "hold", "freeze")
@@ -165,7 +156,7 @@ class TestTickPhase:
         assert not tick.proceed and tick.reason == "sparse"
 
     def test_sparse_then_stable_then_drift(self):
-        engine = DecisionEngine.from_spec("legacy")
+        engine = DecisionEngine()
         assert engine.tick(self._signals(jobs=3)).reason == "sparse"
         stable = engine.tick(self._signals(drift_fn=lambda: 0.001))
         assert not stable.proceed and stable.reason == "stable"
@@ -175,7 +166,7 @@ class TestTickPhase:
         assert drifted.drift == pytest.approx(0.5)
 
     def test_first_and_forced_bypass_stability(self):
-        engine = DecisionEngine.from_spec("legacy")
+        engine = DecisionEngine()
         first = engine.tick(self._signals(first=True, drift_fn=lambda: 0.0))
         assert first.proceed and first.reason == "initial"
         assert math.isinf(first.drift)
@@ -183,7 +174,7 @@ class TestTickPhase:
         assert forced.proceed and forced.reason == "forced"
 
     def test_disabled_sparsity_keeps_empty_window_floor(self):
-        engine = DecisionEngine.from_spec("predictive,stability")
+        engine = DecisionEngine([StabilityGuard(), PredictiveGuard()])
         assert engine.tick(self._signals(jobs=0)).reason == "sparse"
         # min_jobs floor is off: 3 < 5 jobs still proceeds.
         assert engine.tick(self._signals(jobs=3)).proceed
@@ -229,7 +220,7 @@ class TestRecordCodec:
         assert rebuilt == record
 
     def test_verdict_counts(self):
-        records = [self._record(), None, DecisionRecord(0, None, VERDICT_HOLD)]
+        records = [self._record(), DecisionRecord(0, None, VERDICT_HOLD)]
         assert verdict_counts(records) == {"revert": 1, "hold": 1}
 
 
@@ -309,21 +300,17 @@ class TestFreezeBreaker:
         )
         x_before = controller.x.copy()
         replay_trace(service, stream[len(stream) // 2 :])
-        frozen = [
-            d
-            for d in service.decisions
-            if d.record is not None and d.record.verdict == VERDICT_FREEZE
-        ]
+        frozen = [d for d in service.decisions if d.verdict == VERDICT_FREEZE]
         assert frozen, "freeze verdicts expected after consecutive reverts"
         np.testing.assert_allclose(controller.x, x_before)
 
 
 class TestLegacyWireFormat:
-    """`--guards legacy` keeps the PR 4 decision wire format exactly."""
+    """The record-less decision rows of earlier builds are gone: every
+    journaled decision carries its DecisionRecord, and a row without one
+    is refused on read."""
 
-    _PR4_KEYS = {"time", "index", "retuned", "reason", "drift", "latency"}
-
-    def _durable_run(self, tmp_path, guards, name):
+    def _durable_run(self, tmp_path, name):
         scenario = make_scenario("steady", scale=1.0, horizon=3600.0)
         state = ServiceState(tmp_path / name)
         service = build_service(
@@ -331,77 +318,36 @@ class TestLegacyWireFormat:
             ServiceConfig(window=900.0, retune_interval=450.0, min_window_jobs=3),
             seed=3,
             state=state,
-            guards=guards,
         )
-        ScenarioReplayer(
-            scenario, service, seed=3, continuous=True, verify_stats=False
-        ).run()
+        ScenarioReplayer(scenario, service, seed=3, verify_stats=False).run()
         service.close()
         return state
 
-    def test_legacy_journal_rows_have_pr4_shape(self, tmp_path):
-        state = self._durable_run(tmp_path, "legacy", "legacy")
-        rows = 0
-        for record in state.journal.iter_records():
-            if record.kind == "decision":
-                assert set(record.data) == self._PR4_KEYS
-                rows += 1
-            elif record.kind == "config":
-                assert set(record.data["decision"]) == self._PR4_KEYS
-                assert "predicted" not in record.data["controller"]
-                assert "guards" not in record.data["controller"]
-                rows += 1
-        assert rows > 0
-        state.close()
-
     def test_predictive_journal_rows_carry_records(self, tmp_path):
-        state = self._durable_run(tmp_path, "predictive", "predictive")
+        state = self._durable_run(tmp_path, "predictive")
         carried = 0
         for record in state.journal.iter_records():
             if record.kind in ("decision", "config"):
-                data = (
-                    record.data
-                    if record.kind == "decision"
-                    else record.data["decision"]
-                )
+                data = _payload(record)
                 assert "record" in data
                 assert data["record"]["verdict"] in VERDICTS
                 carried += 1
         assert carried > 0
         state.close()
 
-    def test_legacy_decision_sequence_matches_default_pipeline(self, tmp_path):
-        """An explicitly-built legacy engine and the default spec journal
-        the same decision and config records (same scenario, same seed)."""
-        a = self._durable_run(tmp_path, "legacy", "a")
-        scenario = make_scenario("steady", scale=1.0, horizon=3600.0)
-        state_b = ServiceState(tmp_path / "b")
-        engine = DecisionEngine(
-            [SparsityGuard(), StabilityGuard(), LegacyRevertGuard()]
-        )
-        controller = build_controller(scenario, seed=3, guards=engine)
-        service = TempoService(
-            controller,
-            ServiceConfig(window=900.0, retune_interval=450.0, min_window_jobs=3),
-            state=state_b,
-        )
-        ScenarioReplayer(
-            scenario, service, seed=3, continuous=True, verify_stats=False
-        ).run()
-        service.close()
-        rows_a = [
-            (r.kind, {k: v for k, v in _payload(r).items() if k != "latency"})
-            for r in a.journal.iter_records()
-            if r.kind in ("decision", "config")
-        ]
-        rows_b = [
-            (r.kind, {k: v for k, v in _payload(r).items() if k != "latency"})
-            for r in state_b.journal.iter_records()
-            if r.kind in ("decision", "config")
-        ]
-        assert rows_a == rows_b
-        a.close()
-        state_b.close()
+    def test_record_less_decision_row_refused(self):
+        row = {
+            "time": 900.0,
+            "index": 0,
+            "retuned": False,
+            "reason": "sparse",
+            "drift": 0.0,
+            "latency": 0.0,
+        }
+        with pytest.raises(JournalError, match="earlier build"):
+            _decision_from_dict(row)
+        record = DecisionRecord(0, 900.0, VERDICT_HOLD).to_dict()
+        assert _decision_from_dict({**row, "record": record}).verdict == "hold"
 
 
 def _payload(record):
@@ -418,7 +364,7 @@ class TestSteadyParityProperty:
     def test_verdicts_identical_on_stationary_stream(self, shards):
         stream = stationary_stream()
         sequences = {}
-        for guards in ("legacy", "predictive"):
+        for guards, engine in (("legacy", legacy_engine()), ("predictive", None)):
             scenario = make_scenario("steady", scale=1.0)
             service = build_service(
                 scenario,
@@ -426,7 +372,7 @@ class TestSteadyParityProperty:
                     window=900.0, retune_interval=450.0, min_window_jobs=3
                 ),
                 seed=0,
-                guards=guards,
+                engine=engine,
                 shards=shards,
             )
             summary = replay_trace(service, list(stream))
@@ -446,7 +392,6 @@ class TestSteadyParityProperty:
                     window=900.0, retune_interval=450.0, min_window_jobs=3
                 ),
                 seed=0,
-                guards="predictive",
                 shards=shards,
             )
             per_shards[shards] = verdict_sequence(replay_trace(service, list(stream)))
@@ -459,7 +404,7 @@ class TestPredictiveGuardBehavior:
         """Satellite: the SLO-gaming tenant makes the observed-vs-
         observed guard churn while the predictive guard holds steady."""
         results = {}
-        for guards in ("legacy", "predictive"):
+        for guards, engine in (("legacy", legacy_engine()), ("predictive", None)):
             scenario = make_scenario("adversarial", scale=1.5, horizon=7200.0)
             service = build_service(
                 scenario,
@@ -467,18 +412,18 @@ class TestPredictiveGuardBehavior:
                     window=1800.0, retune_interval=900.0, min_window_jobs=3
                 ),
                 seed=0,
-                guards=guards,
+                engine=engine,
                 revert_windows=1,
             )
             results[guards] = ScenarioReplayer(
-                scenario, service, seed=0, continuous=True, verify_stats=False
+                scenario, service, seed=0, verify_stats=False
             ).run()
         assert results["legacy"].reverts >= 3, "premise: legacy guard churns"
         assert results["predictive"].reverts <= results["legacy"].reverts // 3
         holds = [
             d.record
             for d in results["predictive"].decisions
-            if d.retuned and d.record is not None and d.record.verdict == "hold"
+            if d.retuned and d.verdict == "hold"
         ]
         assert holds, "workload-driven regressions must be recorded as holds"
         assert any(
@@ -500,9 +445,7 @@ class TestPredictiveGuardBehavior:
         )
 
         scenario = make_scenario("steady", scale=1.0, horizon=3600.0)
-        controller = build_controller(
-            scenario, seed=0, guards="predictive", candidates=4
-        )
+        controller = build_controller(scenario, seed=0, candidates=4)
         windows = windows_from_model(two_tenant_model(), 1800.0, 4, seed=3)
         reverted = []
         for i, window in enumerate(windows):
@@ -529,11 +472,9 @@ class TestPredictiveGuardBehavior:
             scenario,
             ServiceConfig(window=900.0, retune_interval=450.0, min_window_jobs=3),
             seed=0,
-            guards="predictive",
         )
         summary = replay_trace(service, stream)
         tuned = [d for d in summary.decisions if d.retuned]
-        assert all(d.record is not None for d in summary.decisions)
         later = [d for d in tuned if d.record.predicted is not None]
         assert later, "selection-time predictions must be retained"
         judged = [d for d in tuned if d.record.reference is not None]
@@ -550,7 +491,6 @@ class TestPredictiveGuardBehavior:
             scenario,
             ServiceConfig(window=900.0, retune_interval=450.0, min_window_jobs=3),
             seed=0,
-            guards="predictive",
         )
         seen = []
         service.on_decision(seen.append)
@@ -572,7 +512,6 @@ class TestDecisionDurability:
             ServiceConfig(window=900.0, retune_interval=450.0, min_window_jobs=3),
             seed=3,
             state=state,
-            guards="predictive",
             freeze_after=4,
         )
         stream = stationary_stream(horizon=5400.0)
@@ -582,28 +521,20 @@ class TestDecisionDurability:
 
     def test_records_round_trip_resume(self, tmp_path):
         scenario, state, live, stream, cut = self._drive(tmp_path)
-        live_rows = [
-            None if d.record is None else d.record.to_dict()
-            for d in live.decisions
-        ]
-        assert any(row is not None for row in live_rows)
+        live_rows = [d.record.to_dict() for d in live.decisions]
+        assert live_rows
         predicted = live.controller._predicted
         live.close()
         state.close()
 
         state2 = ServiceState(tmp_path / "state")
-        controller = build_controller(
-            scenario, seed=3, guards="predictive", freeze_after=4
-        )
+        controller = build_controller(scenario, seed=3, freeze_after=4)
         resumed = TempoService.resume(
             controller,
             state2,
             ServiceConfig(window=900.0, retune_interval=450.0, min_window_jobs=3),
         )
-        resumed_rows = [
-            None if d.record is None else d.record.to_dict()
-            for d in resumed.decisions
-        ]
+        resumed_rows = [d.record.to_dict() for d in resumed.decisions]
         assert resumed_rows == live_rows
         if predicted is not None:
             np.testing.assert_array_equal(controller._predicted, predicted)
@@ -616,9 +547,7 @@ class TestDecisionDurability:
         live.close()
         state.close()
         state2 = ServiceState(tmp_path / "state")
-        controller = build_controller(
-            scenario, seed=3, guards="predictive", freeze_after=4
-        )
+        controller = build_controller(scenario, seed=3, freeze_after=4)
         resumed = TempoService.resume(
             controller,
             state2,
@@ -628,7 +557,11 @@ class TestDecisionDurability:
         replay_trace(resumed, stream[cut:])
         after = [d for d in list(resumed.decisions)[before:]]
         assert after, "the resumed daemon must keep deciding"
-        assert all(d.record is not None for d in after)
+        assert all(
+            any(vote.guard == "predictive" for vote in d.record.votes)
+            for d in after
+            if d.retuned
+        )
         resumed.close()
         state2.close()
 
@@ -704,7 +637,6 @@ class TestConverterRoundTrip:
             scenario,
             ServiceConfig(window=900.0, retune_interval=300.0, min_window_jobs=3),
             seed=0,
-            guards="predictive",
         )
         summary = replay_trace(service, load_trace_events(out))
         assert summary.jobs_completed == len(trace.job_records)

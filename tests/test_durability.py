@@ -1280,6 +1280,91 @@ class TestCliResume:
         assert "continuing scenario=steady from t=900s" in text
         assert "final configuration" in text
 
+    _META = {
+        "scenario": "steady",
+        "scale": 1.0,
+        "horizon": 1800.0,
+        "seed": 1,
+        "window": 600.0,
+        "interval": 300.0,
+        "drift": 0.02,
+        "speedup": 0.0,
+        "transport": "direct",
+        "revert_windows": 1,
+    }
+
+    def _resume(self, state_dir):
+        import io
+
+        from repro.cli import main
+
+        out = io.StringIO()
+        code = main(["resume", "--state-dir", str(state_dir)], out=out)
+        return code, out.getvalue()
+
+    def test_resume_refuses_legacy_guards_dir(self, tmp_path):
+        """The default serve of earlier builds recorded `--guards legacy`."""
+        state = ServiceState(tmp_path / "state")
+        state.write_meta({**self._META, "guards": "legacy", "continuous": True})
+        state.close()
+        with pytest.raises(SystemExit, match="guards flag set to 'legacy'"):
+            self._resume(tmp_path / "state")
+
+    def test_resume_refuses_chunked_dir(self, tmp_path):
+        state = ServiceState(tmp_path / "state")
+        state.write_meta(
+            {**self._META, "guards": "predictive", "continuous": False}
+        )
+        state.close()
+        with pytest.raises(SystemExit, match="chunked flag"):
+            self._resume(tmp_path / "state")
+
+    def test_resume_refuses_record_less_decision_rows(self, tmp_path):
+        """A journaled decision without its DecisionRecord (what the
+        legacy pipeline of earlier builds wrote) is refused by name."""
+        state = ServiceState(tmp_path / "state")
+        state.write_meta(self._META)
+        state.record_event(encode_event(Heartbeat(300.0)))
+        state.record_decision(
+            {
+                "time": 300.0,
+                "index": 0,
+                "retuned": False,
+                "reason": "sparse",
+                "drift": None,
+                "latency": 0.0,
+            }
+        )
+        state.record_event(encode_event(Heartbeat(600.0)))
+        state.close()
+        with pytest.raises(SystemExit, match="earlier build"):
+            self._resume(tmp_path / "state")
+
+    def test_predictive_meta_of_an_earlier_build_still_resumes(self, tmp_path):
+        """Earlier builds served `--guards predictive` dirs with a record
+        on every decision; those continue here."""
+        from repro.service.replay import ScenarioReplayer
+
+        state_dir = tmp_path / "state"
+        state = ServiceState(state_dir)
+        state.write_meta(
+            {
+                **self._META,
+                "guards": "predictive",
+                "continuous": True,
+                "freeze_after": None,
+            }
+        )
+        scenario = make_scenario("steady", scale=1.0, horizon=1800.0)
+        config = ServiceConfig(window=600.0, retune_interval=300.0, min_window_jobs=3)
+        service = build_service(scenario, config, seed=1, state=state)
+        ScenarioReplayer(scenario, service, seed=1).run(900.0)  # dies at 900s
+        state.close()
+        code, text = self._resume(state_dir)
+        assert code == 0
+        assert "continuing scenario=steady from t=900s" in text
+        assert "verdicts=" in text
+
     def test_drain_crash_resimulates_final_interval(self, tmp_path):
         """A crash during the final drain re-simulates the last interval.
 

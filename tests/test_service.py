@@ -23,6 +23,7 @@ from repro.service.replay import (
     build_service,
     make_scenario,
 )
+from repro.sim.simulator import ClusterSimulator
 from repro.workload.trace import JobRecord, TaskRecord
 
 
@@ -477,33 +478,66 @@ class TestReplay:
 
 
 class TestContinuousReplay:
-    def _overloaded(self, continuous, seed=5):
+    _INTERVAL = 450.0
+
+    def _overloaded(self, seed=5):
         scenario = make_scenario("steady", scale=3.0, horizon=3600.0)
         service = build_service(
             scenario,
-            ServiceConfig(window=900.0, retune_interval=450.0, min_window_jobs=3),
+            ServiceConfig(
+                window=900.0, retune_interval=self._INTERVAL, min_window_jobs=3
+            ),
             seed=seed,
         )
         return ScenarioReplayer(
-            scenario, service, seed=seed, continuous=continuous, verify_stats=False
+            scenario, service, seed=seed, verify_stats=False
         ).run()
 
-    def test_backlog_compounds_across_retune_intervals(self):
-        """The tentpole property: one continuous execution carries backlog.
+    def _isolated_intervals(self, seed=5):
+        """Reference without carry-over: each retune interval simulated
+        alone, from an empty cluster, under the initial configuration.
 
-        The legacy mode simulates each retune interval from an empty
-        cluster, so under sustained overload its telemetry stays mild;
-        the continuous session inherits every interval's unfinished
-        work, so queueing compounds and response times stretch.
+        Returns (peak backlog, mean response) counted like the
+        replayer counts them: submissions minus completions in time
+        order, a submission before a same-instant completion.
         """
-        chunked = self._overloaded(continuous=False)
-        continuous = self._overloaded(continuous=True)
-        assert continuous.peak_backlog > 2 * chunked.peak_backlog
-        assert continuous.mean_response > 2 * chunked.mean_response
+        scenario = make_scenario("steady", scale=3.0, horizon=3600.0)
+        workload = scenario.model.generate(seed, scenario.horizon)
+        sim = ClusterSimulator(scenario.cluster, noise=scenario.noise, seed=seed)
+        backlog = peak = 0
+        responses = []
+        s0 = 0.0
+        while s0 < scenario.horizon:
+            s1 = min(s0 + self._INTERVAL, scenario.horizon)
+            window = workload.window(s0, s1)
+            if len(window):
+                trace = sim.run(window, scenario.initial_config, seed=seed)
+                arrivals = [(job.submit_time, 0) for job in window]
+                finishes = [(job.finish_time, 1) for job in trace.job_records]
+                for _, finished in sorted(arrivals + finishes):
+                    backlog += -1 if finished else 1
+                    peak = max(peak, backlog)
+                responses += [job.response_time for job in trace.job_records]
+            s0 = s1
+        return peak, float(np.mean(responses))
+
+    def test_backlog_compounds_across_retune_intervals(self):
+        """One continuous execution carries backlog across intervals.
+
+        Simulated in isolation, each retune interval starts from an
+        empty cluster, so under sustained overload its telemetry stays
+        mild; the continuous session inherits every interval's
+        unfinished work, so queueing compounds and response times
+        stretch.
+        """
+        isolated_peak, isolated_response = self._isolated_intervals()
+        continuous = self._overloaded()
+        assert continuous.peak_backlog > 2 * isolated_peak
+        assert continuous.mean_response > 2 * isolated_response
 
     def test_continuous_replay_deterministic(self):
-        a = self._overloaded(continuous=True)
-        b = self._overloaded(continuous=True)
+        a = self._overloaded()
+        b = self._overloaded()
         assert a.events == b.events
         assert a.peak_backlog == b.peak_backlog
         assert a.final_config.describe() == b.final_config.describe()
@@ -533,28 +567,6 @@ class TestContinuousReplay:
         replayer.sim.session = capture
         replayer.run(3600.0, start=2700.0)
         assert sum(captured["session"].capacity_lost.values()) > 0
-
-    def test_resumed_chunked_run_continues_seed_sequence(self):
-        """Legacy mode: chunk seeds continue from the boundary index."""
-        scenario = make_scenario("steady", scale=1.0, horizon=1800.0)
-        service = build_service(
-            scenario,
-            ServiceConfig(window=900.0, retune_interval=450.0, min_window_jobs=3),
-            seed=7,
-        )
-        replayer = ScenarioReplayer(
-            scenario, service, seed=7, continuous=False, verify_stats=False
-        )
-        seeds = []
-        original = replayer.sim.run
-
-        def record(workload, config, *, seed=None, **kwargs):
-            seeds.append(seed)
-            return original(workload, config, seed=seed, **kwargs)
-
-        replayer.sim.run = record
-        replayer.run(1800.0, start=900.0)  # chunks at indices 2 and 3
-        assert seeds == [7 + 7919 * 2, 7 + 7919 * 3]
 
 
 class TestNodeLossCapacity:
@@ -618,6 +630,23 @@ class TestNodeLossCapacity:
 
 
 class TestRevertWindowAveraging:
+    """`revert_windows` smooths the observations the revert phase
+    compares.  The observed-vs-observed guard is the one that churns on
+    noise, so the churn tests judge with it, built from classes."""
+
+    @staticmethod
+    def _observed_guard_engine():
+        from repro.core.decisions import (
+            DecisionEngine,
+            LegacyRevertGuard,
+            SparsityGuard,
+            StabilityGuard,
+        )
+
+        return DecisionEngine(
+            [SparsityGuard(), StabilityGuard(), LegacyRevertGuard()]
+        )
+
     @staticmethod
     def _noisy_window(rng, level, horizon=900.0):
         """A window whose QS oscillates around a stationary ``level``."""
@@ -651,7 +680,12 @@ class TestRevertWindowAveraging:
 
         rng = np.random.default_rng(seed)
         scenario = make_scenario("steady", scale=1.0, horizon=3600.0)
-        controller = build_controller(scenario, seed=seed, revert_windows=k)
+        controller = build_controller(
+            scenario,
+            seed=seed,
+            revert_windows=k,
+            engine=self._observed_guard_engine(),
+        )
         count = 0
         for i in range(windows):
             record = controller.tune_from_trace(i, self._noisy_window(rng, 120.0))
@@ -685,6 +719,7 @@ class TestRevertWindowAveraging:
                 ),
                 seed=0,
                 revert_windows=k,
+                engine=self._observed_guard_engine(),
             )
             results[k] = ScenarioReplayer(
                 scenario, service, seed=0, verify_stats=False
